@@ -239,12 +239,13 @@ def scheme_of(expr: RaExpr) -> Scheme:
                 _fail(expr, "wants dividend R, divisor S, mediator R∪S with R∩S=∅")
             return r
         case GSD(d1, d2, d3):
-            dv.gsd_roles(scheme_of(d1), scheme_of(d2), scheme_of(d3))
-            return scheme_of(d1)
+            s1 = scheme_of(d1)
+            dv.gsd_roles(s1, scheme_of(d2), scheme_of(d3))
+            return s1
         case GGDO(d1, d2, d3, d4):
-            r, t = scheme_of(d1), scheme_of(d2)
-            s = scheme_of(d3) - r
-            if (r & t) or (s & t) or scheme_of(d3) != r | s or scheme_of(d4) != s | t:
+            r, t, m3, m4 = scheme_of(d1), scheme_of(d2), scheme_of(d3), scheme_of(d4)
+            s = m3 - r
+            if (r & t) or (s & t) or m3 != r | s or m4 != s | t:
                 _fail(expr, "wants dividend R, divisor T, mediators R∪S and S∪T")
             return r | t
         case GDDO(d1, d2, d3, d4):
@@ -256,8 +257,9 @@ def scheme_of(expr: RaExpr) -> Scheme:
                 _fail(expr, "wants dividend R∪S, divisor S, universe R")
             return r
         case GTodd(d1, d2, u):
-            s = scheme_of(d1) & scheme_of(d2)
-            rt = (scheme_of(d1) - s) | (scheme_of(d2) - s)
+            s1, s2 = scheme_of(d1), scheme_of(d2)
+            s = s1 & s2
+            rt = (s1 - s) | (s2 - s)
             if scheme_of(u) != rt:
                 _fail(expr, "universe must cover the non-shared scheme parts")
             return rt
@@ -361,8 +363,8 @@ def eadom_values(instance: DatabaseInstance, attr: str, extra_values=()) -> list
     vals = {v for a, v in extra_values if a == attr}
     for _name, d in instance.tables():
         if attr in d.scheme:
-            for t in d.rows:
-                vals.add(t[attr])
+            i = tb.attrs_of(d.scheme).index(attr)
+            vals.update(t._values[i] for t in d.rows)
     return sorted(vals, key=lambda v: (type(v).__name__, v))
 
 
@@ -370,15 +372,15 @@ def eadom(instance: DatabaseInstance, scheme: Scheme, extra_values=()) -> Ranked
     """Extended active domain over a scheme: the cross join of per-attribute
     domains, every tuple at score 1.  eadom(∅) is Dee₁; an attribute with no
     values anywhere yields the empty table."""
-    attrs = sorted(scheme)
+    names = tb.attrs_of(scheme)
     lat = instance.lattice
-    if not attrs:
+    if not names:
         return tb.dee(lat, lat.top)
-    columns = [eadom_values(instance, a, extra_values) for a in attrs]
-    rows = {
-        Tuple(zip(attrs, combo)): lat.top for combo in itertools.product(*columns)
-    }
-    return RankedDataTable(frozenset(scheme), lat, rows)
+    columns = [eadom_values(instance, a, extra_values) for a in names]
+    rows = dict.fromkeys(
+        (tb._make_tuple(names, combo) for combo in itertools.product(*columns)), lat.top
+    )
+    return tb._table(frozenset(scheme), lat, rows)
 
 
 def eadom_ra_expr(

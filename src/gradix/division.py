@@ -19,7 +19,13 @@ from .lattice import BooleanLattice
 from .table import (
     RankedDataTable,
     Scheme,
+    _join_plan,
+    _make_tuple,
+    _project_plan,
     _same_lattice,
+    _table,
+    _values_index,
+    attrs_of,
     difference_graded,
     natural_join,
     projection,
@@ -51,6 +57,17 @@ def _require_boolean(table: RankedDataTable, op: str) -> None:
         raise UnsupportedLatticeError(f"{op} is a two-valued operation")
 
 
+def _value_rows(d: RankedDataTable) -> list:
+    """(value tuple, degree) pairs of the stored rows."""
+    return [(t._values, b) for t, b in d.rows.items()]
+
+
+def _merger(left: Scheme, right: Scheme):
+    """Values on `left` plus values on the disjoint `right` → values on the
+    union, in sorted-attribute order."""
+    return _join_plan(attrs_of(left), attrs_of(right)).merge
+
+
 def div_ranged(
     dividend: RankedDataTable, divisor: RankedDataTable, rng: RankedDataTable
 ) -> RankedDataTable:
@@ -70,13 +87,18 @@ def div_ranged(
         dividend.scheme == r_scheme | s_scheme,
         "dividend must live on the union of range and divisor schemes",
     )
+    merge = _merger(r_scheme, s_scheme)
+    score = _values_index(dividend).get
+    kotimes, kresiduum, kinf, bottom = lat.kotimes, lat.kresiduum, lat.kinf, lat.bottom
+    divisor_rows = _value_rows(divisor)
     rows = {}
     for r, g in rng.rows.items():
+        rv = r._values
         terms = [g]
-        for s, b in divisor.rows.items():
-            terms.append(lat.otimes(g, lat.residuum(b, dividend.score(r.join(s)))))
-        rows[r] = lat.inf(terms)
-    return RankedDataTable(r_scheme, lat, rows)
+        terms += [kotimes(g, kresiduum(b, score(merge(rv + sv), bottom)))
+                  for sv, b in divisor_rows]
+        rows[r] = kinf(terms)
+    return _table(r_scheme, lat, rows)
 
 
 def div_gsdo(
@@ -94,13 +116,16 @@ def div_gsdo(
         d3.scheme == r_scheme | s_scheme,
         "mediator must live on the union of dividend and divisor schemes",
     )
+    merge = _merger(r_scheme, s_scheme)
+    score = _values_index(d3).get
+    kotimes, kresiduum, kinf, bottom = lat.kotimes, lat.kresiduum, lat.kinf, lat.bottom
+    divisor_rows = _value_rows(d2)
     rows = {}
     for r, a in d1.rows.items():
-        body = lat.inf(
-            lat.residuum(b, d3.score(r.join(s))) for s, b in d2.rows.items()
-        )
-        rows[r] = lat.otimes(a, body)
-    return RankedDataTable(r_scheme, lat, rows)
+        rv = r._values
+        body = kinf([kresiduum(b, score(merge(rv + sv), bottom)) for sv, b in divisor_rows])
+        rows[r] = kotimes(a, body)
+    return _table(r_scheme, lat, rows)
 
 
 def gsd_roles(s1: Scheme, s2: Scheme, s3: Scheme):
@@ -129,16 +154,17 @@ def div_gsd(
     """
     lat = _same_lattice(d1, d2, d3)
     r_scheme, s_scheme, _t, _u, _v = gsd_roles(d1.scheme, d2.scheme, d3.scheme)
-    p2 = projection(d2, s_scheme)
-    p3 = projection(d3, r_scheme | s_scheme)
+    divisor_rows = _value_rows(projection(d2, s_scheme))
+    score = _values_index(projection(d3, r_scheme | s_scheme)).get
+    to_r = _project_plan(attrs_of(d1.scheme), attrs_of(r_scheme))
+    merge = _merger(r_scheme, s_scheme)
+    kotimes, kresiduum, kinf, bottom = lat.kotimes, lat.kresiduum, lat.kinf, lat.bottom
     rows = {}
     for rt, a in d1.rows.items():
-        r = rt.project(r_scheme)
-        body = lat.inf(
-            lat.residuum(b, p3.score(r.join(s))) for s, b in p2.rows.items()
-        )
-        rows[rt] = lat.otimes(a, body)
-    return RankedDataTable(d1.scheme, lat, rows)
+        rv = to_r(rt._values)
+        body = kinf([kresiduum(b, score(merge(rv + sv), bottom)) for sv, b in divisor_rows])
+        rows[rt] = kotimes(a, body)
+    return _table(d1.scheme, lat, rows)
 
 
 def div_gcodd(
@@ -159,12 +185,15 @@ def div_gcodd(
         d1.scheme == r_scheme | s_scheme,
         "dividend must live on the union of universe and divisor schemes",
     )
+    merge = _merger(r_scheme, s_scheme)
+    score = _values_index(d1).get
+    kresiduum, kinf, bottom = lat.kresiduum, lat.kinf, lat.bottom
+    divisor_rows = _value_rows(d2)
     rows = {}
     for r in universe.rows:
-        rows[r] = lat.inf(
-            lat.residuum(b, d1.score(r.join(s))) for s, b in d2.rows.items()
-        )
-    return RankedDataTable(r_scheme, lat, rows)
+        rv = r._values
+        rows[r] = kinf([kresiduum(b, score(merge(rv + sv), bottom)) for sv, b in divisor_rows])
+    return _table(r_scheme, lat, rows)
 
 
 def div_gtodd(
@@ -185,17 +214,24 @@ def div_gtodd(
         universe.scheme == r_scheme | t_scheme,
         "universe must live on the union of the non-shared scheme parts",
     )
+    r_names, s_names, t_names = attrs_of(r_scheme), attrs_of(s_scheme), attrs_of(t_scheme)
+    d2_names, u_names = attrs_of(d2.scheme), attrs_of(universe.scheme)
+    d2_to_t, d2_to_s = _project_plan(d2_names, t_names), _project_plan(d2_names, s_names)
+    u_to_r, u_to_t = _project_plan(u_names, r_names), _project_plan(u_names, t_names)
     by_t: dict = {}
     for row, b in d2.rows.items():
-        by_t.setdefault(row.project(t_scheme), []).append((row.project(s_scheme), b))
+        v = row._values
+        by_t.setdefault(d2_to_t(v), []).append((d2_to_s(v), b))
+    merge = _merger(r_scheme, s_scheme)
+    score = _values_index(d1).get
+    kresiduum, kinf, bottom = lat.kresiduum, lat.kinf, lat.bottom
     rows = {}
     for rt in universe.rows:
-        r = rt.project(r_scheme)
-        rows[rt] = lat.inf(
-            lat.residuum(b, d1.score(r.join(s)))
-            for s, b in by_t.get(rt.project(t_scheme), ())
-        )
-    return RankedDataTable(universe.scheme, lat, rows)
+        v = rt._values
+        rv = u_to_r(v)
+        rows[rt] = kinf([kresiduum(b, score(merge(rv + sv), bottom))
+                         for sv, b in by_t.get(u_to_t(v), ())])
+    return _table(universe.scheme, lat, rows)
 
 
 def div_ggdo(
@@ -220,17 +256,26 @@ def div_ggdo(
     )
     _require(d3.scheme == r_scheme | s_scheme, "first mediator must be on R∪S")
     _require(d4.scheme == s_scheme | t_scheme, "second mediator must be on S∪T")
+    d4_names = attrs_of(d4.scheme)
+    d4_to_t = _project_plan(d4_names, attrs_of(t_scheme))
+    d4_to_s = _project_plan(d4_names, attrs_of(s_scheme))
     by_t: dict = {}
     for row, b in d4.rows.items():
-        by_t.setdefault(row.project(t_scheme), []).append((row.project(s_scheme), b))
+        v = row._values
+        by_t.setdefault(d4_to_t(v), []).append((d4_to_s(v), b))
+    merge_rs = _merger(r_scheme, s_scheme)
+    out = _join_plan(attrs_of(r_scheme), attrs_of(t_scheme))
+    score = _values_index(d3).get
+    kotimes, kresiduum, kinf, bottom = lat.kotimes, lat.kresiduum, lat.kinf, lat.bottom
+    divisor_rows = _value_rows(d2)
     rows = {}
     for r, a1 in d1.rows.items():
-        for t, a2 in d2.rows.items():
-            body = lat.inf(
-                lat.residuum(b, d3.score(r.join(s))) for s, b in by_t.get(t, ())
-            )
-            rows[r.join(t)] = lat.otimes(lat.otimes(a1, a2), body)
-    return RankedDataTable(r_scheme | t_scheme, lat, rows)
+        rv = r._values
+        for tv, a2 in divisor_rows:
+            body = kinf([kresiduum(b, score(merge_rs(rv + sv), bottom))
+                         for sv, b in by_t.get(tv, ())])
+            rows[_make_tuple(out.names, out.merge(rv + tv))] = kotimes(kotimes(a1, a2), body)
+    return _table(r_scheme | t_scheme, lat, rows)
 
 
 def _gddo_parts(s1: Scheme, s2: Scheme, s3: Scheme, s4: Scheme):
@@ -268,49 +313,69 @@ def div_gddo(
     s1 = d1.scheme
     s12, outer4, inner4, hit3 = _gddo_parts(s1, d2.scheme, d3.scheme, d4.scheme)
 
+    kotimes, kresiduum, kjoin, kinf = lat.kotimes, lat.kresiduum, lat.kjoin, lat.kinf
+    bottom = lat.bottom
+    u_names, d3_names, d4_names = attrs_of(u.scheme), attrs_of(d3.scheme), attrs_of(d4.scheme)
+    s1_names = attrs_of(s1)
+    to_r1 = _project_plan(u_names, s1_names)
+
     if variant == "joinable":
-        def body(r12):
-            r1 = r12.project(s1)
+        with4 = _join_plan(u_names, d4_names)
+        r14 = _join_plan(s1_names, d4_names)
+        with3 = _join_plan(r14.names, d3_names)
+        d4_rows = [(with4.right_key(v), v, b) for v, b in _value_rows(d4)]
+        d3_rows = [(with3.right_key(v), c) for v, c in _value_rows(d3)]
+
+        def body(r12v):
+            k12, r1v = with4.left_key(r12v), to_r1(r12v)
             terms = []
-            for r4, b in d4.rows.items():
-                if not r12.joinable(r4):
+            for k4, v4, b in d4_rows:
+                if k4 != k12:
                     continue
-                r14 = r1.join(r4)
-                reach = lat.sup(
-                    c for r3, c in d3.rows.items() if r14.joinable(r3)
-                )
-                terms.append(lat.residuum(b, reach))
-            return lat.inf(terms)
+                k14 = with3.left_key(r14.merge(r1v + v4))
+                reach = bottom
+                for k3, c in d3_rows:
+                    if k3 == k14:
+                        reach = kjoin(reach, c)
+                terms.append(kresiduum(b, reach))
+            return kinf(terms)
 
     elif variant in ("nocond", "nocond_alt"):
+        inner_names, outer_names, hit_names = attrs_of(inner4), attrs_of(outer4), attrs_of(hit3)
+        to_inner, to_outer = _project_plan(d4_names, inner_names), _project_plan(d4_names, outer_names)
         frag_index: dict = {}
-        for r4, b in d4.rows.items():
-            frag_index.setdefault(r4.project(inner4), []).append(
-                (r4.project(outer4), b)
-            )
-        p3 = projection(d3, hit3) if variant == "nocond_alt" else None
+        for v4, b in _value_rows(d4):
+            frag_index.setdefault(to_inner(v4), []).append((to_outer(v4), b))
+        u_to_inner = _project_plan(u_names, inner_names)
+        pinned_plan = _join_plan(s1_names, inner_names)
+        frag_plan = _join_plan(pinned_plan.names, outer_names)
+        to_hit = _project_plan(frag_plan.names, hit_names)
+        if variant == "nocond_alt":
+            reach_of = _values_index(projection(d3, hit3)).get
+        else:
+            d3_to_hit = _project_plan(d3_names, hit_names)
+            d3_rows = [(d3_to_hit(v), c) for v, c in _value_rows(d3)]
 
-        def body(r12):
-            r1 = r12.project(s1)
-            pinned = r12.project(inner4)
+            def reach_of(probe, reach):
+                for k3, c in d3_rows:
+                    if k3 == probe:
+                        reach = kjoin(reach, c)
+                return reach
+
+        def body(r12v):
+            r1v, pinned = to_r1(r12v), u_to_inner(r12v)
+            r1_pinned = pinned_plan.merge(r1v + pinned)
             terms = []
             for frag, b in frag_index.get(pinned, ()):
-                probe = r1.join(pinned).join(frag).project(hit3)
-                if variant == "nocond_alt":
-                    reach = p3.score(probe)
-                else:
-                    reach = lat.sup(
-                        c for r3, c in d3.rows.items()
-                        if r3.project(hit3) == probe
-                    )
-                terms.append(lat.residuum(b, reach))
-            return lat.inf(terms)
+                probe = to_hit(frag_plan.merge(r1_pinned + frag))
+                terms.append(kresiduum(b, reach_of(probe, bottom)))
+            return kinf(terms)
 
     else:
         raise ValueError(f"unknown gddo variant {variant!r}")
 
-    rows = {r12: lat.otimes(a, body(r12)) for r12, a in u.rows.items()}
-    return RankedDataTable(s12, lat, rows)
+    rows = {r12: kotimes(a, body(r12._values)) for r12, a in u.rows.items()}
+    return _table(s12, lat, rows)
 
 
 def semidifference(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:

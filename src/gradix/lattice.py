@@ -7,10 +7,19 @@ for the unit-interval lattices, carrier indexes (ints) for the finite ones.
 
 Every instance is immutable after construction and all operations are pure,
 so lattices can be shared freely across threads.
+
+Each operation exists twice over one arithmetic path: an unchecked kernel
+(`kmeet`, `kjoin`, `kotimes`, `kresiduum`, `kinf`) whose arguments must
+already be carrier members, and the public `meet`/`join`/`otimes`/
+`residuum`/`inf`/`sup`, which validate every argument with `check` and then
+call the kernel.  Degrees are validated where they enter (CSV ranks,
+literals, user-built tables); the table operators then run on the kernels.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from typing import Iterable, Sequence
 
 from .errors import DegreeError, LatticeAxiomError, LatticeError
@@ -19,6 +28,11 @@ from .errors import DegreeError, LatticeAxiomError, LatticeError
 #: Łukasiewicz and Goguen multiplications are inexact in binary floats, so
 #: every equality-flavoured comparison of float degrees goes through this.
 DEGREE_TOL = 1e-9
+
+#: Smallest positive normal float.  Subnormal degrees are flushed to 0: the
+#: Goguen product underflows on them (0.5 ⊗ 5e-324 = 0) while the residuum
+#: 5e-324 → 0 is 0, which would break adjointness.
+_MIN_NORMAL = sys.float_info.min
 
 
 class ResiduatedLattice:
@@ -34,37 +48,58 @@ class ResiduatedLattice:
         """Validate membership in the carrier, returning the normalized value."""
         raise NotImplementedError
 
-    # -- operations -------------------------------------------------------
+    # -- unchecked kernels: arguments must be carrier members ---------------
 
-    def meet(self, a, b):
+    def kmeet(self, a, b):
         raise NotImplementedError
 
-    def join(self, a, b):
+    def kjoin(self, a, b):
         raise NotImplementedError
 
-    def otimes(self, a, b):
+    def kotimes(self, a, b):
         raise NotImplementedError
 
-    def residuum(self, a, b):
+    def kresiduum(self, a, b):
         """Greatest c with a⊗c ≤ b."""
         raise NotImplementedError
 
-    def inf(self, values: Iterable):
+    def kinf(self, values: Iterable):
         """Infimum of a finite collection; inf(∅) is the top element.
 
         The empty case is deliberate: it is the analytic tail of an infinite
         quantification whose remaining terms all reduce to 1.
         """
         out = self.top
+        kmeet = self.kmeet
         for v in values:
-            out = self.meet(out, v)
+            out = kmeet(out, v)
         return out
+
+    # -- validating operations ----------------------------------------------
+
+    def meet(self, a, b):
+        return self.kmeet(self.check(a), self.check(b))
+
+    def join(self, a, b):
+        return self.kjoin(self.check(a), self.check(b))
+
+    def otimes(self, a, b):
+        return self.kotimes(self.check(a), self.check(b))
+
+    def residuum(self, a, b):
+        """Greatest c with a⊗c ≤ b."""
+        return self.kresiduum(self.check(a), self.check(b))
+
+    def inf(self, values: Iterable):
+        """Infimum of a finite collection; inf(∅) is the top element."""
+        return self.kinf(map(self.check, values))
 
     def sup(self, values: Iterable):
         """Supremum of a finite collection; sup(∅) is the bottom element."""
         out = self.bottom
-        for v in values:
-            out = self.join(out, v)
+        kjoin = self.kjoin
+        for v in map(self.check, values):
+            out = kjoin(out, v)
         return out
 
     # -- comparisons ------------------------------------------------------
@@ -107,7 +142,22 @@ def _format_unit(value: float) -> str:
     return f"{value:.9g}"
 
 
-class BooleanLattice(ResiduatedLattice):
+class _ChainLattice(ResiduatedLattice):
+    """Lattices whose degrees are totally ordered by Python's own order:
+    ∧/∨ are min/max and ⋀ is a plain minimum."""
+
+    kmeet = staticmethod(min)
+    kjoin = staticmethod(max)
+
+    def kinf(self, values):
+        return min(values, default=self.top)
+
+
+def _classical_residuum(a, b):
+    return 1 if a <= b else 0
+
+
+class BooleanLattice(_ChainLattice):
     """Two-element chain {0, 1}; ⊗ coincides with ∧ and → with classical
     implication, so tables over it behave exactly like classic relations."""
 
@@ -120,17 +170,8 @@ class BooleanLattice(ResiduatedLattice):
             return int(value)
         raise DegreeError(f"{value!r} is not a boolean degree")
 
-    def meet(self, a, b):
-        return self.check(a) & self.check(b)
-
-    def join(self, a, b):
-        return self.check(a) | self.check(b)
-
-    def otimes(self, a, b):
-        return self.check(a) & self.check(b)
-
-    def residuum(self, a, b):
-        return 1 if self.check(a) <= self.check(b) else 0
+    kotimes = staticmethod(min)
+    kresiduum = staticmethod(_classical_residuum)
 
     def degree_diff(self, a, b):
         return float(abs(a - b))
@@ -151,25 +192,22 @@ class BooleanLattice(ResiduatedLattice):
         return hash(self.kind)
 
 
-class UnitIntervalLattice(ResiduatedLattice):
+class UnitIntervalLattice(_ChainLattice):
     """Base for the [0, 1] lattices; ∧/∨ are min/max in the usual order."""
 
     bottom = 0.0
     top = 1.0
 
     def check(self, value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        """The degree as a float in [0, 1]; subnormals are flushed to 0."""
+        if type(value) is not float and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
             raise DegreeError(f"{value!r} is not a degree in [0, 1]")
         v = float(value)
         if 0.0 <= v <= 1.0:
-            return v
+            return 0.0 if v < _MIN_NORMAL else v
         raise DegreeError(f"{value!r} is outside [0, 1]")
-
-    def meet(self, a, b):
-        return min(self.check(a), self.check(b))
-
-    def join(self, a, b):
-        return max(self.check(a), self.check(b))
 
     def eq(self, a, b):
         return abs(a - b) <= DEGREE_TOL
@@ -200,45 +238,47 @@ class UnitIntervalLattice(ResiduatedLattice):
         return hash(self.kind)
 
 
+def _goedel_residuum(a, b):
+    return 1.0 if a <= b else b
+
+
+def _lukasiewicz_otimes(a, b):
+    return max(a + b - 1.0, 0.0)
+
+
+def _lukasiewicz_residuum(a, b):
+    return min(1.0, 1.0 - a + b)
+
+
+def _goguen_residuum(a, b):
+    return 1.0 if a <= b else b / a
+
+
 class GoedelLattice(UnitIntervalLattice):
     """Minimum multiplication: a⊗b = min(a, b)."""
 
     kind = "goedel"
-
-    def otimes(self, a, b):
-        return min(self.check(a), self.check(b))
-
-    def residuum(self, a, b):
-        a, b = self.check(a), self.check(b)
-        return 1.0 if a <= b else b
+    kotimes = staticmethod(min)
+    kresiduum = staticmethod(_goedel_residuum)
 
 
 class LukasiewiczLattice(UnitIntervalLattice):
     """Bounded-sum multiplication: a⊗b = max(a + b - 1, 0)."""
 
     kind = "lukasiewicz"
-
-    def otimes(self, a, b):
-        return max(self.check(a) + self.check(b) - 1.0, 0.0)
-
-    def residuum(self, a, b):
-        return min(1.0, 1.0 - self.check(a) + self.check(b))
+    kotimes = staticmethod(_lukasiewicz_otimes)
+    kresiduum = staticmethod(_lukasiewicz_residuum)
 
 
 class GoguenLattice(UnitIntervalLattice):
     """Product multiplication: a⊗b = a·b."""
 
     kind = "goguen"
-
-    def otimes(self, a, b):
-        return self.check(a) * self.check(b)
-
-    def residuum(self, a, b):
-        a, b = self.check(a), self.check(b)
-        return 1.0 if a <= b else b / a
+    kotimes = staticmethod(operator.mul)
+    kresiduum = staticmethod(_goguen_residuum)
 
 
-class FiniteChain(ResiduatedLattice):
+class FiniteChain(_ChainLattice):
     """n-element chain with bounded-sum arithmetic on exact integer levels.
 
     Level k stands for the rational k/(n-1); k⊗m = max(k + m - (n-1), 0) and
@@ -261,17 +301,11 @@ class FiniteChain(ResiduatedLattice):
             return value
         raise DegreeError(f"level {value} outside chain of {self.n}")
 
-    def meet(self, a, b):
-        return min(self.check(a), self.check(b))
+    def kotimes(self, a, b):
+        return max(a + b - self.top, 0)
 
-    def join(self, a, b):
-        return max(self.check(a), self.check(b))
-
-    def otimes(self, a, b):
-        return max(self.check(a) + self.check(b) - (self.n - 1), 0)
-
-    def residuum(self, a, b):
-        return min(self.n - 1, self.n - 1 - self.check(a) + self.check(b))
+    def kresiduum(self, a, b):
+        return min(self.top, self.top - a + b)
 
     def degree_diff(self, a, b):
         return abs(a - b) / (self.n - 1)
@@ -456,17 +490,17 @@ class FiniteTableLattice(ResiduatedLattice):
             return value
         raise DegreeError(f"index {value} outside carrier of size {len(self.carrier)}")
 
-    def meet(self, a, b):
-        return self._meet[self.check(a)][self.check(b)]
+    def kmeet(self, a, b):
+        return self._meet[a][b]
 
-    def join(self, a, b):
-        return self._join[self.check(a)][self.check(b)]
+    def kjoin(self, a, b):
+        return self._join[a][b]
 
-    def otimes(self, a, b):
-        return self._otimes[self.check(a)][self.check(b)]
+    def kotimes(self, a, b):
+        return self._otimes[a][b]
 
-    def residuum(self, a, b):
-        return self._residuum[self.check(a)][self.check(b)]
+    def kresiduum(self, a, b):
+        return self._residuum[a][b]
 
     def leq(self, a, b):
         return self._leq[self.check(a)][self.check(b)]

@@ -225,13 +225,17 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
                 if op == MEET:
                     return _pointwise_meet(t1, t2)
                 scheme = t1.scheme | t2.scheme
-                universe = ead(scheme)
+                names = tb.attrs_of(scheme)
+                to_1 = tb._project_plan(names, tb.attrs_of(t1.scheme))
+                to_2 = tb._project_plan(names, tb.attrs_of(t2.scheme))
+                score1, score2 = tb._values_index(t1).get, tb._values_index(t2).get
+                kresiduum, bottom = lat.kresiduum, lat.bottom
                 rows = {
-                    t: lat.residuum(t1.score(t.project(t1.scheme)),
-                                    t2.score(t.project(t2.scheme)))
-                    for t in universe.rows
+                    t: kresiduum(score1(to_1(t._values), bottom),
+                                 score2(to_2(t._values), bottom))
+                    for t in ead(scheme).rows
                 }
-                return RankedDataTable(scheme, lat, rows)
+                return tb._table(scheme, lat, rows)
             case PtcNabla(body):
                 return tb.nabla(rec(body))
             case PtcDelta(body):
@@ -248,12 +252,17 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
                 bound_universe = ead(scheme_of_vars(bound))
                 warn_if_empty(scheme_of_vars(bound), bound_universe,
                               "universal quantification")
-                rows = {}
-                for t in ead(out_scheme).rows:
-                    rows[t] = lat.inf(
-                        inner.score(t.join(b)) for b in bound_universe.rows
-                    )
-                return RankedDataTable(out_scheme, lat, rows)
+                plan = tb._join_plan(tb.attrs_of(out_scheme),
+                                     tb.attrs_of(bound_universe.scheme))
+                names, merge = plan.names, plan.merge
+                score, kinf, bottom = inner.rows.get, lat.kinf, lat.bottom
+                bound_values = [b._values for b in bound_universe.rows]
+                rows = {
+                    t: kinf([score(tb._make_tuple(names, merge(t._values + bv)), bottom)
+                             for bv in bound_values])
+                    for t in ead(out_scheme).rows
+                }
+                return tb._table(out_scheme, lat, rows)
         raise TypeError(f"not a PTC expression: {node!r}")
 
     return rec(expr)
@@ -261,16 +270,7 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
 
 def _pointwise_meet(t1: RankedDataTable, t2: RankedDataTable) -> RankedDataTable:
     """Like a natural join but aggregating with ∧ instead of ⊗."""
-    lat = tb._same_lattice(t1, t2)
-    common = t1.scheme & t2.scheme
-    by_common: dict = {}
-    for t, b in t2.rows.items():
-        by_common.setdefault(t.project(common), []).append((t, b))
-    rows = {}
-    for t, a in t1.rows.items():
-        for other, b in by_common.get(t.project(common), ()):
-            rows[t.join(other)] = lat.meet(a, b)
-    return RankedDataTable(t1.scheme | t2.scheme, lat, rows)
+    return tb._join_rows(t1, t2, tb._same_lattice(t1, t2).kmeet)
 
 
 # -- transforms ------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -31,69 +33,185 @@ def scheme_of_names(*names: str) -> Scheme:
     return frozenset(names)
 
 
+# -- attribute-name tuples and index plans -----------------------------------
+#
+# A tuple stores its values in sorted-attribute order next to an interned
+# tuple of the sorted attribute names, so all tuples on one scheme share one
+# names object.  Projections and joins are index plans computed once per
+# pair of name tuples and then applied to bare value tuples.  The caches
+# grow with the distinct schemes and scheme pairs a process uses; they are
+# filled with single dict operations, so concurrent callers at worst build
+# an equal plan twice.
+
+_NAMES: dict[tuple, tuple] = {}
+_SCHEME_OF: dict[tuple, Scheme] = {}
+_NAMES_OF: dict[Scheme, tuple] = {}
+_PICKERS: dict[tuple, object] = {}
+_PROJECT_PLANS: dict[tuple, object] = {}
+_JOIN_PLANS: dict[tuple, "_JoinPlan"] = {}
+
+
+def _intern(names: tuple) -> tuple:
+    """The shared instance of a sorted attribute-name tuple."""
+    shared = _NAMES.get(names)
+    if shared is None:
+        _SCHEME_OF.setdefault(names, frozenset(names))
+        shared = _NAMES.setdefault(names, names)
+    return shared
+
+
+def attrs_of(scheme) -> tuple:
+    """The interned, sorted attribute names of a scheme."""
+    if type(scheme) is not frozenset:
+        scheme = frozenset(scheme)
+    names = _NAMES_OF.get(scheme)
+    if names is None:
+        names = _NAMES_OF[scheme] = _intern(tuple(sorted(scheme)))
+    return names
+
+
+def _picker(positions: tuple):
+    """Callable returning the tuple of a sequence's items at `positions`
+    (shared between all plans that pick the same positions)."""
+    pick = _PICKERS.get(positions)
+    if pick is None:
+        if not positions:
+            pick = lambda values: ()  # noqa: E731
+        elif len(positions) == 1:
+            i = positions[0]
+            pick = lambda values: (values[i],)  # noqa: E731
+        else:
+            pick = itemgetter(*positions)
+        _PICKERS[positions] = pick
+    return pick
+
+
+def _project_plan(src: tuple, dst: tuple):
+    """Picker from values on `src` names to values on the sub-names `dst`."""
+    key = (src, dst)
+    pick = _PROJECT_PLANS.get(key)
+    if pick is None:
+        pick = _PROJECT_PLANS[key] = _picker(tuple(src.index(a) for a in dst))
+    return pick
+
+
+class _JoinPlan:
+    """Index plan for joining value tuples on names `left` and `right`.
+
+    `merge(lv + rv)` gives the joined values on `names`; `left_key(lv)` and
+    `right_key(rv)` give the values of the shared attributes, which must
+    agree for the two tuples to be joinable.
+    """
+
+    __slots__ = ("names", "merge", "left_key", "right_key")
+
+    def __init__(self, left: tuple, right: tuple):
+        self.names = _intern(tuple(sorted(set(left) | set(right))))
+        width = len(left)
+        where = {a: width + i for i, a in enumerate(right)}
+        where.update((a, i) for i, a in enumerate(left))
+        self.merge = _picker(tuple(where[a] for a in self.names))
+        common = [a for a in left if a in right]
+        self.left_key = _picker(tuple(left.index(a) for a in common))
+        self.right_key = _picker(tuple(right.index(a) for a in common))
+
+
+def _join_plan(left: tuple, right: tuple) -> _JoinPlan:
+    key = (left, right)
+    plan = _JOIN_PLANS.get(key)
+    if plan is None:
+        plan = _JOIN_PLANS[key] = _JoinPlan(left, right)
+    return plan
+
+
 class Tuple:
     """Immutable map from the attributes of a scheme to values.
 
     Values are equality-only scalars (int, str, float); the engine never
     orders or computes with them.  The empty tuple is the unique tuple on
-    the empty scheme.
+    the empty scheme.  Any mapping, or an iterable of (attribute, value)
+    pairs, builds one.
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_attrs", "_values")
 
     def __init__(self, assignment: Mapping[str, object] | Iterable = ()):
-        if isinstance(assignment, Mapping):
-            items = tuple(sorted(assignment.items()))
-        else:
-            items = tuple(sorted(assignment))
-        self._items = items
-        self._hash = hash(items)
+        if type(assignment) is not dict:
+            assignment = dict(
+                assignment.items() if isinstance(assignment, Mapping) else assignment
+            )
+        names = tuple(sorted(assignment))
+        self._attrs = _intern(names)
+        self._values = tuple([assignment[a] for a in names])
 
     @property
     def scheme(self) -> Scheme:
-        return frozenset(a for a, _ in self._items)
+        return _SCHEME_OF[self._attrs]
 
     def __getitem__(self, attr: str):
-        for a, v in self._items:
-            if a == attr:
-                return v
-        raise KeyError(attr)
+        try:
+            return self._values[self._attrs.index(attr)]
+        except ValueError:
+            raise KeyError(attr) from None
 
     def items(self):
-        return self._items
+        """The (attribute, value) pairs in attribute order."""
+        return tuple(zip(self._attrs, self._values))
 
     def as_dict(self) -> dict:
-        return dict(self._items)
+        return dict(zip(self._attrs, self._values))
 
     def project(self, scheme: Scheme) -> "Tuple":
         """Restriction of the assignment to a subscheme."""
-        if not scheme <= self.scheme:
+        names = attrs_of(scheme)
+        if not _SCHEME_OF[names] <= _SCHEME_OF[self._attrs]:
             raise SchemeError(f"cannot project {self} onto {sorted(scheme)}")
-        return Tuple((a, v) for a, v in self._items if a in scheme)
+        return _make_tuple(names, _project_plan(self._attrs, names)(self._values))
 
     def joinable(self, other: "Tuple") -> bool:
         """True when the two tuples agree on every shared attribute."""
-        mine = dict(self._items)
-        return all(a not in mine or mine[a] == v for a, v in other._items)
+        plan = _join_plan(self._attrs, other._attrs)
+        return plan.left_key(self._values) == plan.right_key(other._values)
 
     def join(self, other: "Tuple") -> "Tuple":
         """Set union of the assignments; requires joinability."""
-        mine = dict(self._items)
-        for a, v in other._items:
-            if a in mine and mine[a] != v:
-                raise NotJoinableError(f"{self} and {other} disagree on {a}")
-            mine[a] = v
-        return Tuple(mine)
+        plan = _join_plan(self._attrs, other._attrs)
+        if plan.left_key(self._values) != plan.right_key(other._values):
+            clash = next(a for a in self._attrs
+                         if a in other._attrs and self[a] != other[a])
+            raise NotJoinableError(f"{self} and {other} disagree on {clash}")
+        return _make_tuple(plan.names, plan.merge(self._values + other._values))
 
     def __eq__(self, other):
-        return isinstance(other, Tuple) and other._items == self._items
+        return (
+            isinstance(other, Tuple)
+            and other._attrs == self._attrs
+            and other._values == self._values
+        )
 
     def __hash__(self):
-        return self._hash
+        return hash(self._values)
+
+    def __reduce__(self):
+        # rebuild through the constructor, which interns the names in the
+        # unpickling process
+        return Tuple, (self.as_dict(),)
 
     def __repr__(self):
-        inner = ", ".join(f"{a}: {v!r}" for a, v in self._items)
+        inner = ", ".join(f"{a}: {v!r}" for a, v in zip(self._attrs, self._values))
         return "⟨" + inner + "⟩"
+
+
+_new = object.__new__
+
+
+def _make_tuple(names: tuple, values: tuple) -> Tuple:
+    """Trusted construction: `names` interned and sorted, `values` in the
+    same order."""
+    t = _new(Tuple)
+    t._attrs = names
+    t._values = values
+    return t
 
 
 EMPTY_TUPLE = Tuple()
@@ -112,22 +230,29 @@ def tuple_join(r1: Tuple, r2: Tuple) -> Tuple:
 
 
 class RankedDataTable:
-    """Finite map from tuples on a scheme to nonzero degrees."""
+    """Finite map from tuples on a scheme to nonzero degrees.
+
+    The constructor is the validating entry point: every tuple must be on
+    the scheme and every degree passes `lattice.check`.  Operator results
+    are built by `_table`, which trusts its input.
+    """
 
     __slots__ = ("scheme", "lattice", "rows")
 
     def __init__(self, scheme: Scheme, lattice: ResiduatedLattice, rows=()):
         self.scheme = frozenset(scheme)
         self.lattice = lattice
+        names = attrs_of(self.scheme)
+        check, bottom = lattice.check, lattice.bottom
         stored = {}
-        items = rows.items() if isinstance(rows, Mapping) else rows
+        items = rows.items() if type(rows) is dict or isinstance(rows, Mapping) else rows
         for t, d in items:
-            if t.scheme != self.scheme:
+            if not isinstance(t, Tuple) or t._attrs != names:
                 raise SchemeError(
                     f"tuple {t} is not on scheme {sorted(self.scheme)}"
                 )
-            d = lattice.check(d)
-            if not lattice.is_bottom(d):
+            d = check(d)
+            if d != bottom:
                 stored[t] = d
         self.rows = stored
 
@@ -181,6 +306,29 @@ class RankedDataTable:
         return f"RDT[{','.join(sorted(self.scheme))}]{{{cells}}}"
 
 
+def _table(scheme: Scheme, lattice: ResiduatedLattice, rows: dict) -> RankedDataTable:
+    """Trusted construction for operator results.
+
+    `rows` (a dict the table takes over) must map tuples on the frozenset
+    `scheme` to carrier members; nothing of that is checked.  Bottom degrees
+    are still dropped: only nonzero scores are stored, whatever the operator
+    computed.
+    """
+    bottom = lattice.bottom
+    if bottom in rows.values():
+        rows = {t: d for t, d in rows.items() if d != bottom}
+    out = _new(RankedDataTable)
+    out.scheme = scheme
+    out.lattice = lattice
+    out.rows = rows
+    return out
+
+
+def _values_index(d: RankedDataTable) -> dict:
+    """The table's scores keyed by bare value tuples (sorted-attribute order)."""
+    return {t._values: a for t, a in d.rows.items()}
+
+
 def _same_lattice(*tables: RankedDataTable) -> ResiduatedLattice:
     lat = tables[0].lattice
     for t in tables[1:]:
@@ -214,29 +362,44 @@ def empty(lattice: ResiduatedLattice, scheme: Scheme) -> RankedDataTable:
 def union(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
-    rows = {t: lat.join(d1.score(t), d2.score(t)) for t in d1.rows.keys() | d2.rows.keys()}
-    return RankedDataTable(scheme, lat, rows)
+    kjoin = lat.kjoin
+    r1 = d1.rows
+    rows = dict(r1)
+    for t, b in d2.rows.items():
+        a = r1.get(t)
+        rows[t] = b if a is None else kjoin(a, b)
+    return _table(scheme, lat, rows)
 
 
 def intersection(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
-    rows = {t: lat.meet(d1.score(t), d2.score(t)) for t in d1.rows.keys() & d2.rows.keys()}
-    return RankedDataTable(scheme, lat, rows)
+    kmeet = lat.kmeet
+    r2 = d2.rows
+    rows = {t: kmeet(a, r2[t]) for t, a in d1.rows.items() if t in r2}
+    return _table(scheme, lat, rows)
+
+
+def _join_rows(d1: RankedDataTable, d2: RankedDataTable, kernel) -> RankedDataTable:
+    """Rows rs of D1 ⋈ D2 scored kernel(D1(r), D2(s)), by hashing D2 on the
+    shared attributes."""
+    plan = _join_plan(attrs_of(d1.scheme), attrs_of(d2.scheme))
+    names, merge, left_key, right_key = plan.names, plan.merge, plan.left_key, plan.right_key
+    by_common: dict[tuple, list] = {}
+    for t2, b in d2.rows.items():
+        v2 = t2._values
+        by_common.setdefault(right_key(v2), []).append((v2, b))
+    rows = {}
+    for t1, a in d1.rows.items():
+        v1 = t1._values
+        for v2, b in by_common.get(left_key(v1), ()):
+            rows[_make_tuple(names, merge(v1 + v2))] = kernel(a, b)
+    return _table(_SCHEME_OF[names], d1.lattice, rows)
 
 
 def natural_join(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     """(D1 ⋈ D2)(rst) = D1(rs) ⊗ D2(st); ⊗ acts as the conjunctive aggregator."""
-    lat = _same_lattice(d1, d2)
-    common = d1.scheme & d2.scheme
-    by_common: dict[Tuple, list] = {}
-    for t2, b in d2.rows.items():
-        by_common.setdefault(t2.project(common), []).append((t2, b))
-    rows = {}
-    for t1, a in d1.rows.items():
-        for t2, b in by_common.get(t1.project(common), ()):
-            rows[t1.join(t2)] = lat.otimes(a, b)
-    return RankedDataTable(d1.scheme | d2.scheme, lat, rows)
+    return _join_rows(d1, d2, _same_lattice(d1, d2).kotimes)
 
 
 def projection(d: RankedDataTable, scheme: Scheme) -> RankedDataTable:
@@ -247,12 +410,18 @@ def projection(d: RankedDataTable, scheme: Scheme) -> RankedDataTable:
             f"projection target {sorted(scheme)} not within {sorted(d.scheme)}"
         )
     lat = d.lattice
-    rows: dict[Tuple, object] = {}
+    if scheme == d.scheme:
+        return _table(d.scheme, lat, dict(d.rows))
+    names = attrs_of(scheme)
+    pick = _project_plan(attrs_of(d.scheme), names)
+    kjoin = lat.kjoin
+    best: dict[tuple, object] = {}
     for t, a in d.rows.items():
-        s = t.project(scheme)
-        prev = rows.get(s)
-        rows[s] = a if prev is None else lat.join(prev, a)
-    return RankedDataTable(scheme, lat, rows)
+        s = pick(t._values)
+        prev = best.get(s)
+        best[s] = a if prev is None else kjoin(prev, a)
+    rows = {_make_tuple(names, s): a for s, a in best.items()}
+    return _table(_SCHEME_OF[names], lat, rows)
 
 
 def semijoin(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
@@ -269,17 +438,19 @@ def difference_graded(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTab
     """
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
+    kotimes, kresiduum, bottom = lat.kotimes, lat.kresiduum, lat.bottom
+    r2 = d2.rows
     rows = {
-        t: lat.otimes(a, lat.residuum(d2.score(t), lat.bottom))
+        t: kotimes(a, kresiduum(r2.get(t, bottom), bottom))
         for t, a in d1.rows.items()
     }
-    return RankedDataTable(scheme, lat, rows)
+    return _table(scheme, lat, rows)
 
 
 def nabla(d: RankedDataTable) -> RankedDataTable:
     """Support indicator: nonzero scores become 1."""
     lat = d.lattice
-    return RankedDataTable(d.scheme, lat, {t: lat.top for t in d.rows})
+    return _table(d.scheme, lat, dict.fromkeys(d.rows, lat.top))
 
 
 def delta(d: RankedDataTable) -> RankedDataTable:
@@ -289,9 +460,8 @@ def delta(d: RankedDataTable) -> RankedDataTable:
     absorbing drift from ⊗ chains.
     """
     lat = d.lattice
-    return RankedDataTable(
-        d.scheme, lat, {t: lat.top for t, a in d.rows.items() if lat.is_top(a)}
-    )
+    is_top, top = lat.is_top, lat.top
+    return _table(d.scheme, lat, {t: top for t, a in d.rows.items() if is_top(a)})
 
 
 def residuum_with_range(
@@ -300,11 +470,13 @@ def residuum_with_range(
     """Row r gets rng(r) ⊗ (D1(r) → D2(r)); support stays inside rng's."""
     lat = _same_lattice(d1, d2, rng)
     scheme = _same_scheme(d1, d2, rng)
+    kotimes, kresiduum, bottom = lat.kotimes, lat.kresiduum, lat.bottom
+    r1, r2 = d1.rows, d2.rows
     rows = {
-        t: lat.otimes(g, lat.residuum(d1.score(t), d2.score(t)))
+        t: kotimes(g, kresiduum(r1.get(t, bottom), r2.get(t, bottom)))
         for t, g in rng.rows.items()
     }
-    return RankedDataTable(scheme, lat, rows)
+    return _table(scheme, lat, rows)
 
 
 class DatabaseInstance:
@@ -377,44 +549,50 @@ class AttributeRegistry:
         return self._types.get(attr)
 
     def parse_value(self, attr: str, text: str):
+        """The typed value of a CSV cell.  Decimals must be finite: nan is
+        unequal to itself, so two nan rows would stay distinct tuples."""
         ty = self.type_of(attr) or "text"
         try:
-            return self._PARSERS[ty](text)
+            value = self._PARSERS[ty](text)
         except ValueError:
             raise TypeRegistryError(
                 f"value {text!r} is not a valid {ty} for {attr!r}"
             ) from None
+        if ty == "decimal" and not math.isfinite(value):
+            raise TypeRegistryError(
+                f"value {text!r} is not a finite decimal for {attr!r}"
+            )
+        return value
 
 
 def sorted_rows(d: RankedDataTable):
-    """Rows ordered by descending rank, then lexicographic tuple order."""
-    attrs = sorted(d.scheme)
-    lat = d.lattice
+    """Rows ordered by descending rank, then lexicographic tuple order.
 
-    def key(item):
-        t, a = item
-        return (-_numeric(lat.sort_key(a)), tuple(_ordkey(t[x]) for x in attrs))
+    Values of one attribute normally share a Python type; a column that
+    mixes types is ordered by type name first, which keeps it sortable
+    rather than raising.
+    """
+    sort_key = d.lattice.sort_key
+    columns = zip(*[t._values for t in d.rows])
+    if any(len(set(map(type, col))) > 1 for col in columns):
+        def key(item):
+            t, a = item
+            return (-float(sort_key(a)), tuple([(type(v).__name__, v) for v in t._values]))
+    else:
+        def key(item):
+            return (-float(sort_key(item[1])), item[0]._values)
 
     return sorted(d.rows.items(), key=key)
 
 
-def _numeric(x):
-    return float(x)
-
-
-def _ordkey(v):
-    # values within one attribute share a type; the type tag keeps mixed
-    # tables sortable rather than raising
-    return (type(v).__name__, v)
-
-
 def write_csv(d: RankedDataTable, out) -> None:
     """Serialize: header of sorted attribute names plus a final rank column."""
-    attrs = sorted(d.scheme)
+    fmt = d.lattice.format_degree
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(attrs + ["rank"])
-    for t, a in sorted_rows(d):
-        writer.writerow([_value_to_text(t[x]) for x in attrs] + [d.lattice.format_degree(a)])
+    writer.writerow(list(attrs_of(d.scheme)) + ["rank"])
+    writer.writerows(
+        [_value_to_text(v) for v in t._values] + [fmt(a)] for t, a in sorted_rows(d)
+    )
 
 
 def table_to_csv(d: RankedDataTable) -> str:
@@ -439,7 +617,8 @@ def read_csv(
 
     The header names the attributes; an optional final `rank` column carries
     the degree (default: top).  `types` declares attribute types, enforced
-    through the session registry.
+    through the session registry.  Every value goes through
+    `registry.parse_value` and every rank through `lattice.parse_degree`.
     """
     if isinstance(text_or_file, str):
         text_or_file = io.StringIO(text_or_file)
@@ -455,13 +634,18 @@ def read_csv(
         raise SchemeError(f"duplicate attribute in CSV header {header}")
     for a, ty in (types or {}).items():
         registry.declare(a, ty)
+    names = attrs_of(frozenset(attrs))
+    to_sorted = _picker(tuple(attrs.index(a) for a in names))
+    parse_value, parse_degree, top = registry.parse_value, lattice.parse_degree, lattice.top
+    width = len(header)
     rows = {}
     for row in reader:
         if not row:
             continue
-        if len(row) != len(header):
+        if len(row) != width:
             raise SchemeError(f"CSV row {row} does not match header {header}")
-        t = Tuple({a: registry.parse_value(a, cell.strip()) for a, cell in zip(attrs, row)})
-        d = lattice.parse_degree(row[-1].strip()) if has_rank else lattice.top
-        rows[t] = d
-    return RankedDataTable(frozenset(attrs), lattice, rows)
+        values = to_sorted([parse_value(a, cell.strip()) for a, cell in zip(attrs, row)])
+        rows[_make_tuple(names, values)] = (
+            parse_degree(row[-1].strip()) if has_rank else top
+        )
+    return _table(_SCHEME_OF[names], lattice, rows)

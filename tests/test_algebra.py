@@ -232,3 +232,40 @@ def test_ra_to_text_shapes():
     assert gx.ra_to_text(Singleton("A", 3.0)) == "[A: 3.0]"
     assert gx.ra_to_text(DeeConst(0.7)) == "DEE(0.7)"
     assert gx.ra_to_text(Union(D, E)) == "(D UNION E)"
+
+
+def _count_scheme_of(monkeypatch):
+    from gradix import algebra
+
+    calls = []
+    inner = algebra.scheme_of
+
+    def counting(expr):
+        calls.append(expr)
+        return inner(expr)
+
+    monkeypatch.setattr(algebra, "scheme_of", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["GSD", "GTodd"])
+def test_scheme_of_infers_each_child_once(monkeypatch, kind):
+    from gradix import algebra
+
+    if kind == "GSD":
+        expr = RelSym("R", sch("A"))
+        for _ in range(20):
+            expr = algebra.GSD(expr, RelSym("S", sch("B")), RelSym("M", sch("A", "B")))
+        want = sch("A")
+    else:
+        # alternates between schemes {A, C} and {A, B}
+        expr = RelSym("R", sch("A", "C"))
+        for i in range(20):
+            other = "C" if i % 2 == 0 else "B"
+            mid = "B" if i % 2 == 0 else "C"
+            expr = algebra.GTodd(expr, RelSym("S", sch(other, mid)), RelSym("U", sch("A", mid)))
+        want = sch("A", "C")
+    nodes = sum(1 for _ in walk(expr))
+    calls = _count_scheme_of(monkeypatch)
+    assert algebra.scheme_of(expr) == want
+    assert len(calls) == nodes == 61

@@ -229,3 +229,12 @@ def test_run_script_direct_api(workdir):
     assert cli.run_script(stmts, session, stdout=out) == EXIT_OK
     assert sorted(session.tables) == ["R", "SP"]
     assert len(session.tables["R"]) == 2
+
+
+def test_eval_rejects_nan_decimal_values(tmp_path, capsys):
+    (tmp_path / "x.csv").write_text("X,rank\nnan,0.5\nnan,0.7\n")
+    script = write_script(tmp_path, f'LOAD T FROM "{tmp_path}/x.csv" SCHEME X:decimal\nEVAL T\n')
+    code, out = run_main(["eval", "--lattice", "godel", "--script", script])
+    assert code == EXIT_QUERY
+    assert out == ""
+    assert "not a finite decimal" in capsys.readouterr().err

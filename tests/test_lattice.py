@@ -2,9 +2,10 @@
 finite-table validation, selection strings."""
 
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gradix import (
     DEGREE_TOL,
@@ -92,6 +93,7 @@ def test_adjointness_exhaustive_finite():
 
 
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
+@example(0.5, 5e-324, 0.0)  # Goguen: 0.5 ⊗ 5e-324 underflows to 0, 5e-324 → 0 is 0
 def test_adjointness_floats(a, b, c):
     for lat in (make_lattice("godel"), make_lattice("lukasiewicz"), make_lattice("goguen")):
         if lat.otimes(a, b) <= c:
@@ -148,6 +150,25 @@ def test_carrier_membership_errors(godel, chain5):
         chain5.otimes(7, 1)
     with pytest.raises(DegreeError):
         chain5.otimes(0.5, 1)  # float degree from another lattice kind
+
+
+def test_subnormal_degrees_flush_to_zero(unit_lattice):
+    assert unit_lattice.check(5e-324) == 0.0
+    assert unit_lattice.check(sys.float_info.min) == sys.float_info.min
+    assert unit_lattice.parse_degree("1e-320") == 0.0
+
+
+def test_kernels_agree_with_checked_ops(any_lattice):
+    lat = any_lattice
+    elems = _samples(lat)
+    for a in elems:
+        for b in elems:
+            assert lat.kmeet(a, b) == lat.meet(a, b)
+            assert lat.kjoin(a, b) == lat.join(a, b)
+            assert lat.kotimes(a, b) == lat.otimes(a, b)
+            assert lat.kresiduum(a, b) == lat.residuum(a, b)
+    assert lat.kinf(elems) == lat.inf(elems)
+    assert lat.kinf([]) == lat.top
 
 
 def _diamond_tables():

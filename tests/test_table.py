@@ -16,6 +16,7 @@ from gradix import (
     TypeRegistryError,
 )
 from gradix.harness import gen, oracle
+from gradix.table import sorted_rows
 
 from conftest import rdt, sch, scores, tup
 
@@ -278,3 +279,74 @@ def test_write_csv_to_stream(godel):
     buf = io.StringIO()
     gx.write_csv(rdt(godel, {"A"}, {1: 0.5}), buf)
     assert buf.getvalue() == "A,rank\n1,0.5\n"
+
+
+def test_tuple_accepts_any_mapping_and_pairs():
+    from types import MappingProxyType
+
+    want = Tuple({"B": 2, "A": 1})
+    assert Tuple(MappingProxyType({"A": 1, "B": 2})) == want
+    assert Tuple([("B", 2), ("A", 1)]) == want
+    assert Tuple(zip("AB", (1, 2))) == want
+    assert want.items() == (("A", 1), ("B", 2))
+    assert want.as_dict() == {"A": 1, "B": 2}
+    assert want.scheme == sch("A", "B")
+    assert want["B"] == 2
+    with pytest.raises(KeyError):
+        want["C"]
+
+
+def test_tuple_equality_across_numeric_types():
+    assert Tuple({"A": 1}) == Tuple({"A": 1.0})
+    assert hash(Tuple({"A": 1})) == hash(Tuple({"A": 1.0}))
+    assert Tuple({"A": 1}) != Tuple({"B": 1})
+    assert Tuple({"A": 1}) != {"A": 1}
+    assert len({Tuple({"A": 1}), Tuple({"A": 1.0})}) == 1
+
+
+def test_tuple_errors_keep_their_types():
+    r = Tuple({"A": 1, "B": 2})
+    with pytest.raises(SchemeError):
+        r.project(sch("A", "C"))
+    with pytest.raises(NotJoinableError, match="disagree on B"):
+        r.join(Tuple({"B": 3, "C": 4}))
+    assert r.project({"B"}) == Tuple({"B": 2})
+
+
+def test_sorted_rows_keeps_type_order_on_mixed_columns(godel):
+    d = rdt(godel, {"A"}, {2: 0.5, 1.5: 0.5, 1: 0.5, 0.5: 0.5})
+    # one type per column: plain value order
+    assert [t["A"] for t, _ in sorted_rows(rdt(godel, {"A"}, {2: 0.5, 1: 0.5}))] == [1, 2]
+    # mixed column: ordered by type name first, floats before ints
+    assert [t["A"] for t, _ in sorted_rows(d)] == [0.5, 1.5, 1, 2]
+    assert gx.table_to_csv(d) == "A,rank\n0.5,0.5\n1.5,0.5\n1,0.5\n2,0.5\n"
+
+
+def test_csv_rejects_non_finite_decimals(godel):
+    reg = AttributeRegistry()
+    for bad in ("nan", "inf", "-inf", "NaN"):
+        with pytest.raises(TypeRegistryError):
+            gx.read_csv(f"X,rank\n{bad},0.5\n1,0.7\n", godel, reg, {"X": "decimal"})
+    table = gx.read_csv("X,rank\n1.5,0.5\n2,0.7\n", godel, reg, {"X": "decimal"})
+    assert len(table) == 2
+
+
+def test_csv_columns_follow_header_order(godel):
+    reg = AttributeRegistry()
+    table = gx.read_csv("B,A,rank\nb1,a1,0.5\n", godel, reg)
+    assert table.scheme == sch("A", "B")
+    assert table.score(Tuple({"A": "a1", "B": "b1"})) == 0.5
+    assert gx.table_to_csv(table) == "A,B,rank\na1,b1,0.5\n"
+
+
+def test_tuple_pickles_into_a_process_that_never_saw_its_scheme(monkeypatch):
+    import pickle
+
+    from gradix import table as tb
+
+    data = pickle.dumps(Tuple({"A": 1, "B": "x"}))
+    monkeypatch.setattr(tb, "_NAMES", {})
+    monkeypatch.setattr(tb, "_SCHEME_OF", {})
+    loaded = pickle.loads(data)
+    assert loaded.scheme == sch("A", "B")
+    assert loaded == Tuple({"A": 1, "B": "x"})
