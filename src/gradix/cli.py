@@ -30,6 +30,7 @@ from .table import (
     RankedDataTable,
     read_csv,
     table_to_csv,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -76,7 +77,7 @@ def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
 
     def emit_table(kind: str, line: int, table: RankedDataTable):
         stdout.write(f"-- {kind} (line {line})\n")
-        stdout.write(table_to_csv(table))
+        write_csv(table, stdout)
         stdout.write("\n")
 
     for stmt in statements:
@@ -112,6 +113,7 @@ def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
                     if out_base is not None and not target.is_absolute():
                         target = out_base / target
                     target.parent.mkdir(parents=True, exist_ok=True)
+                    # the whole text first: a failed write_csv leaves no partial file
                     target.write_text(table_to_csv(session.tables[name]),
                                       encoding="utf-8")
         except OSError as exc:

@@ -25,6 +25,13 @@ KEYWORDS = {
     "TO", "SCHEME",
 }
 
+#: Deepest nesting an expression may have: brackets inside brackets, and
+#: operator levels on any path from the root of the parsed expression down
+#: to a relation symbol or constant.  Scheme inference, evaluation and
+#: printing recurse once per level, so a deeper expression would exhaust
+#: Python's stack; the parser raises `ParseError` instead.
+MAX_DEPTH = 200
+
 _PUNCT = ("->", "=>", "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "*", "&", "=")
 
 
@@ -107,6 +114,8 @@ def tokenize(text: str) -> list[Token]:
             if text.startswith(p, i):
                 if p in "([{":
                     depth += 1
+                    if depth > MAX_DEPTH:
+                        err(f"brackets nested deeper than {MAX_DEPTH} levels")
                 elif p in ")]}":
                     depth = max(0, depth - 1)
                 toks.append(Token(p, p, line, col))
@@ -178,6 +187,15 @@ class _Parser:
             self.next()
             return _number(tok)
         raise ParseError("expected a value literal", tok.line, tok.col)
+
+    def expression(self, parse):
+        """One top-level expression read by `parse`, within `MAX_DEPTH`."""
+        tok = self.peek()
+        expr = parse()
+        if _depth(expr) > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             tok.line, tok.col)
+        return expr
 
     # -- relational algebra -------------------------------------------------
 
@@ -307,22 +325,25 @@ class _Parser:
     # -- pseudo tuple calculus ----------------------------------------------
 
     def ptc_expr(self):
-        left = self.ptc_conj()
-        if self.accept("=>"):
-            return pc.PtcBinary(pc.RESIDUUM, left, self.ptc_expr())
-        return left
-
-    def ptc_conj(self):
-        left = self.ptc_tens()
-        while self.accept("&"):
-            left = pc.PtcBinary(pc.MEET, left, self.ptc_tens())
-        return left
-
-    def ptc_tens(self):
-        left = self.ptc_primary()
-        while self.accept("*"):
-            left = pc.PtcBinary(pc.OTIMES, left, self.ptc_primary())
-        return left
+        # `=>` binds loosest and to the right, then `&`, then `*`; loops,
+        # not one method per level, so only brackets make the parser recurse
+        conjunctions = []
+        while True:
+            conj = None
+            while True:
+                tens = self.ptc_primary()
+                while self.accept("*"):
+                    tens = pc.PtcBinary(pc.OTIMES, tens, self.ptc_primary())
+                conj = tens if conj is None else pc.PtcBinary(pc.MEET, conj, tens)
+                if not self.accept("&"):
+                    break
+            conjunctions.append(conj)
+            if not self.accept("=>"):
+                break
+        expr = conjunctions.pop()
+        while conjunctions:
+            expr = pc.PtcBinary(pc.RESIDUUM, conjunctions.pop(), expr)
+        return expr
 
     def ptc_primary(self):
         tok = self.peek()
@@ -385,6 +406,30 @@ class _Parser:
         return self._resolve_vars(self._name_list())
 
 
+def _children(node) -> tuple:
+    match node:
+        case pc.Atom(expr, _):
+            return (expr,)
+        case pc.PtcBinary(_, left, right):
+            return (left, right)
+        case pc.PtcNabla(body) | pc.PtcDelta(body) | pc.PtcSup(_, body) | pc.PtcInf(_, body):
+            return (body,)
+    return ra.children_of(node)
+
+
+def _depth(expr) -> int:
+    """Operator levels on the longest path from `expr` down to a leaf; an
+    atom's algebra expression counts one level below the atom.  Iterative,
+    so any depth can be measured."""
+    deepest = 0
+    stack = [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in _children(node))
+    return deepest
+
+
 def _number(tok: Token):
     text = tok.text
     try:
@@ -399,7 +444,7 @@ def parse_ra(text: str, symbols: Mapping[str, Scheme] | None = None):
     """Parse one algebra expression; optionally resolve symbol schemes."""
     p = _Parser(tokenize(text))
     p.skip_newlines()
-    expr = p.ra_expr()
+    expr = p.expression(p.ra_expr)
     p.skip_newlines()
     p.expect("EOF")
     if symbols is not None:
@@ -413,7 +458,7 @@ def parse_ptc(text: str, var_schemes: Mapping[str, Scheme],
     optionally resolve the relation symbols inside its atoms."""
     p = _Parser(tokenize(text), var_schemes)
     p.skip_newlines()
-    expr = p.ptc_expr()
+    expr = p.expression(p.ptc_expr)
     p.skip_newlines()
     p.expect("EOF")
     if symbols is not None:
@@ -526,20 +571,20 @@ def parse_script(text: str) -> list[Statement]:
         elif p.accept("KEYWORD", "LET"):
             name = p.expect("IDENT").text
             p.expect("=")
-            expr = p.ra_expr()
+            expr = p.expression(p.ra_expr)
             check_symbols(expr, line)
             statements.append(LetStmt(name, expr, line))
             defined.add(name)
         elif p.accept("KEYWORD", "EVAL"):
-            expr = p.ra_expr()
+            expr = p.expression(p.ra_expr)
             check_symbols(expr, line)
             statements.append(EvalStmt(expr, line))
         elif p.accept("KEYWORD", "EVALPTC"):
-            expr = p.ptc_expr()
+            expr = p.expression(p.ptc_expr)
             check_ptc_symbols(expr, line)
             statements.append(EvalPtcStmt(expr, line))
         elif p.accept("KEYWORD", "COMPILE"):
-            expr = p.ptc_expr()
+            expr = p.expression(p.ptc_expr)
             check_ptc_symbols(expr, line)
             statements.append(CompileStmt(expr, line))
         elif p.accept("KEYWORD", "SAVE"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -548,21 +548,72 @@ class AttributeRegistry:
         """Declared type of the attribute, None when undeclared."""
         return self._types.get(attr)
 
+    def parser(self, attr: str):
+        """The function `parse_value(attr, ·)`, picked once for a column:
+        `str` for text attributes, else a converter raising `parse_value`'s
+        errors."""
+        ty = self.type_of(attr) or "text"
+        if ty == "text":
+            return str
+        convert = self._PARSERS[ty]
+        finite = ty == "decimal"
+
+        def parse(text: str):
+            try:
+                value = convert(text)
+            except ValueError:
+                raise TypeRegistryError(
+                    f"value {text!r} is not a valid {ty} for {attr!r}"
+                ) from None
+            if finite and not math.isfinite(value):
+                raise TypeRegistryError(
+                    f"value {text!r} is not a finite decimal for {attr!r}"
+                )
+            return value
+
+        return parse
+
     def parse_value(self, attr: str, text: str):
         """The typed value of a CSV cell.  Decimals must be finite: nan is
         unequal to itself, so two nan rows would stay distinct tuples."""
-        ty = self.type_of(attr) or "text"
-        try:
-            value = self._PARSERS[ty](text)
-        except ValueError:
-            raise TypeRegistryError(
-                f"value {text!r} is not a valid {ty} for {attr!r}"
-            ) from None
-        if ty == "decimal" and not math.isfinite(value):
-            raise TypeRegistryError(
-                f"value {text!r} is not a finite decimal for {attr!r}"
-            )
-        return value
+        return self.parser(attr)(text)
+
+
+#: Value types the csv module writes exactly as `str` writes them.
+_PLAIN_TYPES = frozenset({str, int})
+
+
+def _column_types(d: RankedDataTable) -> list:
+    """The set of value types in each column, in sorted-attribute order."""
+    return [set(map(type, col)) for col in zip(*[t._values for t in d.rows])]
+
+
+def _runs(d: RankedDataTable, column_types: list) -> list:
+    """The rows of `d` in `sorted_rows` order, as (degree, tuples) runs.
+
+    Rows are grouped by degree; the groups are ordered by a rank key
+    computed once per distinct degree, and each group is sorted by values
+    alone, so no row needs a nested (rank, values) key.  This is the order
+    of the (rank, values) key because `sort_key` gives distinct degrees
+    distinct keys.
+    """
+    groups: dict = {}
+    for t, a in d.rows.items():
+        group = groups.get(a)
+        if group is None:
+            groups[a] = [t]
+        else:
+            group.append(t)
+    if any(len(types) > 1 for types in column_types):
+        def by_values(t):
+            return tuple([(type(v).__name__, v) for v in t._values])
+    else:
+        by_values = attrgetter("_values")
+    sort_key = d.lattice.sort_key
+    runs = sorted(groups.items(), key=lambda run: -float(sort_key(run[0])))
+    for _a, tuples in runs:
+        tuples.sort(key=by_values)
+    return runs
 
 
 def sorted_rows(d: RankedDataTable):
@@ -572,27 +623,33 @@ def sorted_rows(d: RankedDataTable):
     mixes types is ordered by type name first, which keeps it sortable
     rather than raising.
     """
-    sort_key = d.lattice.sort_key
-    columns = zip(*[t._values for t in d.rows])
-    if any(len(set(map(type, col))) > 1 for col in columns):
-        def key(item):
-            t, a = item
-            return (-float(sort_key(a)), tuple([(type(v).__name__, v) for v in t._values]))
-    else:
-        def key(item):
-            return (-float(sort_key(item[1])), item[0]._values)
-
-    return sorted(d.rows.items(), key=key)
+    return [(t, a) for a, tuples in _runs(d, _column_types(d)) for t in tuples]
 
 
 def write_csv(d: RankedDataTable, out) -> None:
-    """Serialize: header of sorted attribute names plus a final rank column."""
+    """Serialize: header of sorted attribute names plus a final rank column.
+
+    Rows come in `sorted_rows` order.  Each distinct degree is formatted
+    once; cells of columns holding only `str` and `int` values go to the
+    csv writer as they are, other columns through `_value_to_text` (floats
+    to 9 significant digits).
+    """
+    column_types = _column_types(d)
+    converted = [i for i, types in enumerate(column_types) if not types <= _PLAIN_TYPES]
+
+    def to_text(line):
+        line = list(line)
+        for i in converted:
+            line[i] = _value_to_text(line[i])
+        return line
+
     fmt = d.lattice.format_degree
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(attrs_of(d.scheme)) + ["rank"])
-    writer.writerows(
-        [_value_to_text(v) for v in t._values] + [fmt(a)] for t, a in sorted_rows(d)
-    )
+    for a, tuples in _runs(d, column_types):
+        rank = (fmt(a),)
+        lines = (t._values + rank for t in tuples)
+        writer.writerows(map(to_text, lines) if converted else lines)
 
 
 def table_to_csv(d: RankedDataTable) -> str:
@@ -607,6 +664,14 @@ def _value_to_text(v) -> str:
     return str(v)
 
 
+def _cell_parser(parse):
+    """Function from a raw CSV cell to its value: the cell is stripped and
+    handed to the registry parser `parse`."""
+    if parse is str:
+        return str.strip
+    return lambda cell: parse(cell.strip())
+
+
 def read_csv(
     text_or_file,
     lattice: ResiduatedLattice,
@@ -617,12 +682,16 @@ def read_csv(
 
     The header names the attributes; an optional final `rank` column carries
     the degree (default: top).  `types` declares attribute types, enforced
-    through the session registry.  Every value goes through
-    `registry.parse_value` and every rank through `lattice.parse_degree`.
+    through the session registry.  Every cell goes through its column's
+    `registry.parser`, picked once per column, and every distinct rank text
+    through `lattice.parse_degree`, once per call.  Two rows with the same
+    tuple are a `SchemeError` naming the line of the second.
     """
     if isinstance(text_or_file, str):
         text_or_file = io.StringIO(text_or_file)
-    reader = csv.reader(text_or_file)
+    # kept so that a repeated row can be found again, after the fact
+    lines = list(text_or_file)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -636,16 +705,44 @@ def read_csv(
         registry.declare(a, ty)
     names = attrs_of(frozenset(attrs))
     to_sorted = _picker(tuple(attrs.index(a) for a in names))
-    parse_value, parse_degree, top = registry.parse_value, lattice.parse_degree, lattice.top
+    parsers = [_cell_parser(registry.parser(a)) for a in attrs]
+    parse_degree = lattice.parse_degree
+    rank = lattice.top  # every row's rank when there is no rank column
+    ranks: dict = {}
     width = len(header)
     rows = {}
-    for row in reader:
+    count = blank = 0
+    for count, row in enumerate(reader, 1):
         if not row:
+            blank += 1
             continue
         if len(row) != width:
             raise SchemeError(f"CSV row {row} does not match header {header}")
-        values = to_sorted([parse_value(a, cell.strip()) for a, cell in zip(attrs, row)])
-        rows[_make_tuple(names, values)] = (
-            parse_degree(row[-1].strip()) if has_rank else top
-        )
+        values = to_sorted([parse(cell) for parse, cell in zip(parsers, row)])
+        if has_rank:
+            text = row[-1]
+            rank = ranks.get(text)
+            if rank is None:
+                rank = ranks[text] = parse_degree(text.strip())
+        rows[_make_tuple(names, values)] = rank
+    if count - blank != len(rows):
+        raise _repeated_row(lines, parsers, to_sorted)
     return _table(_SCHEME_OF[names], lattice, rows)
+
+
+def _repeated_row(lines: list, parsers: list, to_sorted) -> SchemeError:
+    """The error for the first data row whose tuple an earlier row has."""
+    reader = csv.reader(lines)
+    next(reader)
+    first_line: dict = {}
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            values = to_sorted([parse(cell) for parse, cell in zip(parsers, row)])
+            if values in first_line:
+                return SchemeError(
+                    f"CSV line {start} repeats the tuple of line {first_line[values]}"
+                )
+            first_line[values] = start
+        start = reader.line_num + 1
+    raise AssertionError("no repeated row")

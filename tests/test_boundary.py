@@ -95,7 +95,7 @@ def test_trusted_results_keep_table_invariants(name):
 
 def test_csv_results_keep_table_invariants(chain5):
     reg = gx.AttributeRegistry()
-    table = gx.read_csv("B,A,rank\n1,x,0.5\n2,y,0\n1,x,0.75\n", chain5, reg, {"B": "int"})
+    table = gx.read_csv("B,A,rank\n1,x,0.5\n2,y,0\n", chain5, reg, {"B": "int"})
     assert_trusted_invariant(table)
     assert len(table) == 1
 

@@ -238,3 +238,32 @@ def test_eval_rejects_nan_decimal_values(tmp_path, capsys):
     assert code == EXIT_QUERY
     assert out == ""
     assert "not a finite decimal" in capsys.readouterr().err
+
+
+LIMIT = parsing.MAX_DEPTH
+
+
+@pytest.mark.parametrize("depth, code", [(LIMIT, EXIT_OK), (LIMIT + 1, EXIT_QUERY),
+                                         (1000, EXIT_QUERY)])
+def test_eval_union_chain_depth_limit(workdir, capsys, depth, code):
+    chain = " UNION ".join(["SP"] * (depth + 1))
+    script = write_script(workdir, f'LOAD SP FROM "{workdir}/sp.csv"\nEVAL {chain}\n')
+    assert main(["eval", "--lattice", "godel", "--script", script]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        assert out == "-- EVAL (line 2)\nP,S,rank\np1,s1,1\np1,s2,1\np2,s1,1\n\n"
+    else:
+        assert out == ""
+        assert f"nested deeper than {LIMIT} levels" in err
+
+
+@pytest.mark.parametrize("depth, code", [(LIMIT, EXIT_OK), (LIMIT + 1, EXIT_QUERY),
+                                         (330, EXIT_QUERY)])
+def test_eval_nested_nabla_depth_limit(workdir, capsys, depth, code):
+    expr = "NABLA(" * depth + "SP" + ")" * depth
+    script = write_script(workdir, f'LOAD SP FROM "{workdir}/sp.csv"\nEVAL {expr}\n')
+    assert main(["eval", "--lattice", "godel", "--script", script]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert (out != "") == (code == EXIT_OK)

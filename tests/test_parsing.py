@@ -7,6 +7,7 @@ import gradix as gx
 from gradix import ParseError, parse_ptc, parse_ra, parse_script
 from gradix.harness import gen
 from gradix.parsing import (
+    MAX_DEPTH,
     CompileStmt,
     EvalPtcStmt,
     EvalStmt,
@@ -78,6 +79,49 @@ def test_parse_ra_errors_carry_positions():
     with pytest.raises(ParseError) as exc:
         parse_ra("D1 %%")
     assert exc.value.line == 1
+
+
+def nested(opener, inner, depth):
+    return opener * depth + inner + ")" * depth
+
+
+def test_nesting_depth_limit_on_algebra():
+    # a flat chain of n + 1 terms is n operator levels deep
+    at_limit = parse_ra(" UNION ".join(["D2"] * (MAX_DEPTH + 1)), SYMS)
+    assert gx.eval_ra(at_limit, gx.DatabaseInstance(gx.GoedelLattice(), {
+        "D2": gx.RankedDataTable(sch("B"), gx.GoedelLattice(), {gx.Tuple({"B": 1}): 0.5}),
+    })).rows == {gx.Tuple({"B": 1}): 0.5}
+    parse_ra(nested("NABLA(", "D2", MAX_DEPTH), SYMS)
+    parse_ra(nested("(", "D2", MAX_DEPTH), SYMS)
+    parse_ra(nested("PROJECT[B](", "D2", MAX_DEPTH), SYMS)
+    too_deep = [
+        " UNION ".join(["D2"] * (MAX_DEPTH + 2)),
+        " JOIN ".join(["D2"] * 1000),
+        nested("NABLA(", "D2", MAX_DEPTH + 1),
+        nested("NABLA(", "D2", 330),
+        nested("(", "D2", MAX_DEPTH + 1),
+        nested("(", "D2", 1000),
+    ]
+    for text in too_deep:
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse_ra(text, SYMS)
+
+
+def test_nesting_depth_limit_on_calculus_and_scripts():
+    # an atom is one level above its algebra expression
+    parse_ptc(" => ".join(["P(s)"] * MAX_DEPTH), VARS, SYMS)
+    parse_ptc(nested("NABLA(", "P(s)", MAX_DEPTH - 1), VARS, SYMS)
+    for text in (" => ".join(["P(s)"] * (MAX_DEPTH + 1)),
+                 " & ".join(["P(s)"] * 1000),
+                 nested("DELTA(", "P(s)", MAX_DEPTH)):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse_ptc(text, VARS, SYMS)
+    chain = " UNION ".join(["P"] * (MAX_DEPTH + 2))
+    for stmt in (f"LET X = {chain}", f"EVAL {chain}", f"EVALPTC ({chain})(s)",
+                 f"COMPILE ({chain})(s)"):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels") as exc:
+            parse_script(f'LOAD P FROM "p.csv"\nVAR s : {{P}}\n{stmt}\n')
+        assert exc.value.line == 3
 
 
 def test_parse_ptc_productions():
