@@ -37,18 +37,13 @@ from .algebra import (
     scheme_of,
 )
 from .division import (
-    div_codd_composed,
-    div_darwen_composed,
     div_gcodd,
     div_gddo,
     div_ggdo,
-    div_great_composed,
     div_gsd,
     div_gsdo,
     div_gtodd,
     div_ranged,
-    div_small_composed,
-    div_small_general_composed,
     semidifference,
 )
 from .errors import (

@@ -1,15 +1,21 @@
 """Division operations over ranked data tables.
 
-All graded divisions are defined through an infimum over the (conceptually
-unbounded) tuple universe of the divisor scheme.  Each implementation
-reduces that infimum to a finite one: tuples outside the divisor's answer
-set contribute a constant analytic tail (1 inside a residuum whose
-antecedent is 0, or the bare range score for the ranged division), so the
-infimum runs over stored rows plus one tail term.  The reductions are
-unit-tested against direct enumeration oracles.
+Every graded division has one shape, a universally quantified residuum:
+result(r) = combine(w(r), ⋀_s (D(s) → D'(rs))).  The forms differ only in
+their outer rows r and weights w (a range, a dividend, a universe or a
+join), in how the divisor is grouped (one group, or one group per value of
+the attributes r pins), and in one ⊗ factor.  `_residuum_infimum`
+evaluates that shape for all of them in the manner of Graefe's
+hash-division: D' is indexed by value tuples and probed once per divisor
+row of the outer row's group.
 
-The composed classic formulas (built from ⋈, ∖ and semidifference) are
-two-valued only: the graded difference lacks the laws they rely on.
+The infimum formally runs over the (conceptually unbounded) tuple universe
+of the divisor scheme.  Tuples outside the divisor's support contribute
+0 → · = 1, so the infimum runs over stored rows plus that constant tail;
+the reductions are unit-tested against the enumeration oracles of
+`gradix.harness.oracle`.  Other formulations (the joinability-conditioned
+Darwen Divide and the classic two-valued compositions of ⋈, ∖ and
+semidifference) live in the harness, where they cross-check this module.
 """
 
 from __future__ import annotations
@@ -20,15 +26,14 @@ from .table import (
     RankedDataTable,
     Scheme,
     _join_plan,
-    _make_tuple,
     _project_plan,
     _same_lattice,
+    _sup_index,
     _table,
     _values_index,
     attrs_of,
     difference_graded,
     natural_join,
-    projection,
     semijoin,
 )
 
@@ -57,15 +62,84 @@ def _require_boolean(table: RankedDataTable, op: str) -> None:
         raise UnsupportedLatticeError(f"{op} is a two-valued operation")
 
 
+def _pickers(d: RankedDataTable, *schemes: Scheme) -> list:
+    """Functions from the value tuples of `d`'s rows to their values on
+    each of `schemes`."""
+    names = attrs_of(d.scheme)
+    return [_project_plan(names, attrs_of(s)) for s in schemes]
+
+
 def _value_rows(d: RankedDataTable) -> list:
     """(value tuple, degree) pairs of the stored rows."""
     return [(t._values, b) for t, b in d.rows.items()]
+
+
+def _grouped(d: RankedDataTable, key: Scheme, rest: Scheme) -> dict:
+    """The rows of `d` as {values on `key`: [(values on `rest`, degree)]}."""
+    to_key, to_rest = _pickers(d, key, rest)
+    groups: dict = {}
+    for t, b in d.rows.items():
+        v = t._values
+        groups.setdefault(to_key(v), []).append((to_rest(v), b))
+    return groups
 
 
 def _merger(left: Scheme, right: Scheme):
     """Values on `left` plus values on the disjoint `right` → values on the
     union, in sorted-attribute order."""
     return _join_plan(attrs_of(left), attrs_of(right)).merge
+
+
+def _one_group(values) -> tuple:
+    """`to_key` of a divisor that is one group, keyed ()."""
+    return ()
+
+
+def _itself(values) -> tuple:
+    return values
+
+
+# -- `combine`: how an outer row's weight meets the infimum of its residua ----
+
+
+def _inside_inf(lat, g, residua):
+    """⋀({g} ∪ {g ⊗ x}): ⊗ stays inside the infimum, because it need not
+    distribute over ∧."""
+    kotimes = lat.kotimes
+    return lat.kinf([g] + [kotimes(g, x) for x in residua])
+
+
+def _times_inf(lat, w, residua):
+    """w ⊗ ⋀ residua: the weight is a ⊗ factor outside the infimum."""
+    return lat.kotimes(w, lat.kinf(residua))
+
+
+def _bare_inf(lat, _top, residua):
+    """⋀ residua, for outer rows from a non-ranked universe: no `top ⊗`,
+    which is not exact on every float lattice."""
+    return lat.kinf(residua)
+
+
+def _residuum_infimum(outer: RankedDataTable, groups: dict, to_key, to_prefix, assemble,
+                      score, combine) -> dict:
+    """The residuum infimum shared by every graded division.
+
+    For each row t of `outer` with weight w and values v, the divisor group
+    `groups[to_key(v)]` holds (values sv, degree b) pairs, and the result
+    row is combine(lattice, w, [b → score(assemble(to_prefix(v) + sv)) for
+    each pair]); `score` is a dict lookup giving bottom for an absent probe.
+    A missing group is empty: every term of the infimum is then the tail
+    0 → · = 1.
+    """
+    lat = outer.lattice
+    kresiduum, bottom = lat.kresiduum, lat.bottom
+    rows = {}
+    for t, w in outer.rows.items():
+        v = t._values
+        head = to_prefix(v)
+        rows[t] = combine(lat, w, [kresiduum(b, score(assemble(head + sv), bottom))
+                                   for sv, b in groups.get(to_key(v), ())])
+    return rows
 
 
 def div_ranged(
@@ -87,17 +161,10 @@ def div_ranged(
         dividend.scheme == r_scheme | s_scheme,
         "dividend must live on the union of range and divisor schemes",
     )
-    merge = _merger(r_scheme, s_scheme)
-    score = _values_index(dividend).get
-    kotimes, kresiduum, kinf, bottom = lat.kotimes, lat.kresiduum, lat.kinf, lat.bottom
-    divisor_rows = _value_rows(divisor)
-    rows = {}
-    for r, g in rng.rows.items():
-        rv = r._values
-        terms = [g]
-        terms += [kotimes(g, kresiduum(b, score(merge(rv + sv), bottom)))
-                  for sv, b in divisor_rows]
-        rows[r] = kinf(terms)
+    rows = _residuum_infimum(
+        rng, {(): _value_rows(divisor)}, _one_group, _itself,
+        _merger(r_scheme, s_scheme), _values_index(dividend).get, _inside_inf,
+    )
     return _table(r_scheme, lat, rows)
 
 
@@ -116,15 +183,10 @@ def div_gsdo(
         d3.scheme == r_scheme | s_scheme,
         "mediator must live on the union of dividend and divisor schemes",
     )
-    merge = _merger(r_scheme, s_scheme)
-    score = _values_index(d3).get
-    kotimes, kresiduum, kinf, bottom = lat.kotimes, lat.kresiduum, lat.kinf, lat.bottom
-    divisor_rows = _value_rows(d2)
-    rows = {}
-    for r, a in d1.rows.items():
-        rv = r._values
-        body = kinf([kresiduum(b, score(merge(rv + sv), bottom)) for sv, b in divisor_rows])
-        rows[r] = kotimes(a, body)
+    rows = _residuum_infimum(
+        d1, {(): _value_rows(d2)}, _one_group, _itself,
+        _merger(r_scheme, s_scheme), _values_index(d3).get, _times_inf,
+    )
     return _table(r_scheme, lat, rows)
 
 
@@ -154,16 +216,11 @@ def div_gsd(
     """
     lat = _same_lattice(d1, d2, d3)
     r_scheme, s_scheme, _t, _u, _v = gsd_roles(d1.scheme, d2.scheme, d3.scheme)
-    divisor_rows = _value_rows(projection(d2, s_scheme))
-    score = _values_index(projection(d3, r_scheme | s_scheme)).get
-    to_r = _project_plan(attrs_of(d1.scheme), attrs_of(r_scheme))
-    merge = _merger(r_scheme, s_scheme)
-    kotimes, kresiduum, kinf, bottom = lat.kotimes, lat.kresiduum, lat.kinf, lat.bottom
-    rows = {}
-    for rt, a in d1.rows.items():
-        rv = to_r(rt._values)
-        body = kinf([kresiduum(b, score(merge(rv + sv), bottom)) for sv, b in divisor_rows])
-        rows[rt] = kotimes(a, body)
+    divisor = list(_sup_index(d2, attrs_of(s_scheme)).items())
+    rows = _residuum_infimum(
+        d1, {(): divisor}, _one_group, *_pickers(d1, r_scheme), _merger(r_scheme, s_scheme),
+        _sup_index(d3, attrs_of(r_scheme | s_scheme)).get, _times_inf,
+    )
     return _table(d1.scheme, lat, rows)
 
 
@@ -185,14 +242,10 @@ def div_gcodd(
         d1.scheme == r_scheme | s_scheme,
         "dividend must live on the union of universe and divisor schemes",
     )
-    merge = _merger(r_scheme, s_scheme)
-    score = _values_index(d1).get
-    kresiduum, kinf, bottom = lat.kresiduum, lat.kinf, lat.bottom
-    divisor_rows = _value_rows(d2)
-    rows = {}
-    for r in universe.rows:
-        rv = r._values
-        rows[r] = kinf([kresiduum(b, score(merge(rv + sv), bottom)) for sv, b in divisor_rows])
+    rows = _residuum_infimum(
+        universe, {(): _value_rows(d2)}, _one_group, _itself,
+        _merger(r_scheme, s_scheme), _values_index(d1).get, _bare_inf,
+    )
     return _table(r_scheme, lat, rows)
 
 
@@ -214,23 +267,10 @@ def div_gtodd(
         universe.scheme == r_scheme | t_scheme,
         "universe must live on the union of the non-shared scheme parts",
     )
-    r_names, s_names, t_names = attrs_of(r_scheme), attrs_of(s_scheme), attrs_of(t_scheme)
-    d2_names, u_names = attrs_of(d2.scheme), attrs_of(universe.scheme)
-    d2_to_t, d2_to_s = _project_plan(d2_names, t_names), _project_plan(d2_names, s_names)
-    u_to_r, u_to_t = _project_plan(u_names, r_names), _project_plan(u_names, t_names)
-    by_t: dict = {}
-    for row, b in d2.rows.items():
-        v = row._values
-        by_t.setdefault(d2_to_t(v), []).append((d2_to_s(v), b))
-    merge = _merger(r_scheme, s_scheme)
-    score = _values_index(d1).get
-    kresiduum, kinf, bottom = lat.kresiduum, lat.kinf, lat.bottom
-    rows = {}
-    for rt in universe.rows:
-        v = rt._values
-        rv = u_to_r(v)
-        rows[rt] = kinf([kresiduum(b, score(merge(rv + sv), bottom))
-                         for sv, b in by_t.get(u_to_t(v), ())])
+    rows = _residuum_infimum(
+        universe, _grouped(d2, t_scheme, s_scheme), *_pickers(universe, t_scheme, r_scheme),
+        _merger(r_scheme, s_scheme), _values_index(d1).get, _bare_inf,
+    )
     return _table(universe.scheme, lat, rows)
 
 
@@ -256,34 +296,12 @@ def div_ggdo(
     )
     _require(d3.scheme == r_scheme | s_scheme, "first mediator must be on R∪S")
     _require(d4.scheme == s_scheme | t_scheme, "second mediator must be on S∪T")
-    d4_names = attrs_of(d4.scheme)
-    d4_to_t = _project_plan(d4_names, attrs_of(t_scheme))
-    d4_to_s = _project_plan(d4_names, attrs_of(s_scheme))
-    by_t: dict = {}
-    for row, b in d4.rows.items():
-        v = row._values
-        by_t.setdefault(d4_to_t(v), []).append((d4_to_s(v), b))
-    merge_rs = _merger(r_scheme, s_scheme)
-    out = _join_plan(attrs_of(r_scheme), attrs_of(t_scheme))
-    score = _values_index(d3).get
-    kotimes, kresiduum, kinf, bottom = lat.kotimes, lat.kresiduum, lat.kinf, lat.bottom
-    divisor_rows = _value_rows(d2)
-    rows = {}
-    for r, a1 in d1.rows.items():
-        rv = r._values
-        for tv, a2 in divisor_rows:
-            body = kinf([kresiduum(b, score(merge_rs(rv + sv), bottom))
-                         for sv, b in by_t.get(tv, ())])
-            rows[_make_tuple(out.names, out.merge(rv + tv))] = kotimes(kotimes(a1, a2), body)
-    return _table(r_scheme | t_scheme, lat, rows)
-
-
-def _gddo_parts(s1: Scheme, s2: Scheme, s3: Scheme, s4: Scheme):
-    s12 = s1 | s2
-    outer4 = s4 - s12          # quantified fragment of the second mediator
-    inner4 = s4 & s12          # pinned by the result tuple
-    hit3 = s3 & (s1 | s4)      # part of the first mediator a result row reaches
-    return s12, outer4, inner4, hit3
+    u = natural_join(d1, d2)
+    rows = _residuum_infimum(
+        u, _grouped(d4, t_scheme, s_scheme), *_pickers(u, t_scheme, r_scheme),
+        _merger(r_scheme, s_scheme), _values_index(d3).get, _times_inf,
+    )
+    return _table(u.scheme, lat, rows)
 
 
 def div_gddo(
@@ -291,91 +309,31 @@ def div_gddo(
     d2: RankedDataTable,
     d3: RankedDataTable,
     d4: RankedDataTable,
-    variant: str = "joinable",
 ) -> RankedDataTable:
     """Graded Darwen Divide on arbitrary relation schemes.
 
-    result(r₁r₂) = (d1⋈d2)(r₁r₂) ⊗ ⋀ (d4 row → reachable d3 score).  Three
-    equivalent formulations are implemented and kept separate on purpose:
-
-    - "joinable": infimum over full d4 rows joinable with the result tuple,
-      supremum over full d3 rows joinable with r₁ extended by the d4 row;
-    - "nocond": joinability eliminated by splitting every d4 row into the
-      fragment pinned by the result tuple and the quantified remainder, the
-      supremum enumerated inline;
-    - "nocond_alt": same split, the supremum replaced by a lookup in the
-      precomputed projection of d3 onto the reachable attributes.
-
-    The theorem suite checks the three agree on random schemes.
+    result(r₁r₂) = (d1⋈d2)(r₁r₂) ⊗ ⋀ (d4 row → reachable d3 score), the
+    infimum over the d4 rows joinable with the result tuple and the
+    reachable score the supremum over the d3 rows joinable with r₁ extended
+    by the d4 row.  Each d4 row splits into the fragment the result tuple
+    pins and the quantified remainder, so the rows joinable with r₁r₂ are
+    one group keyed by the pinned fragment; the supremum is a lookup in the
+    projection of d3 onto the attributes a probe reaches.  The harness
+    checks this against two other formulations, `gddo_joinable` and
+    `gddo_nocond` of `gradix.harness.oracle`.
     """
     lat = _same_lattice(d1, d2, d3, d4)
     u = natural_join(d1, d2)
-    s1 = d1.scheme
-    s12, outer4, inner4, hit3 = _gddo_parts(s1, d2.scheme, d3.scheme, d4.scheme)
-
-    kotimes, kresiduum, kjoin, kinf = lat.kotimes, lat.kresiduum, lat.kjoin, lat.kinf
-    bottom = lat.bottom
-    u_names, d3_names, d4_names = attrs_of(u.scheme), attrs_of(d3.scheme), attrs_of(d4.scheme)
-    s1_names = attrs_of(s1)
-    to_r1 = _project_plan(u_names, s1_names)
-
-    if variant == "joinable":
-        with4 = _join_plan(u_names, d4_names)
-        r14 = _join_plan(s1_names, d4_names)
-        with3 = _join_plan(r14.names, d3_names)
-        d4_rows = [(with4.right_key(v), v, b) for v, b in _value_rows(d4)]
-        d3_rows = [(with3.right_key(v), c) for v, c in _value_rows(d3)]
-
-        def body(r12v):
-            k12, r1v = with4.left_key(r12v), to_r1(r12v)
-            terms = []
-            for k4, v4, b in d4_rows:
-                if k4 != k12:
-                    continue
-                k14 = with3.left_key(r14.merge(r1v + v4))
-                reach = bottom
-                for k3, c in d3_rows:
-                    if k3 == k14:
-                        reach = kjoin(reach, c)
-                terms.append(kresiduum(b, reach))
-            return kinf(terms)
-
-    elif variant in ("nocond", "nocond_alt"):
-        inner_names, outer_names, hit_names = attrs_of(inner4), attrs_of(outer4), attrs_of(hit3)
-        to_inner, to_outer = _project_plan(d4_names, inner_names), _project_plan(d4_names, outer_names)
-        frag_index: dict = {}
-        for v4, b in _value_rows(d4):
-            frag_index.setdefault(to_inner(v4), []).append((to_outer(v4), b))
-        u_to_inner = _project_plan(u_names, inner_names)
-        pinned_plan = _join_plan(s1_names, inner_names)
-        frag_plan = _join_plan(pinned_plan.names, outer_names)
-        to_hit = _project_plan(frag_plan.names, hit_names)
-        if variant == "nocond_alt":
-            reach_of = _values_index(projection(d3, hit3)).get
-        else:
-            d3_to_hit = _project_plan(d3_names, hit_names)
-            d3_rows = [(d3_to_hit(v), c) for v, c in _value_rows(d3)]
-
-            def reach_of(probe, reach):
-                for k3, c in d3_rows:
-                    if k3 == probe:
-                        reach = kjoin(reach, c)
-                return reach
-
-        def body(r12v):
-            r1v, pinned = to_r1(r12v), u_to_inner(r12v)
-            r1_pinned = pinned_plan.merge(r1v + pinned)
-            terms = []
-            for frag, b in frag_index.get(pinned, ()):
-                probe = to_hit(frag_plan.merge(r1_pinned + frag))
-                terms.append(kresiduum(b, reach_of(probe, bottom)))
-            return kinf(terms)
-
-    else:
-        raise ValueError(f"unknown gddo variant {variant!r}")
-
-    rows = {r12: kotimes(a, body(r12._values)) for r12, a in u.rows.items()}
-    return _table(s12, lat, rows)
+    pinned, quantified = d4.scheme & u.scheme, d4.scheme - u.scheme
+    prefix = d1.scheme | pinned
+    reached = d3.scheme & (d1.scheme | d4.scheme)
+    rows = _residuum_infimum(
+        u, _grouped(d4, pinned, quantified), *_pickers(u, pinned, prefix),
+        # prefix + fragment spans d1 ∪ d4, which holds every reached attribute
+        _project_plan(attrs_of(prefix) + attrs_of(quantified), attrs_of(reached)),
+        _sup_index(d3, attrs_of(reached)).get, _times_inf,
+    )
+    return _table(u.scheme, lat, rows)
 
 
 def semidifference(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
@@ -383,78 +341,3 @@ def semidifference(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     _require_boolean(d1, "semidifference")
     _same_lattice(d1, d2)
     return difference_graded(d1, semijoin(d1, d2))
-
-
-def div_codd_composed(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
-    """Classic Codd division composed from π, ⋈, ∖ (two-valued)."""
-    _require_boolean(d1, "div_codd_composed")
-    _same_lattice(d1, d2)
-    r_scheme = d1.scheme - d2.scheme
-    _require(d2.scheme <= d1.scheme, "divisor scheme must be part of the dividend's")
-    p1 = projection(d1, r_scheme)
-    return difference_graded(
-        p1, projection(difference_graded(natural_join(p1, d2), d1), r_scheme)
-    )
-
-
-def div_small_composed(
-    d1: RankedDataTable, d2: RankedDataTable, d3: RankedDataTable
-) -> RankedDataTable:
-    """Original Small Divide: D1 ∖ π_R((D1 ⋈ D2) ∖ D3) (two-valued)."""
-    _require_boolean(d1, "div_small_composed")
-    _same_lattice(d1, d2, d3)
-    r_scheme, s_scheme = d1.scheme, d2.scheme
-    _require(not (r_scheme & s_scheme), "dividend and divisor schemes must be disjoint")
-    _require(d3.scheme == r_scheme | s_scheme, "mediator must be on R∪S")
-    return difference_graded(
-        d1, projection(difference_graded(natural_join(d1, d2), d3), r_scheme)
-    )
-
-
-def div_small_general_composed(
-    d1: RankedDataTable, d2: RankedDataTable, d3: RankedDataTable
-) -> RankedDataTable:
-    """General Small Divide: D1 ⋉̄ ((π_R(D1) ⋈ π_S(D2)) ⋉̄ D3) (two-valued)."""
-    _require_boolean(d1, "div_small_general_composed")
-    _same_lattice(d1, d2, d3)
-    r_scheme, s_scheme, _t, _u, _v = gsd_roles(d1.scheme, d2.scheme, d3.scheme)
-    inner = semidifference(
-        natural_join(projection(d1, r_scheme), projection(d2, s_scheme)), d3
-    )
-    return semidifference(d1, inner)
-
-
-def div_great_composed(
-    d1: RankedDataTable,
-    d2: RankedDataTable,
-    d3: RankedDataTable,
-    d4: RankedDataTable,
-) -> RankedDataTable:
-    """Original Great Divide: (D1⋈D2) ⋉̄ ((D1⋈D4) ⋉̄ D3) (two-valued)."""
-    _require_boolean(d1, "div_great_composed")
-    _same_lattice(d1, d2, d3, d4)
-    r_scheme, t_scheme = d1.scheme, d2.scheme
-    s_scheme = d3.scheme - r_scheme
-    _require(
-        _disjoint(r_scheme, s_scheme, t_scheme)
-        and d3.scheme == r_scheme | s_scheme
-        and d4.scheme == s_scheme | t_scheme,
-        "Great Divide scheme shapes violated",
-    )
-    return semidifference(
-        natural_join(d1, d2), semidifference(natural_join(d1, d4), d3)
-    )
-
-
-def div_darwen_composed(
-    d1: RankedDataTable,
-    d2: RankedDataTable,
-    d3: RankedDataTable,
-    d4: RankedDataTable,
-) -> RankedDataTable:
-    """Darwen's Divide: the Great Divide composition on arbitrary schemes."""
-    _require_boolean(d1, "div_darwen_composed")
-    _same_lattice(d1, d2, d3, d4)
-    return semidifference(
-        natural_join(d1, d2), semidifference(natural_join(d1, d4), d3)
-    )

@@ -1,6 +1,6 @@
 """Independent brute-force oracles.
 
-Two families live here and deliberately share no evaluation code with the
+Three families live here and deliberately share no evaluation code with the
 engine (only the lattice operations and the Tuple/scheme value types are
 imported):
 
@@ -10,7 +10,12 @@ imported):
   enumerating an explicit finite universe per attribute.  Callers include
   one value per attribute that occurs in no operand; such a value stands in
   for the whole unbounded remainder of the tuple universe, because every
-  table lookup at it is 0 and each defining term is then constant.
+  table lookup at it is 0 and each defining term is then constant;
+- the alternative formulations of the graded Darwen Divide, which the
+  engine evaluates in a third way (`T-gddo-variants` compares all three).
+
+The classic compositions of engine operators are not independent of the
+engine, so they live in `gradix.harness.composed`.
 """
 
 from __future__ import annotations
@@ -133,25 +138,6 @@ def set_darwen(
         if ok:
             out.add(u)
     return frozenset(out)
-
-
-SET_DIVISION_FORMS = {
-    "with_range": set_with_range,
-    "small_original": set_small_original,
-    "small_general": set_small_general,
-    "todd": set_todd,
-    "great": set_great,
-    "darwen": set_darwen,
-}
-
-
-def set_division(form: str, *inputs) -> TupleSet:
-    """Dispatch to one of the set-notation division oracles by name."""
-    try:
-        fn = SET_DIVISION_FORMS[form]
-    except KeyError:
-        raise ValueError(f"unknown set-division form {form!r}") from None
-    return fn(*inputs)
 
 
 # -- naive graded division oracles -------------------------------------------
@@ -298,4 +284,78 @@ def naive_div_gddo(
         score = lat.otimes(base, lat.inf(terms))
         if not lat.is_bottom(score):
             out[r12] = score
+    return out
+
+
+# -- alternative graded Darwen Divide formulations ------------------------------
+
+
+def gddo_joinable(
+    lat: ResiduatedLattice, d1: Rows, d2: Rows, d3: Rows, d4: Rows
+) -> dict:
+    """The joinability-conditioned formulation over stored rows: the
+    infimum runs over the second mediator's rows joinable with the result
+    tuple, and each reachable score is the supremum over the first
+    mediator's rows joinable with the dividend part extended by that row.
+    Table degrees are carrier members, so the lattice kernels apply."""
+    kjoin, kotimes, kresiduum, kinf = lat.kjoin, lat.kotimes, lat.kresiduum, lat.kinf
+    out = {}
+    for r1, a1 in d1.items():
+        # a row joinable with r1 ⋈ r2 is joinable with r1, and a row is
+        # joinable with r1 ⋈ r4 when it is joinable with r1 and with r4
+        with_r1 = [(r3, c) for r3, c in d3.items() if r1.joinable(r3)]
+        extensions = []
+        for r4, b in d4.items():
+            if r1.joinable(r4):
+                reach = lat.bottom
+                for r3, c in with_r1:
+                    if r4.joinable(r3):
+                        reach = kjoin(reach, c)
+                extensions.append((r4, kresiduum(b, reach)))
+        for r2, a2 in d2.items():
+            if r1.joinable(r2):
+                r12 = r1.join(r2)
+                body = kinf([term for r4, term in extensions if r12.joinable(r4)])
+                score = kotimes(kotimes(a1, a2), body)
+                if not lat.is_bottom(score):
+                    out[r12] = score
+    return out
+
+
+def gddo_nocond(
+    lat: ResiduatedLattice,
+    s1: Scheme, s2: Scheme, s3: Scheme, s4: Scheme,
+    d1: Rows, d2: Rows, d3: Rows, d4: Rows,
+) -> dict:
+    """Joinability eliminated: every second-mediator row splits into the
+    fragment pinned by the result tuple and the quantified remainder, and
+    the reachable score is the supremum over the first mediator's rows that
+    agree with the probe on the attributes it reaches.  Table degrees are
+    carrier members, so the lattice kernels apply."""
+    kjoin, kotimes, kresiduum, kinf = lat.kjoin, lat.kotimes, lat.kresiduum, lat.kinf
+    s12 = s1 | s2
+    pinned, quantified = s4 & s12, s4 - s12
+    reached = s3 & (s1 | s4)
+    fragments: dict = {}
+    for r4, b in d4.items():
+        fragments.setdefault(r4.project(pinned), []).append((r4.project(quantified), b))
+    agreeing: dict = {}
+    for r3, c in d3.items():
+        agreeing.setdefault(r3.project(reached), []).append(c)
+    out = {}
+    for r1, a1 in d1.items():
+        for r2, a2 in d2.items():
+            if r1.joinable(r2):
+                r12 = r1.join(r2)
+                key = r12.project(pinned)
+                r1_key = r1.join(key)
+                terms = []
+                for frag, b in fragments.get(key, ()):
+                    reach = lat.bottom
+                    for c in agreeing.get(r1_key.join(frag).project(reached), ()):
+                        reach = kjoin(reach, c)
+                    terms.append(kresiduum(b, reach))
+                score = kotimes(kotimes(a1, a2), kinf(terms))
+                if not lat.is_bottom(score):
+                    out[r12] = score
     return out

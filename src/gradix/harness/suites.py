@@ -19,7 +19,7 @@ from .. import table as tb
 from ..errors import GradixError
 from ..lattice import BooleanLattice, ResiduatedLattice, UnitIntervalLattice
 from ..table import DatabaseInstance, RankedDataTable, Tuple, table_to_csv
-from . import gen, oracle
+from . import composed, gen, oracle
 
 THEOREM_IDS = (
     "T1",
@@ -252,11 +252,15 @@ def _suite_gddo_variants(config: gen.GenConfig, n: int) -> EquivalenceReport:
             gen.gen_rdt(cfg, s, f"d{k + 1}") for k, s in enumerate(schemes)
         )
         tables = {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
-        base = dv.div_gddo(d1, d2, d3, d4, variant="joinable")
-        for variant in ("nocond", "nocond_alt"):
+        lat, rows = config.lattice, (d1.rows, d2.rows, d3.rows, d4.rows)
+        engine = dv.div_gddo(d1, d2, d3, d4)
+        for label, want in (
+            ("joinable", oracle.gddo_joinable(lat, *rows)),
+            ("nocond", oracle.gddo_nocond(lat, *schemes, *rows)),
+        ):
             run.check_tables(
-                i, f"gddo joinable vs {variant}",
-                base, dv.div_gddo(d1, d2, d3, d4, variant=variant), tables,
+                i, f"gddo vs {label} formulation",
+                engine, RankedDataTable(engine.scheme, lat, want), tables,
             )
     return run.report(n)
 
@@ -401,7 +405,7 @@ def _suite_darwen_set(config: gen.GenConfig, n: int) -> EquivalenceReport:
         sets = [frozenset(d.support()) for d in (d1, d2, d3, d4)]
         want = oracle.set_darwen(*sets, schemes[0])
         run.check_support(i, "composed Darwen divide vs set comprehension",
-                          dv.div_darwen_composed(d1, d2, d3, d4), want, tables)
+                          composed.div_darwen_composed(d1, d2, d3, d4), want, tables)
         run.check_support(i, "graded Darwen divide (two-valued) vs set comprehension",
                           dv.div_gddo(d1, d2, d3, d4), want, tables)
     return run.report(n)
@@ -446,7 +450,7 @@ def _suite_boolean_collapse(config: gen.GenConfig, n: int) -> EquivalenceReport:
         want_range = oracle.set_with_range(sd1, sd2, r_scheme)
         run.check_support(i, "ranged division", dv.div_ranged(d1, d2, rng_table),
                           want_range, div_tables)
-        run.check_support(i, "composed Codd division", dv.div_codd_composed(d1, d2),
+        run.check_support(i, "composed Codd division", composed.div_codd_composed(d1, d2),
                           want_range, div_tables)
         run.check_support(i, "graded Codd division",
                           dv.div_gcodd(d1, d2, rng_table), want_range, div_tables)
@@ -458,7 +462,7 @@ def _suite_boolean_collapse(config: gen.GenConfig, n: int) -> EquivalenceReport:
         )
         run.check_support(i, "graded Small Divide", dv.div_gsdo(m1, d2, d1),
                           want_small, {**div_tables, "M1": m1})
-        run.check_support(i, "composed Small Divide", dv.div_small_composed(m1, d2, d1),
+        run.check_support(i, "composed Small Divide", composed.div_small_composed(m1, d2, d1),
                           want_small, {**div_tables, "M1": m1})
 
         # general Small Divide on RT / SU / RSV
@@ -475,7 +479,7 @@ def _suite_boolean_collapse(config: gen.GenConfig, n: int) -> EquivalenceReport:
         run.check_support(i, "general graded Small Divide", dv.div_gsd(g1, g2, g3),
                           want_gsd, gsd_tables)
         run.check_support(i, "general composed Small Divide",
-                          dv.div_small_general_composed(g1, g2, g3),
+                          composed.div_small_general_composed(g1, g2, g3),
                           want_gsd, gsd_tables)
 
         # Todd division on RS / ST
@@ -506,7 +510,7 @@ def _suite_boolean_collapse(config: gen.GenConfig, n: int) -> EquivalenceReport:
         run.check_support(i, "graded Great Divide", dv.div_ggdo(e1, e2, e3, e4),
                           want_great, great_tables)
         run.check_support(i, "composed Great Divide",
-                          dv.div_great_composed(e1, e2, e3, e4),
+                          composed.div_great_composed(e1, e2, e3, e4),
                           want_great, great_tables)
 
         # Darwen divide on arbitrary schemes
@@ -523,7 +527,7 @@ def _suite_boolean_collapse(config: gen.GenConfig, n: int) -> EquivalenceReport:
         run.check_support(i, "graded Darwen Divide", dv.div_gddo(w1, w2, w3, w4),
                           want_darwen, darwen_tables)
         run.check_support(i, "composed Darwen Divide",
-                          dv.div_darwen_composed(w1, w2, w3, w4),
+                          composed.div_darwen_composed(w1, w2, w3, w4),
                           want_darwen, darwen_tables)
     return run.report(n)
 

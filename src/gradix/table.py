@@ -329,6 +329,21 @@ def _values_index(d: RankedDataTable) -> dict:
     return {t._values: a for t, a in d.rows.items()}
 
 
+def _sup_index(d: RankedDataTable, names: tuple) -> dict:
+    """The projection of `d` onto the sub-names `names`, keyed by bare value
+    tuples: each projected value tuple scores the ∨ of its rows' degrees."""
+    if names == attrs_of(d.scheme):
+        return _values_index(d)
+    pick = _project_plan(attrs_of(d.scheme), names)
+    kjoin = d.lattice.kjoin
+    best: dict[tuple, object] = {}
+    for t, a in d.rows.items():
+        s = pick(t._values)
+        prev = best.get(s)
+        best[s] = a if prev is None else kjoin(prev, a)
+    return best
+
+
 def _same_lattice(*tables: RankedDataTable) -> ResiduatedLattice:
     lat = tables[0].lattice
     for t in tables[1:]:
@@ -413,14 +428,7 @@ def projection(d: RankedDataTable, scheme: Scheme) -> RankedDataTable:
     if scheme == d.scheme:
         return _table(d.scheme, lat, dict(d.rows))
     names = attrs_of(scheme)
-    pick = _project_plan(attrs_of(d.scheme), names)
-    kjoin = lat.kjoin
-    best: dict[tuple, object] = {}
-    for t, a in d.rows.items():
-        s = pick(t._values)
-        prev = best.get(s)
-        best[s] = a if prev is None else kjoin(prev, a)
-    rows = {_make_tuple(names, s): a for s, a in best.items()}
+    rows = {_make_tuple(names, s): a for s, a in _sup_index(d, names).items()}
     return _table(_SCHEME_OF[names], lat, rows)
 
 
@@ -434,7 +442,8 @@ def difference_graded(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTab
 
     On the two-element lattice this is exactly set difference; on graded
     lattices it lacks several laws a difference would be expected to have,
-    so the engine only builds classic composed divisions from it.
+    so only two-valued operations (the semidifference and the classic
+    composed divisions of `gradix.harness.composed`) are built from it.
     """
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
@@ -583,9 +592,14 @@ class AttributeRegistry:
 _PLAIN_TYPES = frozenset({str, int})
 
 
-def _column_types(d: RankedDataTable) -> list:
-    """The set of value types in each column, in sorted-attribute order."""
-    return [set(map(type, col)) for col in zip(*[t._values for t in d.rows])]
+def _columns(d: RankedDataTable) -> list:
+    """The value columns of `d`, in sorted-attribute order."""
+    return list(zip(*[t._values for t in d.rows]))
+
+
+def _column_types(columns: list) -> list:
+    """The set of value types in each column."""
+    return [set(map(type, col)) for col in columns]
 
 
 def _runs(d: RankedDataTable, column_types: list) -> list:
@@ -623,7 +637,21 @@ def sorted_rows(d: RankedDataTable):
     mixes types is ordered by type name first, which keeps it sortable
     rather than raising.
     """
-    return [(t, a) for a, tuples in _runs(d, _column_types(d)) for t in tuples]
+    return [(t, a) for a, tuples in _runs(d, _column_types(_columns(d))) for t in tuples]
+
+
+class _LfLines:
+    """Write target for a csv writer whose line terminator is "\r\n": such a
+    writer quotes every cell that holds a "\r" or a "\n", and each of its
+    lines reaches `out` ending in "\n" alone."""
+
+    __slots__ = ("_write",)
+
+    def __init__(self, out):
+        self._write = out.write
+
+    def write(self, line: str):
+        return self._write(line[:-2] + "\n")
 
 
 def write_csv(d: RankedDataTable, out) -> None:
@@ -632,9 +660,11 @@ def write_csv(d: RankedDataTable, out) -> None:
     Rows come in `sorted_rows` order.  Each distinct degree is formatted
     once; cells of columns holding only `str` and `int` values go to the
     csv writer as they are, other columns through `_value_to_text` (floats
-    to 9 significant digits).
+    to 9 significant digits).  A cell is quoted when it holds a comma, a
+    quote, a line feed or a carriage return.
     """
-    column_types = _column_types(d)
+    columns = _columns(d)
+    column_types = _column_types(columns)
     converted = [i for i, types in enumerate(column_types) if not types <= _PLAIN_TYPES]
 
     def to_text(line):
@@ -643,9 +673,18 @@ def write_csv(d: RankedDataTable, out) -> None:
             line[i] = _value_to_text(line[i])
         return line
 
+    header = list(attrs_of(d.scheme)) + ["rank"]
+    if "\r" in "".join(header) or any(
+        "\r" in "".join(map(str, col))
+        for col, types in zip(columns, column_types) if str in types
+    ):
+        # the csv writer quotes a cell only for the characters of its line
+        # terminator, and a lone "\r" left unquoted does not read back
+        writer = csv.writer(_LfLines(out), lineterminator="\r\n")
+    else:
+        writer = csv.writer(out, lineterminator="\n")
     fmt = d.lattice.format_degree
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(attrs_of(d.scheme)) + ["rank"])
+    writer.writerow(header)
     for a, tuples in _runs(d, column_types):
         rank = (fmt(a),)
         lines = (t._values + rank for t in tuples)
@@ -685,7 +724,8 @@ def read_csv(
     through the session registry.  Every cell goes through its column's
     `registry.parser`, picked once per column, and every distinct rank text
     through `lattice.parse_degree`, once per call.  Two rows with the same
-    tuple are a `SchemeError` naming the line of the second.
+    tuple are a `SchemeError` naming the line of the second, and so is a
+    record the csv module cannot parse, naming its line.
     """
     if isinstance(text_or_file, str):
         text_or_file = io.StringIO(text_or_file)
@@ -696,6 +736,8 @@ def read_csv(
         header = next(reader)
     except StopIteration:
         raise SchemeError("CSV input has no header row") from None
+    except csv.Error as exc:
+        raise _malformed(reader, exc) from None
     header = [h.strip() for h in header]
     has_rank = bool(header) and header[-1] == "rank"
     attrs = header[:-1] if has_rank else header
@@ -712,22 +754,29 @@ def read_csv(
     width = len(header)
     rows = {}
     count = blank = 0
-    for count, row in enumerate(reader, 1):
-        if not row:
-            blank += 1
-            continue
-        if len(row) != width:
-            raise SchemeError(f"CSV row {row} does not match header {header}")
-        values = to_sorted([parse(cell) for parse, cell in zip(parsers, row)])
-        if has_rank:
-            text = row[-1]
-            rank = ranks.get(text)
-            if rank is None:
-                rank = ranks[text] = parse_degree(text.strip())
-        rows[_make_tuple(names, values)] = rank
+    try:
+        for count, row in enumerate(reader, 1):
+            if not row:
+                blank += 1
+                continue
+            if len(row) != width:
+                raise SchemeError(f"CSV row {row} does not match header {header}")
+            values = to_sorted([parse(cell) for parse, cell in zip(parsers, row)])
+            if has_rank:
+                text = row[-1]
+                rank = ranks.get(text)
+                if rank is None:
+                    rank = ranks[text] = parse_degree(text.strip())
+            rows[_make_tuple(names, values)] = rank
+    except csv.Error as exc:
+        raise _malformed(reader, exc) from None
     if count - blank != len(rows):
         raise _repeated_row(lines, parsers, to_sorted)
     return _table(_SCHEME_OF[names], lattice, rows)
+
+
+def _malformed(reader, exc: csv.Error) -> SchemeError:
+    return SchemeError(f"CSV line {reader.line_num} is malformed: {exc}")
 
 
 def _repeated_row(lines: list, parsers: list, to_sorted) -> SchemeError:

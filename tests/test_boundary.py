@@ -11,7 +11,7 @@ import pytest
 import gradix as gx
 from gradix import division as dv
 from gradix import table as tb
-from gradix.harness import gen
+from gradix.harness import composed, gen
 from gradix.lattice import UnitIntervalLattice
 
 from conftest import rdt, sch
@@ -70,15 +70,12 @@ def operator_results(lat, seed):
     yield "div_gcodd", dv.div_gcodd(cover, b, tb.nabla(a))
     yield "div_gtodd", dv.div_gtodd(ab1, bc, tb.nabla(g("ac", "A", "C")))
     yield "div_ggdo", dv.div_ggdo(a, c, ab1, bc)
-    for variant in ("joinable", "nocond", "nocond_alt"):
-        yield f"div_gddo {variant}", dv.div_gddo(
-            ab1, bc, g("ad", "A", "D"), g("cd", "C", "D"), variant=variant
-        )
+    yield "div_gddo", dv.div_gddo(ab1, bc, g("ad", "A", "D"), g("cd", "C", "D"))
     if isinstance(lat, gx.BooleanLattice):
         yield "semidifference", dv.semidifference(ab1, bc)
-        yield "div_codd_composed", dv.div_codd_composed(cover, b)
-        yield "div_small_composed", dv.div_small_composed(a, b, cover)
-        yield "div_great_composed", dv.div_great_composed(a, c, ab1, bc)
+        yield "div_codd_composed", composed.div_codd_composed(cover, b)
+        yield "div_small_composed", composed.div_small_composed(a, b, cover)
+        yield "div_great_composed", composed.div_great_composed(a, c, ab1, bc)
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))

@@ -1,9 +1,6 @@
 """The CSV boundary: output order and bytes against a reference writer,
 per-column parsers and rank memos, and the repeated-row error."""
 
-import csv
-import io
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +14,8 @@ from conftest import rdt, sch
 #
 # The straightforward form of the output order and format: one sort by the
 # nested key (rank, values), every cell through `_reference_value_to_text`
-# and every rank through `format_degree`.  `write_csv` must produce the same
+# and every rank through `format_degree`, quoted when it holds a comma, a
+# quote, a line feed or a carriage return.  `write_csv` must produce the same
 # bytes.
 
 
@@ -41,16 +39,18 @@ def _reference_value_to_text(v) -> str:
     return str(v)
 
 
+def _reference_cell(text: str) -> str:
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _reference_write_csv(d) -> str:
-    out = io.StringIO()
     fmt = d.lattice.format_degree
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(attrs_of(d.scheme)) + ["rank"])
-    writer.writerows(
-        [_reference_value_to_text(v) for v in t._values] + [fmt(a)]
-        for t, a in _reference_sorted_rows(d)
-    )
-    return out.getvalue()
+    lines = [list(attrs_of(d.scheme)) + ["rank"]]
+    lines += [[_reference_value_to_text(v) for v in t._values] + [fmt(a)]
+              for t, a in _reference_sorted_rows(d)]
+    return "".join(",".join(map(_reference_cell, line)) + "\n" for line in lines)
 
 
 DIAMOND = gx.FiniteTableLattice(
@@ -111,7 +111,8 @@ def test_write_csv_edge_tables_match_reference(lat):
         gx.empty(lat, frozenset()),
         gx.empty(lat, sch("A", "B")),
         gx.dee(lat, top),
-        rdt(lat, {"A"}, {" lead": top, 'q"uote': top, "com,ma": top, "new\nline": top}),
+        rdt(lat, {"A"}, {" lead": top, 'q"uote': top, "com,ma": top, "new\nline": top,
+                         "Z\rZ": top, "crlf\r\n": top}),
         rdt(lat, {"A", "B"}, {(1, "x"): top, (1.5, "x"): top, ("1", 2): top}),
     ]
     for d in cases:
@@ -120,9 +121,8 @@ def test_write_csv_edge_tables_match_reference(lat):
 
 # -- parsing -----------------------------------------------------------------
 
-# values and degrees that survive 9 significant digits and cell stripping;
-# a lone carriage return is written unquoted and cannot be read back
-KINDS = {"int": INTS, "text": TEXT.filter(lambda s: s == s.strip() and "\r" not in s),
+# values and degrees that survive 9 significant digits and cell stripping
+KINDS = {"int": INTS, "text": TEXT.filter(lambda s: s == s.strip()),
          "decimal": st.sampled_from([0.5, -1.25, 2.0, 1e-7, 3.0e20])}
 EXACT_LATTICES = [
     (lat, st.integers(0, 1000).map(lambda k: k / 1000) if lat.kind == "goedel" else degrees)
@@ -228,3 +228,41 @@ def test_eval_rejects_repeated_csv_rows(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "gradix: error at line 1: CSV line 3 repeats the tuple of line 2" in err
+
+
+# -- carriage returns and malformed records --------------------------------------
+
+
+def test_carriage_return_values_are_quoted_and_read_back(godel):
+    table = rdt(godel, {"A", "B"}, {("Z\rZ", 1): 0.5, ("q", 2): 1.0})
+    text = gx.table_to_csv(table)
+    assert text == 'A,B,rank\nq,2,1\n"Z\rZ",1,0.5\n'
+    assert gx.read_csv(text, godel, AttributeRegistry(), {"B": "int"}) == table
+
+
+def test_malformed_record_is_a_scheme_error(godel):
+    with pytest.raises(SchemeError, match="CSV line 3 is malformed"):
+        gx.read_csv("A,rank\nx,1\nZ\rZ,1\n", godel, AttributeRegistry())
+    with pytest.raises(SchemeError, match="CSV line 1 is malformed"):
+        gx.read_csv("A\rB,rank\n", godel, AttributeRegistry())
+
+
+def test_saved_carriage_return_loads_again(tmp_path, capsys):
+    from gradix.cli import EXIT_OK, EXIT_QUERY, main
+
+    (tmp_path / "in.csv").write_bytes(b'A,rank\n"Z\rZ",0.5\n')
+    script = tmp_path / "script.gx"
+    script.write_text(f'LOAD T FROM "{tmp_path}/in.csv" SCHEME A:text\n'
+                      'SAVE T TO "out.csv"\n'
+                      f'LOAD U FROM "{tmp_path}/out/out.csv" SCHEME A:text\n'
+                      "EVAL U\n")
+    argv = ["eval", "--lattice", "godel", "--script", str(script), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    out, _err = capsys.readouterr()
+    assert out == '-- EVAL (line 4)\nA,rank\n"Z\rZ",0.5\n\n'
+    # read from a file, an unquoted one ends a line: a clean error
+    (tmp_path / "in.csv").write_bytes(b"A,rank\nZ\rZ,0.5\n")
+    assert main(argv) == EXIT_QUERY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "gradix: error at line 1: CSV row ['Z'] does not match header ['A', 'rank']\n"

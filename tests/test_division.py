@@ -5,13 +5,21 @@ import pytest
 
 import gradix as gx
 from gradix import SchemeError, Tuple, UnsupportedLatticeError
-from gradix.harness import gen, oracle
+from gradix.harness import composed, gen, oracle
 
 from conftest import rdt, sch, scores
 
 
 def booleans(*dicts):
     return tuple(frozenset(d.support()) for d in dicts)
+
+
+def gddo_formulations(d1, d2, d3, d4):
+    """The harness's joinable and nocond GDDO formulations, as tables."""
+    lat, rows = d1.lattice, (d1.rows, d2.rows, d3.rows, d4.rows)
+    schemes = (d1.scheme, d2.scheme, d3.scheme, d4.scheme)
+    for want in (oracle.gddo_joinable(lat, *rows), oracle.gddo_nocond(lat, *schemes, *rows)):
+        yield gx.RankedDataTable(d1.scheme | d2.scheme, lat, want)
 
 
 # -- div_ranged ---------------------------------------------------------------
@@ -144,7 +152,7 @@ def test_div_ggdo_boolean_vs_set_oracle(boolean):
         d4 = gen.gen_rdt(cfg.with_seed(i), s | t, "d4")
         want = oracle.set_great(*booleans(d1, d2, d3, d4), r, s, t)
         assert frozenset(gx.div_ggdo(d1, d2, d3, d4).support()) == want
-        assert frozenset(gx.div_great_composed(d1, d2, d3, d4).support()) == want
+        assert frozenset(composed.div_great_composed(d1, d2, d3, d4).support()) == want
 
 
 def test_div_gddo_matches_ggdo_and_corollary(godel):
@@ -153,8 +161,9 @@ def test_div_gddo_matches_ggdo_and_corollary(godel):
     d3 = rdt(godel, {"A", "C"}, {(1, 1): 0.5})
     d4 = rdt(godel, {"B", "C"}, {(1, 1): 0.7})
     ggdo = gx.div_ggdo(d1, d2, d3, d4)
-    for variant in ("joinable", "nocond", "nocond_alt"):
-        assert gx.div_gddo(d1, d2, d3, d4, variant=variant).approx_equals(ggdo)
+    assert gx.div_gddo(d1, d2, d3, d4).approx_equals(ggdo)
+    for want in gddo_formulations(d1, d2, d3, d4):
+        assert want.approx_equals(ggdo)
     dd3 = rdt(godel, {"A", "B"}, {(1, 1): 0.5})
     dd2 = rdt(godel, {"B"}, {1: 1.0})
     assert gx.div_gddo(d1, gx.dee(godel, 1.0), dd3, dd2) == gx.div_gsdo(d1, dd2, dd3)
@@ -168,13 +177,24 @@ def test_div_gddo_boolean_vs_set_oracle(boolean):
         tables = [gen.gen_rdt(cfg.with_seed(i), s, f"d{k}") for k, s in enumerate(schemes)]
         want = oracle.set_darwen(*booleans(*tables), schemes[0])
         assert frozenset(gx.div_gddo(*tables).support()) == want
-        assert frozenset(gx.div_darwen_composed(*tables).support()) == want
+        assert frozenset(composed.div_darwen_composed(*tables).support()) == want
 
 
-def test_div_gddo_unknown_variant(godel):
-    d = rdt(godel, {"A"}, {1: 0.5})
-    with pytest.raises(ValueError):
-        gx.div_gddo(d, d, d, d, variant="mystery")
+def test_weightless_divisions_take_the_bare_infimum(lukasiewicz):
+    """Compared with ==, not within the tolerance: on Łukasiewicz
+    1.0 ⊗ 0.1 = 0.10000000000000009, so a top ⊗ folded into the infimum of
+    GCODD or GTODD shows.  The ranged division's range degree is a ⊗ factor
+    by definition, so with range degree 1.0 it scores exactly 1.0 ⊗ 0.1."""
+    lat = lukasiewicz
+    assert lat.kotimes(1.0, 0.1) != 0.1
+    d1 = rdt(lat, {"A", "B"}, {(1, 1): 0.1})
+    d2 = rdt(lat, {"B"}, {1: 1.0})
+    univ = rdt(lat, {"A"}, {1: 1.0})
+    assert gx.div_gcodd(d1, d2, univ).rows == {Tuple({"A": 1}): 0.1}
+    d2t = rdt(lat, {"B", "C"}, {(1, 1): 1.0})
+    todd = gx.div_gtodd(d1, d2t, rdt(lat, {"A", "C"}, {(1, 1): 1.0}))
+    assert todd.rows == {Tuple({"A": 1, "C": 1}): 0.1}
+    assert gx.div_ranged(d1, d2, univ).rows == {Tuple({"A": 1}): lat.kotimes(1.0, 0.1)}
 
 
 # -- classic composed forms ---------------------------------------------------
@@ -183,16 +203,17 @@ def test_div_gddo_unknown_variant(godel):
 def test_div_codd_composed(boolean):
     d1 = rdt(boolean, {"S", "P"}, {("p1", "s1"): 1, ("p2", "s1"): 1, ("p1", "s2"): 1})
     d2 = rdt(boolean, {"P"}, {"p1": 1, "p2": 1})
-    assert scores(gx.div_codd_composed(d1, d2)) == {(("S", "s1"),): 1}
-    assert gx.div_codd_composed(d1, gx.empty(boolean, sch("P"))) == gx.projection(d1, sch("S"))
-    assert len(gx.div_codd_composed(gx.empty(boolean, sch("S", "P")), d2)) == 0
+    assert scores(composed.div_codd_composed(d1, d2)) == {(("S", "s1"),): 1}
+    assert composed.div_codd_composed(d1, gx.empty(boolean, sch("P"))) == \
+        gx.projection(d1, sch("S"))
+    assert len(composed.div_codd_composed(gx.empty(boolean, sch("S", "P")), d2)) == 0
 
 
 def test_div_small_composed(boolean):
     d1 = rdt(boolean, {"A"}, {1: 1, 2: 1})
     d2 = gx.empty(boolean, sch("B"))
     d3 = gx.empty(boolean, sch("A", "B"))
-    assert gx.div_small_composed(d1, d2, d3) == d1
+    assert composed.div_small_composed(d1, d2, d3) == d1
     cfg = gen.GenConfig(seed=41, lattice=boolean)
     for i in range(25):
         rng = gen.sub_rng(41, "small", i)
@@ -201,7 +222,7 @@ def test_div_small_composed(boolean):
         m2 = gen.gen_rdt(cfg.with_seed(i), s, "m2")
         m3 = gen.gen_rdt(cfg.with_seed(i), r | s, "m3")
         want = oracle.set_small_original(*booleans(m1, m2, m3))
-        assert frozenset(gx.div_small_composed(m1, m2, m3).support()) == want
+        assert frozenset(composed.div_small_composed(m1, m2, m3).support()) == want
         assert frozenset(gx.div_gsdo(m1, m2, m3).support()) == want
 
 
@@ -214,7 +235,7 @@ def test_div_small_general_composed(boolean):
         g2 = gen.gen_rdt(cfg.with_seed(i), s | u, "g2")
         g3 = gen.gen_rdt(cfg.with_seed(i), r | s | v, "g3")
         want = oracle.set_small_general(*booleans(g1, g2, g3), r, s)
-        assert frozenset(gx.div_small_general_composed(g1, g2, g3).support()) == want
+        assert frozenset(composed.div_small_general_composed(g1, g2, g3).support()) == want
         assert frozenset(gx.div_gsd(g1, g2, g3).support()) == want
 
 
@@ -222,8 +243,8 @@ def test_great_composed_consistency_with_small(boolean):
     d1 = rdt(boolean, {"A"}, {1: 1, 2: 1})
     d2 = rdt(boolean, {"B"}, {1: 1})
     d3 = rdt(boolean, {"A", "B"}, {(1, 1): 1})
-    small = gx.div_small_composed(d1, d2, d3)
-    great = gx.div_great_composed(d1, gx.dee(boolean, 1), d3, d2)
+    small = composed.div_small_composed(d1, d2, d3)
+    great = composed.div_great_composed(d1, gx.dee(boolean, 1), d3, d2)
     assert small == great
 
 
@@ -234,10 +255,11 @@ def test_semidifference(boolean, godel):
     assert gx.semidifference(d1, gx.empty(boolean, sch("C"))) == d1
     with pytest.raises(UnsupportedLatticeError):
         gx.semidifference(rdt(godel, {"A"}, {1: 0.5}), rdt(godel, {"A"}, {1: 0.5}))
-    for op in (gx.div_codd_composed, gx.div_small_composed, gx.div_great_composed,
-               gx.div_darwen_composed, gx.div_small_general_composed):
+    for op in (composed.div_codd_composed, composed.div_small_composed,
+               composed.div_great_composed, composed.div_darwen_composed,
+               composed.div_small_general_composed):
         with pytest.raises(UnsupportedLatticeError):
-            args = [rdt(godel, {"A"}, {1: 0.5})] * (2 if op is gx.div_codd_composed else
+            args = [rdt(godel, {"A"}, {1: 0.5})] * (2 if op is composed.div_codd_composed else
                                                     3 if "small" in op.__name__ else 4)
             op(*args)
 
@@ -356,10 +378,10 @@ def test_div_ggdo_gddo_match_naive_oracle(unit_lattice):
         want = oracle.naive_div_gddo(
             unit_lattice, *schemes, *(d.rows for d in tables), universe
         )
-        for variant in ("joinable", "nocond", "nocond_alt"):
-            assert gx.div_gddo(*tables, variant=variant).approx_equals(
-                gx.RankedDataTable(schemes[0] | schemes[1], unit_lattice, want)
-            )
+        want = gx.RankedDataTable(schemes[0] | schemes[1], unit_lattice, want)
+        assert gx.div_gddo(*tables).approx_equals(want)
+        for other in gddo_formulations(*tables):
+            assert other.approx_equals(want)
 
 
 # -- invariants ----------------------------------------------------------------

@@ -73,15 +73,6 @@ def test_oracle_suppliers_parts_by_hand():
     assert oracle.set_with_range(d1, frozenset(), sch("S")) == frozenset({s("s1"), s("s2")})
 
 
-def test_oracle_dispatch_by_form_name():
-    d1 = frozenset({Tuple({"S": "s1", "P": "p1"}), Tuple({"S": "s1", "P": "p2"})})
-    d2 = frozenset({Tuple({"P": "p1"}), Tuple({"P": "p2"})})
-    assert oracle.set_division("with_range", d1, d2, sch("S")) == \
-        oracle.set_with_range(d1, d2, sch("S"))
-    with pytest.raises(ValueError):
-        oracle.set_division("sideways", d1, d2)
-
-
 def test_oracle_trivial_cases():
     d1 = frozenset({Tuple({"A": 1})})
     d2 = frozenset({Tuple({"B": 1})})
