@@ -640,6 +640,14 @@ def sorted_rows(d: RankedDataTable):
     return [(t, a) for a, tuples in _runs(d, _column_types(_columns(d))) for t in tuples]
 
 
+def _holds_cr(texts: list, columns: list, column_types: list) -> bool:
+    """Whether one of `texts` or a text value of `columns` holds a "\r"."""
+    return "\r" in "".join(texts) or any(
+        "\r" in "".join(col if types == {str} else map(str, col))
+        for col, types in zip(columns, column_types) if str in types
+    )
+
+
 class _LfLines:
     """Write target for a csv writer whose line terminator is "\r\n": such a
     writer quotes every cell that holds a "\r" or a "\n", and each of its
@@ -673,20 +681,20 @@ def write_csv(d: RankedDataTable, out) -> None:
             line[i] = _value_to_text(line[i])
         return line
 
+    fmt = d.lattice.format_degree
+    runs = [((fmt(a),), tuples) for a, tuples in _runs(d, column_types)]
     header = list(attrs_of(d.scheme)) + ["rank"]
-    if "\r" in "".join(header) or any(
-        "\r" in "".join(map(str, col))
-        for col, types in zip(columns, column_types) if str in types
-    ):
-        # the csv writer quotes a cell only for the characters of its line
-        # terminator, and a lone "\r" left unquoted does not read back
+    # A csv writer quotes a cell only for the characters of its line
+    # terminator, and a "\r" left unquoted does not read back.  Text holding
+    # one takes the "\r\n" writer through `_LfLines`; all other text takes
+    # the plain writer, which writes the same bytes for it and spends about a
+    # third less time (query-bulk, traced `table.write_csv.s`).
+    if _holds_cr(header + [rank for (rank,), _tuples in runs], columns, column_types):
         writer = csv.writer(_LfLines(out), lineterminator="\r\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
-    fmt = d.lattice.format_degree
     writer.writerow(header)
-    for a, tuples in _runs(d, column_types):
-        rank = (fmt(a),)
+    for rank, tuples in runs:
         lines = (t._values + rank for t in tuples)
         writer.writerows(map(to_text, lines) if converted else lines)
 

@@ -240,6 +240,15 @@ def test_carriage_return_values_are_quoted_and_read_back(godel):
     assert gx.read_csv(text, godel, AttributeRegistry(), {"B": "int"}) == table
 
 
+def test_carriage_return_in_a_rank_label_is_quoted():
+    lat = gx.FiniteTableLattice(["0", "x\ry"], [("0", "x\ry")], [("x\ry", "x\ry", "x\ry")])
+    table = rdt(lat, {"A"}, {"q": lat.top})
+    text = gx.table_to_csv(table)
+    assert text == 'A,rank\nq,"x\ry"\n'
+    assert text == _reference_write_csv(table)
+    assert gx.read_csv(text, lat, AttributeRegistry()) == table
+
+
 def test_malformed_record_is_a_scheme_error(godel):
     with pytest.raises(SchemeError, match="CSV line 3 is malformed"):
         gx.read_csv("A,rank\nx,1\nZ\rZ,1\n", godel, AttributeRegistry())
