@@ -70,6 +70,28 @@ def _check_value_types(expr, registry: AttributeRegistry) -> None:
                 )
 
 
+def _unreadable(path, exc: OSError | UnicodeDecodeError) -> str:
+    """Why a text file could not be read, naming the file."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"{path} is not UTF-8 text ({exc.reason})"
+    return str(exc)  # the text of an OSError from open() names its file
+
+
+def _select_lattice(spec: str):
+    """(lattice, EXIT_OK), or (None, exit code) once the reason the
+    selection is unusable has gone to stderr."""
+    try:
+        return lattice_from_spec(spec), EXIT_OK
+    except GradixError as exc:
+        print(f"gradix: {exc}", file=sys.stderr)
+        return None, EXIT_QUERY
+    except (OSError, UnicodeDecodeError) as exc:
+        # only a table:<path> selection reads a file
+        path = spec.partition(":")[2].strip()
+        print(f"gradix: cannot read lattice file: {_unreadable(path, exc)}", file=sys.stderr)
+        return None, EXIT_IO
+
+
 def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
     """Execute parsed statements in order; returns the process exit code."""
     stdout = stdout or sys.stdout
@@ -119,6 +141,11 @@ def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
         except OSError as exc:
             print(f"gradix: i/o error at line {stmt.line}: {exc}", file=sys.stderr)
             return EXIT_IO
+        except UnicodeDecodeError as exc:
+            # LOAD is the only statement that reads a file
+            print(f"gradix: i/o error at line {stmt.line}: {_unreadable(stmt.path, exc)}",
+                  file=sys.stderr)
+            return EXIT_IO
         except GradixError as exc:
             print(f"gradix: error at line {stmt.line}: {exc}", file=sys.stderr)
             return EXIT_QUERY
@@ -126,11 +153,9 @@ def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        lattice = lattice_from_spec(args.lattice)
-    except GradixError as exc:
-        print(f"gradix: {exc}", file=sys.stderr)
-        return EXIT_QUERY
+    lattice, code = _select_lattice(args.lattice)
+    if lattice is None:
+        return code
     session = Session(lattice)
     if args.scheme:
         try:
@@ -142,8 +167,8 @@ def _cmd_eval(args) -> int:
             return EXIT_QUERY
     try:
         text = Path(args.script).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"gradix: cannot read script: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"gradix: cannot read script: {_unreadable(args.script, exc)}", file=sys.stderr)
         return EXIT_IO
     try:
         statements = parsing.parse_script(text)
@@ -171,11 +196,9 @@ def _cmd_check(args) -> int:
     if args.suite in BOOLEAN_SUITES:
         lattice = make_lattice("boolean")
     else:
-        try:
-            lattice = lattice_from_spec(args.lattice or "godel")
-        except GradixError as exc:
-            print(f"gradix: {exc}", file=sys.stderr)
-            return EXIT_QUERY
+        lattice, code = _select_lattice(args.lattice or "godel")
+        if lattice is None:
+            return code
     seed = args.seed if args.seed is not None else _default_seed()
     config = GenConfig(seed=seed, lattice=lattice)
     report = run_theorem_suite(args.suite, config, args.n)

@@ -9,6 +9,13 @@ through singleton relations.  Universal and existential quantifiers
 aggregate with ⋀/⋁ over the bound scheme's active domain; over an empty
 domain they fall back to top/bottom and a warning is issued, since such
 queries are almost always mistakes.
+
+A ⋁ is a projection.  A ⋀ is a Codd division, `division.div_gcodd`, over
+the free scheme's active domain, so the calculus shares the divisions'
+residuum-infimum kernel.  Its cost per output row is the divisor's size:
+for `ALL b . (Q(b) => φ)` with Q on exactly the bound variables and φ
+covering the free and bound schemes, Q itself is the divisor, and the ∀
+costs Q's support; any other ∀ divides by EADOM[bound].
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import algebra as ra
+from . import division as dv
 from . import table as tb
 from .errors import PtcError
 from .table import DatabaseInstance, RankedDataTable, Scheme, Tuple
@@ -194,9 +202,14 @@ def validate_ptc(expr: PtcExpr) -> None:
 def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
     """Evaluate against an instance; result on the free scheme.
 
-    Quantifiers enumerate the bound scheme's active domain exhaustively,
-    which is exponential in the bound arity; correctness, not speed, is the
-    point here, and desk-scale bounds keep it well under a second.
+    Every ⋀ is a Codd division (`division.div_gcodd`) of its body over the
+    free scheme's active domain.  When the body is an implication whose
+    antecedent is on exactly the bound variables and whose consequent covers
+    the free and bound schemes, the antecedent is the divisor: bound tuples
+    outside its support contribute 0 → x = 1, so such a ∀ costs its
+    antecedent's support per output row.  Any other ∀ divides the body by
+    the bound scheme's active domain and costs |EADOM[bound]| per output
+    row, which is exponential in the bound arity.
     """
     validate_ptc(expr)
     consts = ptc_constants(expr)
@@ -206,8 +219,13 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
     def ead(scheme: Scheme) -> RankedDataTable:
         return ev.eadom_table(frozenset(scheme), consts)
 
-    def warn_if_empty(scheme: Scheme, universe: RankedDataTable, what: str):
-        if scheme and not universe.rows:
+    def has_values(attr: str) -> bool:
+        return any(a == attr for a, _v in consts) or any(
+            attr in d.scheme and d.rows for _name, d in instance.tables())
+
+    def warn_if_empty(scheme: Scheme, what: str):
+        # EADOM over a scheme is empty exactly when one of its attributes has no value
+        if not all(map(has_values, scheme)):
             warnings.warn(
                 f"{what} over attributes {sorted(scheme)} with an empty "
                 "extended active domain; the aggregation is vacuous",
@@ -242,27 +260,22 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
                 return tb.delta(rec(body))
             case PtcSup(bound, body):
                 inner = rec(body)
-                out_scheme = ptc_scheme(node)
-                warn_if_empty(scheme_of_vars(bound), ead(scheme_of_vars(bound)),
-                              "existential quantification")
-                return tb.projection(inner, out_scheme)
+                warn_if_empty(scheme_of_vars(bound), "existential quantification")
+                return tb.projection(inner, ptc_scheme(node))
             case PtcInf(bound, body):
-                inner = rec(body)
-                out_scheme = ptc_scheme(node)
-                bound_universe = ead(scheme_of_vars(bound))
-                warn_if_empty(scheme_of_vars(bound), bound_universe,
-                              "universal quantification")
-                plan = tb._join_plan(tb.attrs_of(out_scheme),
-                                     tb.attrs_of(bound_universe.scheme))
-                names, merge = plan.names, plan.merge
-                score, kinf, bottom = inner.rows.get, lat.kinf, lat.bottom
-                bound_values = [b._values for b in bound_universe.rows]
-                rows = {
-                    t: kinf([score(tb._make_tuple(names, merge(t._values + bv)), bottom)
-                             for bv in bound_values])
-                    for t in ead(out_scheme).rows
-                }
-                return tb._table(out_scheme, lat, rows)
+                bound_scheme, out_scheme = scheme_of_vars(bound), ptc_scheme(node)
+                match body:
+                    case PtcBinary(op, antecedent, consequent) if (
+                        op == RESIDUUM and free_vars(antecedent) == bound
+                        and ptc_scheme(consequent) == out_scheme | bound_scheme
+                    ):
+                        # off the antecedent's support every term is 0 → x = top
+                        divisor, dividend = rec(antecedent), rec(consequent)
+                    case _:
+                        # every term is top → x, which is x exactly
+                        dividend, divisor = rec(body), ead(bound_scheme)
+                warn_if_empty(bound_scheme, "universal quantification")
+                return dv.div_gcodd(dividend, divisor, ead(out_scheme))
         raise TypeError(f"not a PTC expression: {node!r}")
 
     return rec(expr)

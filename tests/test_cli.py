@@ -267,3 +267,36 @@ def test_eval_nested_nabla_depth_limit(workdir, capsys, depth, code):
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert (out != "") == (code == EXIT_OK)
+
+
+@pytest.fixture
+def unreadable(tmp_path):
+    """Paths that cannot be read as UTF-8 text files."""
+    not_utf8 = b"carrier 0 1\n\xff\xfe\n"
+    (tmp_path / "latin1.lat").write_bytes(not_utf8)
+    (tmp_path / "latin1.csv").write_bytes(b"A\ncaf\xe9\n")
+    (tmp_path / "latin1.gx").write_bytes(b"EVAL EADOM[A]\n# caf\xe9\n")
+    (tmp_path / "load.gx").write_text(f'LOAD R FROM "{tmp_path}/latin1.csv" SCHEME A:text\n')
+    (tmp_path / "ok.gx").write_text("EVAL DEE(1)\n")
+    (tmp_path / "dir.lat").mkdir()
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["eval", "--lattice", "table:{d}/missing.lat", "--script", "{d}/ok.gx"], "missing.lat"),
+    (["eval", "--lattice", "table:{d}/dir.lat", "--script", "{d}/ok.gx"], "dir.lat"),
+    (["eval", "--lattice", "table:{d}/latin1.lat", "--script", "{d}/ok.gx"], "latin1.lat"),
+    (["check", "--suite", "T1", "--lattice", "table:{d}/missing.lat"], "missing.lat"),
+    (["check", "--suite", "T1", "--lattice", "table:{d}/dir.lat"], "dir.lat"),
+    (["check", "--suite", "T1", "--lattice", "table:{d}/latin1.lat"], "latin1.lat"),
+    (["eval", "--lattice", "godel", "--script", "{d}/latin1.gx"], "latin1.gx"),
+    (["eval", "--lattice", "godel", "--script", "{d}/load.gx"], "latin1.csv"),
+], ids=["eval-missing-lattice", "eval-directory-lattice", "eval-latin1-lattice",
+        "check-missing-lattice", "check-directory-lattice", "check-latin1-lattice",
+        "latin1-script", "latin1-csv"])
+def test_unreadable_input_is_io_error(unreadable, capsys, argv, culprit):
+    code = main([a.format(d=unreadable) for a in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("gradix: ") and culprit in err
+    assert "Traceback" not in err

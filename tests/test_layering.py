@@ -91,3 +91,13 @@ def test_alternative_formulations_live_in_the_harness():
         and any(isinstance(n, ast.Attribute) and n.attr == "kresiduum" for n in ast.walk(f))
     }
     assert residuum_users == {"_residuum_infimum"}
+
+
+def test_calculus_infimum_runs_through_the_division_kernel():
+    """`ptc.py` takes no infimum itself: every ⋀ of the calculus is a
+    division, evaluated by the kernel of `division.py`."""
+    tree = ast.parse((PACKAGE / "ptc.py").read_text(encoding="utf-8"))
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "kinf" not in names
+    assert "div_gcodd" in names

@@ -18,7 +18,20 @@ from gradix import (
     TupleVar,
 )
 from gradix.harness import gen
-from gradix.ptc import MEET, OTIMES, RESIDUUM, VarFactory, free_vars, ptc_scheme, validate_ptc
+from gradix.harness.latsearch import search_distributivity_counterexample
+from gradix.harness.suites import suite_tolerance
+from gradix.parsing import parse_ptc
+from gradix.ptc import (
+    MEET,
+    OTIMES,
+    RESIDUUM,
+    VarFactory,
+    free_vars,
+    ptc_constants,
+    ptc_scheme,
+    scheme_of_vars,
+    validate_ptc,
+)
 
 from conftest import rdt, sch
 
@@ -245,3 +258,149 @@ def test_compilation_deterministic(inst):
 def test_ptc_to_text(inst):
     text = gx.ptc_to_text(DIV_SHAPE)
     assert text == "ALL s . ((D2(s) => D1(r, s)))"
+
+
+# -- universal quantification through the division kernel ---------------------
+
+VARS = {"a": sch("A"), "b": sch("B"), "c": sch("C"), "e": frozenset()}
+SYMBOLS = {"Q": sch("B"), "P": sch("B"), "R": sch("A", "B"), "K": sch("B", "C"),
+           "E": sch("B")}
+
+#: (formula, whether its outermost ALL divides by its antecedent)
+ALL_SHAPES = [
+    # an atom antecedent
+    ("ALL b . (Q(b) => R(a, b))", True),
+    # a ⊗-conjunction antecedent, with a quantified consequent
+    ("ALL b . (Q(b) * NABLA(P(b)) => ANY c . (R(a, b) * K(b, c)))", True),
+    # the antecedent has the extra free variable c
+    ("ALL b . (K(b, c) => R(a, b))", False),
+    # the consequent misses the bound attribute B
+    ("ALL b . (Q(b) => PROJECT[A](R)(a))", False),
+    # ALL nested inside ALL, closed, once divided by the antecedent, once not
+    ("ALL a . (PROJECT[A](R)(a) => ALL b . (Q(b) => R(a, b)))", True),
+    ("ALL c . (ALL b . (Q(b) => K(b, c)) & PROJECT[C](K)(c))", False),
+    # a variable on the empty scheme
+    ("ALL e . (PROJECT[](Q)(e) => R(a, b))", True),
+    ("ALL e . (PROJECT[](Q)(e) * PROJECT[](K)(e))", False),
+    # a closed formula
+    ("ALL b . (P(b) => Q(b))", True),
+    # singleton constants that occur in no table
+    ("ALL b . ([B: 99](b) => (R UNION ([A: 77] JOIN [B: 99]))(a, b))", True),
+    ("ALL b . (Q(b) => ([B: 98](b) => R(a, b)))", True),
+    # an empty antecedent table
+    ("ALL b . (E(b) => R(a, b))", True),
+    ("ALL b . (E(b) * Q(b) => K(b, c))", True),
+]
+
+
+def reference(expr, inst):
+    """The calculus by its definition, pointwise on `Tuple`s with the lattice
+    kernels: ⋀ and ⋁ run over every bound value of the extended active
+    domain, absent rows read as bottom."""
+    lat = inst.lattice
+    consts = ptc_constants(expr)
+    binary = {OTIMES: lat.kotimes, MEET: lat.kmeet, RESIDUUM: lat.kresiduum}
+
+    def universe(scheme):
+        return list(gx.eadom(inst, scheme, consts).rows)
+
+    def score(node, t):
+        match node:
+            case Atom(e, _):
+                d = gx.eval_ra(e, inst)
+                return d.rows.get(t.project(d.scheme), lat.bottom)
+            case PtcBinary(op, left, right):
+                return binary[op](score(left, t), score(right, t))
+            case PtcNabla(body):
+                return lat.bottom if lat.is_bottom(score(body, t)) else lat.top
+            case PtcDelta(body):
+                return lat.top if lat.is_top(score(body, t)) else lat.bottom
+            case PtcSup(bound, body) | PtcInf(bound, body):
+                t = t.project(ptc_scheme(node))
+                terms = [score(body, t.join(u)) for u in universe(scheme_of_vars(bound))]
+                if isinstance(node, PtcInf):
+                    return lat.kinf(terms)
+                out = lat.bottom
+                for x in terms:
+                    out = lat.kjoin(out, x)
+                return out
+
+    rows = {t: score(expr, t) for t in universe(ptc_scheme(expr))}
+    return {t: d for t, d in rows.items() if not lat.is_bottom(d)}
+
+
+def ptc_lattices():
+    witness, *_ = search_distributivity_counterexample(6)
+    return [("boolean", gx.BooleanLattice()), ("godel", gx.GoedelLattice()),
+            ("lukasiewicz", gx.LukasiewiczLattice()), ("goguen", gx.GoguenLattice()),
+            ("chain:5", gx.FiniteChain(5)), ("witness", witness)]
+
+
+@pytest.fixture
+def divisions(monkeypatch):
+    """Per `div_gcodd` call, whether its divisor is an EADOM table."""
+    from gradix import algebra, division
+
+    built, calls = [], []
+    eadom, div_gcodd = algebra.eadom, division.div_gcodd
+
+    def spy_eadom(*args):
+        out = eadom(*args)
+        built.append(out)
+        return out
+
+    def spy_div_gcodd(d1, d2, universe):
+        calls.append(any(d2 is t for t in built))
+        return div_gcodd(d1, d2, universe)
+
+    monkeypatch.setattr(algebra, "eadom", spy_eadom)
+    monkeypatch.setattr(division, "div_gcodd", spy_div_gcodd)
+    return calls
+
+
+@pytest.mark.parametrize("text, by_antecedent", ALL_SHAPES)
+def test_universal_quantifier_is_bit_exact(divisions, text, by_antecedent):
+    expr = parse_ptc(text, VARS, SYMBOLS)
+    for name, lat in ptc_lattices():
+        tolerance = suite_tolerance(lat)
+        for seed in range(4):
+            tables = dict(gen.gen_instance(
+                gen.GenConfig(seed=seed, lattice=lat, score_step=0.001),
+                {k: s for k, s in SYMBOLS.items() if k != "E"}).tables())
+            inst = DatabaseInstance(lat, {**tables, "E": gx.empty(lat, sch("B"))})
+            divisions.clear()
+            got = gx.eval_ptc(expr, inst)
+            # the outermost ALL is evaluated last
+            assert divisions[-1] == (not by_antecedent), (name, seed)
+            assert got.scheme == ptc_scheme(expr)
+            assert dict(got.rows) == reference(expr, inst), (name, seed)
+            compiled = gx.eval_ra(gx.compile_ptc_to_ra(expr), inst)
+            assert got.max_deviation(compiled) <= tolerance, (name, seed)
+
+
+def test_universal_quantifier_touches_only_the_antecedent(monkeypatch, godel):
+    """`ALL b . (Q(b) => R(a, b))` with 200 values of A and of B builds the
+    EADOM over the free scheme {A} only, never the product over {A, B}."""
+    from gradix import algebra
+
+    n = 200
+    rows = {(i, i): 0.5 for i in range(n)}
+    rows.update({(i, b): 0.9 for i in range(3) for b in range(5)})
+    inst = DatabaseInstance(godel, {
+        "R": rdt(godel, {"A", "B"}, rows),
+        "Q": rdt(godel, {"B"}, {b: 1.0 for b in range(5)}),
+    })
+    built = []
+    eadom = algebra.eadom
+
+    def counting_eadom(instance, scheme, extra_values=()):
+        out = eadom(instance, scheme, extra_values)
+        built.append((frozenset(scheme), len(out.rows)))
+        return out
+
+    monkeypatch.setattr(algebra, "eadom", counting_eadom)
+    expr = parse_ptc("ALL b . (Q(b) => R(a, b))", VARS, SYMBOLS)
+    out = gx.eval_ptc(expr, inst)
+    assert sch("A", "B") not in {s for s, _rows in built}
+    assert built == [(sch("A"), n)]
+    assert dict(out.rows) == {Tuple({"A": i}): 0.9 for i in range(3)}
