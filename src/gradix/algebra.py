@@ -1,21 +1,26 @@
 """Relational-algebra expressions: AST, static scheme inference, evaluation
 against a database instance, and extended-active-domain machinery.
 
-The AST nodes are frozen, hashable values; evaluation is naive bottom-up
-with memoization by structural identity.  The core node set keeps the
-ranged division, the residuum-with-range, and the EADOM table source; the
-remaining divisions are sugar nodes evaluated through the division module.
+The AST nodes are frozen, hashable values.  Every traversal of them, here
+and in the calculus, is a `fold`: one iterative post-order over the
+distinct nodes that applies a per-node rule to the children's results, so
+it takes an expression of any depth and costs each shared subtree once.
+The evaluator numbers nodes by structure and evaluates each number once.
+The core node set keeps the ranged division, the residuum-with-range, and
+the EADOM table source; the remaining divisions are sugar nodes evaluated
+through the division module.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping
 
 from . import division as dv
 from . import table as tb
-from .errors import SchemeError
+from .errors import SchemeError, UnboundSymbolError
 from .table import DatabaseInstance, RankedDataTable, Scheme, Tuple
 
 
@@ -183,8 +188,85 @@ def _fail(node, message: str):
     raise SchemeError(f"{type(node).__name__}: {message}")
 
 
+# -- traversal -------------------------------------------------------------
+
+
+class _Shapes(dict):
+    """node class → (child field names, child getter, class-and-scalars
+    getter), read once from the class's dataclass fields: a field annotated
+    with an expression type (`RaExpr`, `PtcExpr`) holds a child, any other
+    field a scalar."""
+
+    def __missing__(self, cls):
+        kids = tuple(f.name for f in fields(cls) if "Expr" in f.type)
+        scalars = tuple(f.name for f in fields(cls) if f.name not in kids)
+        shape = self[cls] = (kids, _getter(kids), operator.attrgetter("__class__", *scalars))
+        return shape
+
+
+_SHAPES = _Shapes()
+
+
+def _getter(names: tuple):
+    """node → the tuple of its fields called `names`, one C call where
+    there are two or more."""
+    if len(names) == 1:
+        return lambda node, name=names[0]: (getattr(node, name),)
+    return operator.attrgetter(*names) if names else lambda node: ()
+
+
+def children(node) -> tuple:
+    """The subexpressions of an algebra or calculus node, in field order; a
+    calculus atom's one child is its algebra expression."""
+    return _SHAPES[type(node)][1](node)
+
+
+def fold(root, rule, kids=None) -> dict:
+    """id(node) → rule(node, *its children's results), for every distinct
+    node under `root` in post-order: each node after all its children, the
+    children left to right.  Nodes are told apart by identity, so a subtree
+    shared by several parents is folded once; the loop keeps its own stack,
+    so an expression of any depth can be folded.  `kids(node)`, by default
+    `children(node)`, must give nodes of the expression."""
+    done, stack = {}, [root]
+    pop, push, get = stack.pop, stack.append, done.__getitem__
+    while stack:
+        node = pop()
+        if type(node) is tuple:  # (node, children), the children all done
+            node, below = node
+            done[id(node)] = rule(node, *map(get, map(id, below)))
+        elif id(node) not in done:
+            below = kids(node) if kids else _SHAPES[type(node)][1](node)
+            if below:
+                push((node, below))
+                stack.extend(reversed(below))
+            else:
+                done[id(node)] = rule(node)
+    return done
+
+
+def walk(expr, kids=None) -> list:
+    """Every distinct node of an algebra or calculus expression, children
+    first."""
+    return list(fold(expr, lambda node, *_: node, kids).values())
+
+
+def _with_children(node, below: tuple):
+    """`node` with its children replaced by `below`; `node` itself when
+    they are the same objects."""
+    kids, get_kids, _ = _SHAPES[type(node)]
+    if all(map(operator.is_, get_kids(node), below)):
+        return node
+    return replace(node, **dict(zip(kids, below)))
+
+
 def scheme_of(expr: RaExpr) -> Scheme:
     """Static scheme of the evaluation result; instance-independent."""
+    return fold(expr, _scheme_rule)[id(expr)]
+
+
+def _scheme_rule(expr, *s) -> Scheme:
+    """The scheme of one node, from its children's schemes `s`."""
     match expr:
         case RelSym(name, scheme):
             if scheme is None:
@@ -194,111 +276,73 @@ def scheme_of(expr: RaExpr) -> Scheme:
             return tb.EMPTY_SCHEME
         case Singleton(attribute=a):
             return frozenset({a})
-        case Union(l, r) | Intersection(l, r):
-            s1, s2 = scheme_of(l), scheme_of(r)
-            if s1 != s2:
-                _fail(expr, f"operand schemes {sorted(s1)} and {sorted(s2)} differ")
-            return s1
-        case NaturalJoin(l, r):
-            return scheme_of(l) | scheme_of(r)
-        case Projection(scheme, child):
-            s = scheme_of(child)
-            if not scheme <= s:
-                _fail(expr, f"target {sorted(scheme)} not within {sorted(s)}")
+        case EadomExpr(scheme=scheme):
+            return scheme
+        case Union() | Intersection():
+            if s[0] != s[1]:
+                _fail(expr, f"operand schemes {sorted(s[0])} and {sorted(s[1])} differ")
+            return s[0]
+        case NaturalJoin() | GDDO():
+            return s[0] | s[1]
+        case Projection(scheme):
+            if not scheme <= s[0]:
+                _fail(expr, f"target {sorted(scheme)} not within {sorted(s[0])}")
             return frozenset(scheme)
-        case Nabla(child) | Delta(child):
-            return scheme_of(child)
-        case ResiduumRange(l, r, g):
-            s1, s2, s3 = scheme_of(l), scheme_of(r), scheme_of(g)
-            if not (s1 == s2 == s3):
+        case Nabla() | Delta() | Semijoin() | Semidifference():
+            return s[0]
+        case ResiduumRange():
+            if not (s[0] == s[1] == s[2]):
                 _fail(expr, "the two sides and the range must share one scheme")
-            return s1
-        case DivRanged(dividend, divisor, rng):
-            s_s, s_r = scheme_of(divisor), scheme_of(rng)
-            if s_s & s_r:
+            return s[0]
+        case DivRanged():
+            dividend, divisor, rng = s
+            if divisor & rng:
                 _fail(expr, "divisor and range schemes overlap")
-            if scheme_of(dividend) != s_s | s_r:
+            if dividend != divisor | rng:
                 _fail(expr, "dividend scheme must be the union of divisor and range schemes")
-            return s_r
-        case EadomExpr(scheme=s):
-            return s
-        case Semijoin(l, r):
-            scheme_of(r)
-            return scheme_of(l)
-        case GradedDifference(l, r):
-            s1, s2 = scheme_of(l), scheme_of(r)
-            if s1 != s2:
+            return rng
+        case GradedDifference():
+            if s[0] != s[1]:
                 _fail(expr, "difference needs equal schemes")
-            return s1
-        case Semidifference(l, r):
-            scheme_of(r)
-            return scheme_of(l)
-        case GSDO(d1, d2, d3):
-            r, s, m = scheme_of(d1), scheme_of(d2), scheme_of(d3)
-            if r & s or m != r | s:
+            return s[0]
+        case GSDO():
+            r, d, m = s
+            if r & d or m != r | d:
                 _fail(expr, "wants dividend R, divisor S, mediator R∪S with R∩S=∅")
             return r
-        case GSD(d1, d2, d3):
-            s1 = scheme_of(d1)
-            dv.gsd_roles(s1, scheme_of(d2), scheme_of(d3))
-            return s1
-        case GGDO(d1, d2, d3, d4):
-            r, t, m3, m4 = scheme_of(d1), scheme_of(d2), scheme_of(d3), scheme_of(d4)
-            s = m3 - r
-            if (r & t) or (s & t) or m3 != r | s or m4 != s | t:
+        case GSD():
+            dv.gsd_roles(*s)
+            return s[0]
+        case GGDO():
+            r, t, m3, m4 = s
+            d = m3 - r
+            if (r & t) or (d & t) or m3 != r | d or m4 != d | t:
                 _fail(expr, "wants dividend R, divisor T, mediators R∪S and S∪T")
             return r | t
-        case GDDO(d1, d2, d3, d4):
-            scheme_of(d3), scheme_of(d4)
-            return scheme_of(d1) | scheme_of(d2)
-        case GCodd(d1, d2, u):
-            s, r = scheme_of(d2), scheme_of(u)
-            if s & r or scheme_of(d1) != r | s:
+        case GCodd():
+            dividend, divisor, r = s
+            if divisor & r or dividend != r | divisor:
                 _fail(expr, "wants dividend R∪S, divisor S, universe R")
             return r
-        case GTodd(d1, d2, u):
-            s1, s2 = scheme_of(d1), scheme_of(d2)
-            s = s1 & s2
-            rt = (s1 - s) | (s2 - s)
-            if scheme_of(u) != rt:
+        case GTodd():
+            s1, s2, u = s
+            rt = s1 ^ s2
+            if u != rt:
                 _fail(expr, "universe must cover the non-shared scheme parts")
             return rt
-    raise TypeError(f"not an RA expression: {expr!r}")
-
-
-def children_of(expr: RaExpr) -> tuple:
-    match expr:
-        case RelSym() | DeeConst() | Singleton() | EadomExpr():
-            return ()
-        case Projection(_, child) | Nabla(child) | Delta(child):
-            return (child,)
-        case (Union(l, r) | Intersection(l, r) | NaturalJoin(l, r)
-              | Semijoin(l, r) | GradedDifference(l, r) | Semidifference(l, r)):
-            return (l, r)
-        case ResiduumRange(l, r, g):
-            return (l, r, g)
-        case DivRanged(a, b, c) | GSDO(a, b, c) | GSD(a, b, c) | GCodd(a, b, c) | GTodd(a, b, c):
-            return (a, b, c)
-        case GGDO(a, b, c, d) | GDDO(a, b, c, d):
-            return (a, b, c, d)
-    raise TypeError(f"not an RA expression: {expr!r}")
-
-
-def walk(expr: RaExpr):
-    yield expr
-    for child in children_of(expr):
-        yield from walk(child)
+    raise TypeError(f"not an RA expression: {type(expr).__name__}")
 
 
 def constants_of(expr: RaExpr) -> frozenset:
     """All (attribute, value) constants the expression can introduce."""
-    out = set()
-    for node in walk(expr):
-        if isinstance(node, Singleton):
-            out.add((node.attribute, node.value))
-        elif isinstance(node, EadomExpr):
-            out |= node.constants
-    return frozenset(out)
+    return frozenset().union(*map(node_constants, walk(expr)))
+
+
+def node_constants(node) -> frozenset:
+    """The (attribute, value) constants one node introduces."""
+    if isinstance(node, Singleton):
+        return frozenset({(node.attribute, node.value)})
+    return node.constants if isinstance(node, EadomExpr) else frozenset()
 
 
 def symbols_of(expr: RaExpr) -> dict:
@@ -313,39 +357,18 @@ def symbols_of(expr: RaExpr) -> dict:
     return out
 
 
-def resolve_schemes(expr: RaExpr, schemes: Mapping[str, Scheme]) -> RaExpr:
-    """Annotate unresolved relation symbols with schemes from a catalog."""
+def resolve_schemes(expr, schemes: Mapping[str, Scheme]):
+    """Annotate unresolved relation symbols with schemes from a catalog, in
+    an algebra expression or in the atoms of a calculus expression."""
 
-    def rec(node):
-        if isinstance(node, RelSym):
-            if node.scheme is not None:
-                return node
-            if node.name not in schemes:
-                from .errors import UnboundSymbolError
+    def rule(node, *below):
+        if type(node) is not RelSym or node.scheme is not None:
+            return _with_children(node, below)
+        if node.name not in schemes:
+            raise UnboundSymbolError(f"relation symbol {node.name!r} is not defined")
+        return RelSym(node.name, frozenset(schemes[node.name]))
 
-                raise UnboundSymbolError(f"relation symbol {node.name!r} is not defined")
-            return RelSym(node.name, frozenset(schemes[node.name]))
-        kids = children_of(node)
-        if not kids:
-            return node
-        new_kids = tuple(rec(k) for k in kids)
-        if new_kids == kids:
-            return node
-        return _rebuild(node, new_kids)
-
-    return rec(expr)
-
-
-def _rebuild(node, kids):
-    match node:
-        case Projection(scheme, _):
-            return Projection(scheme, kids[0])
-        case Nabla():
-            return Nabla(kids[0])
-        case Delta():
-            return Delta(kids[0])
-        case _:
-            return type(node)(*kids)
+    return fold(expr, rule)[id(expr)]
 
 
 # -- active domains --------------------------------------------------------
@@ -427,9 +450,16 @@ def eadom_ra_expr(
 
 
 class _Evaluator:
+    """Evaluates expressions against one instance, each equal subexpression
+    once: a node's number stands for its class, scalar fields and children's
+    numbers, children first, and a number's table is computed when first
+    asked for.  No node is hashed, so a shared subtree costs its size once."""
+
     def __init__(self, instance: DatabaseInstance):
         self.instance = instance
-        self.memo: dict = {}
+        self.numbers: dict = {}  # (class and scalars, children's numbers) → number
+        self.nodes: list = []  # number → (node, children's numbers)
+        self.tables: list = []  # number → table, for the numbers evaluated so far
         self._eadom_cache: dict = {}
 
     def eadom_table(self, scheme: Scheme, constants: frozenset) -> RankedDataTable:
@@ -438,15 +468,25 @@ class _Evaluator:
             self._eadom_cache[key] = eadom(self.instance, scheme, constants)
         return self._eadom_cache[key]
 
-    def eval(self, expr: RaExpr) -> RankedDataTable:
-        hit = self.memo.get(expr)
-        if hit is not None:
-            return hit
-        out = self._eval(expr)
-        self.memo[expr] = out
-        return out
+    def number(self, node: RaExpr, *nums) -> int:
+        """The number of one node, from its children's numbers."""
+        key = (_SHAPES[type(node)][2](node), *nums)
+        n = self.numbers.get(key)
+        if n is None:
+            n = self.numbers[key] = len(self.nodes)
+            self.nodes.append((node, nums))
+        return n
 
-    def _eval(self, expr: RaExpr) -> RankedDataTable:
+    def table(self, n: int) -> RankedDataTable:
+        """The table of number n, evaluating first every smaller number not
+        yet evaluated, as numbers are given out children first."""
+        tables = self.tables
+        for node, nums in self.nodes[len(tables):n + 1]:
+            tables.append(self._rule(node, *[tables[i] for i in nums]))
+        return tables[n]
+
+    def _rule(self, expr: RaExpr, *t) -> RankedDataTable:
+        """The table of one node, from its children's tables `t`."""
         lat = self.instance.lattice
         match expr:
             case RelSym(name, scheme):
@@ -460,43 +500,43 @@ class _Evaluator:
                 return RankedDataTable(
                     frozenset({attr}), lat, {Tuple({attr: value}): lat.top}
                 )
-            case Union(l, r):
-                return tb.union(self.eval(l), self.eval(r))
-            case Intersection(l, r):
-                return tb.intersection(self.eval(l), self.eval(r))
-            case NaturalJoin(l, r):
-                return tb.natural_join(self.eval(l), self.eval(r))
-            case Projection(scheme, child):
-                return tb.projection(self.eval(child), scheme)
-            case Nabla(child):
-                return tb.nabla(self.eval(child))
-            case Delta(child):
-                return tb.delta(self.eval(child))
-            case ResiduumRange(l, r, g):
-                return tb.residuum_with_range(self.eval(l), self.eval(r), self.eval(g))
-            case DivRanged(dividend, divisor, rng):
-                return dv.div_ranged(self.eval(dividend), self.eval(divisor), self.eval(rng))
             case EadomExpr(scheme, constants):
                 return self.eadom_table(scheme, constants)
-            case Semijoin(l, r):
-                return tb.semijoin(self.eval(l), self.eval(r))
-            case GradedDifference(l, r):
-                return tb.difference_graded(self.eval(l), self.eval(r))
-            case Semidifference(l, r):
-                return dv.semidifference(self.eval(l), self.eval(r))
-            case GSDO(d1, d2, d3):
-                return dv.div_gsdo(self.eval(d1), self.eval(d2), self.eval(d3))
-            case GSD(d1, d2, d3):
-                return dv.div_gsd(self.eval(d1), self.eval(d2), self.eval(d3))
-            case GGDO(d1, d2, d3, d4):
-                return dv.div_ggdo(self.eval(d1), self.eval(d2), self.eval(d3), self.eval(d4))
-            case GDDO(d1, d2, d3, d4):
-                return dv.div_gddo(self.eval(d1), self.eval(d2), self.eval(d3), self.eval(d4))
-            case GCodd(d1, d2, u):
-                return dv.div_gcodd(self.eval(d1), self.eval(d2), self.eval(u))
-            case GTodd(d1, d2, u):
-                return dv.div_gtodd(self.eval(d1), self.eval(d2), self.eval(u))
-        raise TypeError(f"not an RA expression: {expr!r}")
+            case Union():
+                return tb.union(*t)
+            case Intersection():
+                return tb.intersection(*t)
+            case NaturalJoin():
+                return tb.natural_join(*t)
+            case Projection(scheme):
+                return tb.projection(*t, scheme)
+            case Nabla():
+                return tb.nabla(*t)
+            case Delta():
+                return tb.delta(*t)
+            case ResiduumRange():
+                return tb.residuum_with_range(*t)
+            case DivRanged():
+                return dv.div_ranged(*t)
+            case Semijoin():
+                return tb.semijoin(*t)
+            case GradedDifference():
+                return tb.difference_graded(*t)
+            case Semidifference():
+                return dv.semidifference(*t)
+            case GSDO():
+                return dv.div_gsdo(*t)
+            case GSD():
+                return dv.div_gsd(*t)
+            case GGDO():
+                return dv.div_ggdo(*t)
+            case GDDO():
+                return dv.div_gddo(*t)
+            case GCodd():
+                return dv.div_gcodd(*t)
+            case GTodd():
+                return dv.div_gtodd(*t)
+        raise TypeError(f"not an RA expression: {type(expr).__name__}")
 
 
 def _coerce_degree(lat, raw):
@@ -507,9 +547,14 @@ def _coerce_degree(lat, raw):
 
 def eval_ra(expr: RaExpr, instance: DatabaseInstance) -> RankedDataTable:
     """Evaluate an expression; every relation symbol must be bound and the
-    expression must pass static scheme inference."""
-    scheme_of(expr)
-    return _Evaluator(instance).eval(expr)
+    whole expression must pass static scheme inference, which runs first,
+    once per distinct subexpression."""
+    ev = _Evaluator(instance)
+    root = fold(expr, ev.number)[id(expr)]
+    schemes: list = []  # number → scheme
+    for node, nums in ev.nodes:
+        schemes.append(_scheme_rule(node, *[schemes[i] for i in nums]))
+    return ev.table(root)
 
 
 # -- pretty printing -------------------------------------------------------
@@ -523,18 +568,24 @@ def value_to_literal(v) -> str:
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, float):
-        s = f"{v:.9g}"
+        s = _float_literal(v)
         if "." not in s and "e" not in s and "inf" not in s and "nan" not in s:
             s += ".0"
         return s
     return str(v)
 
 
+def _float_literal(x: float) -> str:
+    """9 significant digits, or all of them where 9 do not read back as x."""
+    s = f"{x:.9g}"
+    return s if float(s) == x else repr(x)
+
+
 def degree_to_literal(d) -> str:
     if isinstance(d, str):
         return value_to_literal(d)
     if isinstance(d, float):
-        return f"{d:.9g}"
+        return _float_literal(d)
     return str(d)
 
 
@@ -542,8 +593,25 @@ def _attr_list(scheme: Scheme) -> str:
     return ",".join(sorted(scheme))
 
 
+#: the text of each operator node, one `{}` per child in field order
+_SYNTAX = {
+    Union: "({} UNION {})", Intersection: "({} ISECT {})", NaturalJoin: "({} JOIN {})",
+    Nabla: "NABLA({})", Delta: "DELTA({})", ResiduumRange: "RES({} -> {} OVER {})",
+    DivRanged: "DIV({} BY {} OVER {})", Semijoin: "SEMIJOIN({}, {})",
+    GradedDifference: "GDIFF({}, {})", Semidifference: "SEMIDIFF({}, {})",
+    GSDO: "GSDO({}, {}; MED {})", GSD: "GSD({}, {}; MED {})",
+    GGDO: "GGDO({}, {}; MED {}, {})", GDDO: "GDDO({}, {}; MED {}, {})",
+    GCodd: "GCODD({}, {}; UNIV {})", GTodd: "GTODD({}, {}; UNIV {})",
+}
+
+
 def ra_to_text(expr: RaExpr) -> str:
     """Deterministic textual form; reparsing yields an equal AST."""
+    return fold(expr, _text_rule)[id(expr)]
+
+
+def _text_rule(expr: RaExpr, *t) -> str:
+    """The text of one node, from its children's texts `t`."""
     match expr:
         case RelSym(name, _):
             return name
@@ -551,40 +619,14 @@ def ra_to_text(expr: RaExpr) -> str:
             return f"DEE({degree_to_literal(degree)})"
         case Singleton(attr, value):
             return f"[{attr}: {value_to_literal(value)}]"
-        case Union(l, r):
-            return f"({ra_to_text(l)} UNION {ra_to_text(r)})"
-        case Intersection(l, r):
-            return f"({ra_to_text(l)} ISECT {ra_to_text(r)})"
-        case NaturalJoin(l, r):
-            return f"({ra_to_text(l)} JOIN {ra_to_text(r)})"
-        case Projection(scheme, child):
-            return f"PROJECT[{_attr_list(scheme)}]({ra_to_text(child)})"
-        case Nabla(child):
-            return f"NABLA({ra_to_text(child)})"
-        case Delta(child):
-            return f"DELTA({ra_to_text(child)})"
-        case ResiduumRange(l, r, g):
-            return f"RES({ra_to_text(l)} -> {ra_to_text(r)} OVER {ra_to_text(g)})"
-        case DivRanged(dividend, divisor, rng):
-            return f"DIV({ra_to_text(dividend)} BY {ra_to_text(divisor)} OVER {ra_to_text(rng)})"
-        case EadomExpr(scheme, _):
-            return f"EADOM[{_attr_list(scheme)}]"
-        case Semijoin(l, r):
-            return f"SEMIJOIN({ra_to_text(l)}, {ra_to_text(r)})"
-        case GradedDifference(l, r):
-            return f"GDIFF({ra_to_text(l)}, {ra_to_text(r)})"
-        case Semidifference(l, r):
-            return f"SEMIDIFF({ra_to_text(l)}, {ra_to_text(r)})"
-        case GSDO(d1, d2, d3):
-            return f"GSDO({ra_to_text(d1)}, {ra_to_text(d2)}; MED {ra_to_text(d3)})"
-        case GSD(d1, d2, d3):
-            return f"GSD({ra_to_text(d1)}, {ra_to_text(d2)}; MED {ra_to_text(d3)})"
-        case GGDO(d1, d2, d3, d4):
-            return f"GGDO({ra_to_text(d1)}, {ra_to_text(d2)}; MED {ra_to_text(d3)}, {ra_to_text(d4)})"
-        case GDDO(d1, d2, d3, d4):
-            return f"GDDO({ra_to_text(d1)}, {ra_to_text(d2)}; MED {ra_to_text(d3)}, {ra_to_text(d4)})"
-        case GCodd(d1, d2, u):
-            return f"GCODD({ra_to_text(d1)}, {ra_to_text(d2)}; UNIV {ra_to_text(u)})"
-        case GTodd(d1, d2, u):
-            return f"GTODD({ra_to_text(d1)}, {ra_to_text(d2)}; UNIV {ra_to_text(u)})"
-    raise TypeError(f"not an RA expression: {expr!r}")
+        case Projection(scheme):
+            return f"PROJECT[{_attr_list(scheme)}]({t[0]})"
+        case EadomExpr(scheme, constants):
+            # a constant off the scheme never reaches the table, so it is not printed
+            own = sorted((c for c in constants if c[0] in scheme),
+                         key=lambda c: (c[0], type(c[1]).__name__, c[1]))
+            listed = ", ".join(f"{a}: {value_to_literal(v)}" for a, v in own)
+            return f"EADOM[{_attr_list(scheme)}{'; ' if own else ''}{listed}]"
+    if type(expr) not in _SYNTAX:
+        raise TypeError(f"not an RA expression: {type(expr).__name__}")
+    return _SYNTAX[type(expr)].format(*t)

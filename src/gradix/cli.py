@@ -60,6 +60,7 @@ class Session:
 
 
 def _check_value_types(expr, registry: AttributeRegistry) -> None:
+    """Singleton values in an algebra or calculus expression have their declared types."""
     for node in ra.walk(expr):
         if isinstance(node, ra.Singleton):
             declared = registry.type_of(node.attribute)
@@ -121,12 +122,11 @@ def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
                     _check_value_types(expr, session.registry)
                     emit_table("EVAL", line, ra.eval_ra(expr, session.instance()))
                 case parsing.EvalPtcStmt(expr, line):
-                    expr = pc.resolve_schemes(expr, session.schemes())
-                    for atom in pc.atoms_of(expr):
-                        _check_value_types(atom.expr, session.registry)
+                    expr = ra.resolve_schemes(expr, session.schemes())
+                    _check_value_types(expr, session.registry)
                     emit_table("EVALPTC", line, pc.eval_ptc(expr, session.instance()))
                 case parsing.CompileStmt(expr, line):
-                    expr = pc.resolve_schemes(expr, session.schemes())
+                    expr = ra.resolve_schemes(expr, session.schemes())
                     compiled = pc.compile_ptc_to_ra(expr)
                     stdout.write(f"-- COMPILE (line {line})\n")
                     stdout.write(ra.ra_to_text(compiled) + "\n")

@@ -27,9 +27,11 @@ KEYWORDS = {
 
 #: Deepest nesting an expression may have: brackets inside brackets, and
 #: operator levels on any path from the root of the parsed expression down
-#: to a relation symbol or constant.  Scheme inference, evaluation and
-#: printing recurse once per level, so a deeper expression would exhaust
-#: Python's stack; the parser raises `ParseError` instead.
+#: to a relation symbol or constant.  The parser recurses once per bracket,
+#: and `==`, `hash`, `repr` and pickling of the AST it returns recurse once
+#: per level, so a deeper expression would exhaust Python's stack; the
+#: parser raises `ParseError` instead.  The engine's own traversals are
+#: iterative: an AST built through the API is evaluated at any depth.
 MAX_DEPTH = 200
 
 _PUNCT = ("->", "=>", "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "*", "&", "=")
@@ -303,8 +305,19 @@ class _Parser:
         if self.accept("KEYWORD", "EADOM"):
             self.expect("[")
             scheme = frozenset() if self.at("]") else self.attr_list()
+            constants = set()
+            if self.accept(";"):
+                while True:
+                    tok = self.expect("IDENT")
+                    if tok.text not in scheme:
+                        raise ParseError(f"EADOM constant on {tok.text!r}, which is not one "
+                                         "of its attributes", tok.line, tok.col)
+                    self.expect(":")
+                    constants.add((tok.text, self.value_literal()))
+                    if not self.accept(","):
+                        break
             self.expect("]")
-            return ra.EadomExpr(scheme)
+            return ra.EadomExpr(scheme, frozenset(constants))
         raise ParseError(f"expected an algebra expression, found {tok.text or tok.kind!r}",
                          tok.line, tok.col)
 
@@ -406,28 +419,11 @@ class _Parser:
         return self._resolve_vars(self._name_list())
 
 
-def _children(node) -> tuple:
-    match node:
-        case pc.Atom(expr, _):
-            return (expr,)
-        case pc.PtcBinary(_, left, right):
-            return (left, right)
-        case pc.PtcNabla(body) | pc.PtcDelta(body) | pc.PtcSup(_, body) | pc.PtcInf(_, body):
-            return (body,)
-    return ra.children_of(node)
-
-
 def _depth(expr) -> int:
     """Operator levels on the longest path from `expr` down to a leaf; an
-    atom's algebra expression counts one level below the atom.  Iterative,
-    so any depth can be measured."""
-    deepest = 0
-    stack = [(expr, 0)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((child, depth + 1) for child in _children(node))
-    return deepest
+    atom's algebra expression counts one level below the atom."""
+    levels = ra.fold(expr, lambda node, *below: 1 + max(below, default=-1))
+    return levels[id(expr)]
 
 
 def _number(tok: Token):
@@ -462,7 +458,7 @@ def parse_ptc(text: str, var_schemes: Mapping[str, Scheme],
     p.skip_newlines()
     p.expect("EOF")
     if symbols is not None:
-        expr = pc.resolve_schemes(expr, symbols)
+        expr = ra.resolve_schemes(expr, symbols)
     return expr
 
 
@@ -532,10 +528,6 @@ def parse_script(text: str) -> list[Statement]:
                 raise ParseError(f"relation symbol {name!r} used before definition",
                                  line, 1)
 
-    def check_ptc_symbols(expr, line):
-        for atom in pc.atoms_of(expr):
-            check_symbols(atom.expr, line)
-
     p.skip_newlines()
     while not p.at("EOF"):
         tok = p.peek()
@@ -581,11 +573,11 @@ def parse_script(text: str) -> list[Statement]:
             statements.append(EvalStmt(expr, line))
         elif p.accept("KEYWORD", "EVALPTC"):
             expr = p.expression(p.ptc_expr)
-            check_ptc_symbols(expr, line)
+            check_symbols(expr, line)
             statements.append(EvalPtcStmt(expr, line))
         elif p.accept("KEYWORD", "COMPILE"):
             expr = p.expression(p.ptc_expr)
-            check_ptc_symbols(expr, line)
+            check_symbols(expr, line)
             statements.append(CompileStmt(expr, line))
         elif p.accept("KEYWORD", "SAVE"):
             name = p.expect("IDENT").text

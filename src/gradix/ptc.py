@@ -47,7 +47,7 @@ class Atom:
     """A relational-algebra expression applied to tuple variables whose
     schemes jointly cover its scheme."""
 
-    expr: object  # RaExpr
+    expr: ra.RaExpr
     vars: frozenset
 
 
@@ -87,17 +87,24 @@ class PtcInf:
 PtcExpr = Atom | PtcBinary | PtcNabla | PtcDelta | PtcSup | PtcInf
 
 
-def free_vars(expr: PtcExpr) -> frozenset:
-    match expr:
+def _calculus_children(node) -> tuple:
+    """A calculus node's children, with atoms as leaves."""
+    return () if type(node) is Atom else ra.children(node)
+
+
+def _free_rule(node, *below) -> frozenset:
+    match node:
         case Atom(_, vs):
             return vs
-        case PtcBinary(_, l, r):
-            return free_vars(l) | free_vars(r)
-        case PtcNabla(body) | PtcDelta(body):
-            return free_vars(body)
-        case PtcSup(bound, body) | PtcInf(bound, body):
-            return free_vars(body) - bound
-    raise TypeError(f"not a PTC expression: {expr!r}")
+        case PtcSup(bound, _) | PtcInf(bound, _):
+            return below[0] - bound
+        case PtcBinary() | PtcNabla() | PtcDelta():
+            return frozenset().union(*below)
+    raise TypeError(f"not a PTC expression: {type(node).__name__}")
+
+
+def free_vars(expr: PtcExpr) -> frozenset:
+    return ra.fold(expr, _free_rule, _calculus_children)[id(expr)]
 
 
 def scheme_of_vars(vs: Iterable[TupleVar]) -> Scheme:
@@ -113,35 +120,21 @@ def ptc_scheme(expr: PtcExpr) -> Scheme:
 
 
 def all_vars(expr: PtcExpr) -> frozenset:
-    match expr:
-        case Atom(_, vs):
-            return vs
-        case PtcBinary(_, l, r):
-            return all_vars(l) | all_vars(r)
-        case PtcNabla(body) | PtcDelta(body):
-            return all_vars(body)
-        case PtcSup(bound, body) | PtcInf(bound, body):
-            return all_vars(body) | bound
-    raise TypeError(f"not a PTC expression: {expr!r}")
+    out: set = set()
+    for node in ra.walk(expr, _calculus_children):
+        match node:
+            case Atom(_, vs) | PtcSup(vs, _) | PtcInf(vs, _):
+                out |= vs
+    return frozenset(out)
 
 
-def atoms_of(expr: PtcExpr):
-    match expr:
-        case Atom():
-            yield expr
-        case PtcBinary(_, l, r):
-            yield from atoms_of(l)
-            yield from atoms_of(r)
-        case PtcNabla(body) | PtcDelta(body) | PtcSup(_, body) | PtcInf(_, body):
-            yield from atoms_of(body)
+def atoms_of(expr: PtcExpr) -> list:
+    return [node for node in ra.walk(expr, _calculus_children) if type(node) is Atom]
 
 
 def ptc_constants(expr: PtcExpr) -> frozenset:
     """Singleton-introduced constants anywhere inside the expression."""
-    out: frozenset = frozenset()
-    for atom in atoms_of(expr):
-        out |= ra.constants_of(atom.expr)
-    return out
+    return ra.constants_of(expr)
 
 
 def valuation(vs: Iterable[TupleVar], r: Tuple) -> dict:
@@ -154,46 +147,58 @@ def validate_ptc(expr: PtcExpr) -> None:
     """Well-formedness: consistent variable schemes per name, atom variables
     covering the atom's scheme, quantifiers binding free variables whose
     scheme is disjoint from the remaining free scheme."""
-    registry: dict[str, Scheme] = {}
-    for v in all_vars(expr):
-        prev = registry.get(v.name)
-        if prev is not None and prev != v.scheme:
-            raise PtcError(
-                f"tuple variable {v.name!r} used with schemes "
-                f"{sorted(prev)} and {sorted(v.scheme)}"
-            )
-        registry[v.name] = v.scheme
+    _check(expr)
 
-    def rec(node):
+
+def _check(expr: PtcExpr) -> tuple[dict, frozenset]:
+    """`validate_ptc`'s checks, node by node.  Then id(node) → the node's
+    free variables (its scheme, inside an atom), and the constants."""
+    if not isinstance(expr, PtcExpr):
+        raise TypeError(f"not a PTC expression: {type(expr).__name__}")
+    registry: dict[str, Scheme] = {}
+    consts: set = set()
+
+    def register(vs: frozenset):
+        for v in vs:
+            prev = registry.setdefault(v.name, v.scheme)
+            if prev != v.scheme:
+                raise PtcError(
+                    f"tuple variable {v.name!r} used with schemes "
+                    f"{sorted(prev)} and {sorted(v.scheme)}"
+                )
+
+    def rule(node, *below):
         match node:
-            case Atom(e, vs):
+            case Atom(_, vs):
+                register(vs)
                 covered = scheme_of_vars(vs)
-                s = ra.scheme_of(e)
-                if covered != s:
+                if covered != below[0]:
                     raise PtcError(
                         f"atom variables cover {sorted(covered)} but the "
-                        f"expression is on {sorted(s)}"
+                        f"expression is on {sorted(below[0])}"
                     )
-            case PtcBinary(_, l, r):
-                rec(l)
-                rec(r)
-            case PtcNabla(body) | PtcDelta(body):
-                rec(body)
-            case PtcSup(bound, body) | PtcInf(bound, body):
+            case PtcSup(bound, _) | PtcInf(bound, _):
+                register(bound)
                 if not bound:
                     raise PtcError("quantifier binds no variables")
-                if not bound <= free_vars(body):
+                if not bound <= below[0]:
                     raise PtcError("quantifier binds variables not free in its body")
-                bound_scheme = scheme_of_vars(bound)
-                rest_scheme = scheme_of_vars(free_vars(body) - bound)
-                if bound_scheme & rest_scheme:
+                overlap = scheme_of_vars(bound) & scheme_of_vars(below[0] - bound)
+                if overlap:
                     raise PtcError(
                         "bound scheme overlaps the free remainder on "
-                        f"{sorted(bound_scheme & rest_scheme)}"
+                        f"{sorted(overlap)}"
                     )
-                rec(body)
+            case PtcBinary() | PtcNabla() | PtcDelta():
+                pass
+            case ra.Singleton() | ra.EadomExpr():
+                consts.update(ra.node_constants(node))
+                return ra._scheme_rule(node)
+            case _:  # inside an atom
+                return ra._scheme_rule(node, *below)
+        return _free_rule(node, *below)
 
-    rec(expr)
+    return ra.fold(expr, rule), frozenset(consts)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -211,10 +216,12 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
     the bound scheme's active domain and costs |EADOM[bound]| per output
     row, which is exponential in the bound arity.
     """
-    validate_ptc(expr)
-    consts = ptc_constants(expr)
+    free, consts = _check(expr)
     ev = ra._Evaluator(instance)
     lat = instance.lattice
+
+    def free_scheme(node) -> Scheme:
+        return scheme_of_vars(free[id(node)])
 
     def ead(scheme: Scheme) -> RankedDataTable:
         return ev.eadom_table(frozenset(scheme), consts)
@@ -232,12 +239,22 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
                 stacklevel=2,
             )
 
-    def rec(node) -> RankedDataTable:
+    def kids(node) -> tuple:
         match node:
-            case Atom(e, _):
-                return ev.eval(e)
-            case PtcBinary(op, l, r):
-                t1, t2 = rec(l), rec(r)
+            case PtcInf(bound, PtcBinary(op, antecedent, consequent)) if (
+                op == RESIDUUM and free[id(antecedent)] == bound
+                and free_scheme(consequent) == free_scheme(node) | scheme_of_vars(bound)
+            ):
+                # the ∀ divides by its antecedent, so its `=>` is never scored
+                return antecedent, consequent
+        return ra.children(node)
+
+    def rule(node, *t) -> RankedDataTable:
+        match node:
+            case Atom():
+                return ev.table(t[0])
+            case PtcBinary(op, _, _):
+                t1, t2 = t
                 if op == OTIMES:
                     return tb.natural_join(t1, t2)
                 if op == MEET:
@@ -249,36 +266,31 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
                 score1, score2 = tb._values_index(t1).get, tb._values_index(t2).get
                 kresiduum, bottom = lat.kresiduum, lat.bottom
                 rows = {
-                    t: kresiduum(score1(to_1(t._values), bottom),
-                                 score2(to_2(t._values), bottom))
-                    for t in ead(scheme).rows
+                    u: kresiduum(score1(to_1(u._values), bottom),
+                                 score2(to_2(u._values), bottom))
+                    for u in ead(scheme).rows
                 }
                 return tb._table(scheme, lat, rows)
-            case PtcNabla(body):
-                return tb.nabla(rec(body))
-            case PtcDelta(body):
-                return tb.delta(rec(body))
-            case PtcSup(bound, body):
-                inner = rec(body)
+            case PtcNabla():
+                return tb.nabla(*t)
+            case PtcDelta():
+                return tb.delta(*t)
+            case PtcSup(bound, _):
                 warn_if_empty(scheme_of_vars(bound), "existential quantification")
-                return tb.projection(inner, ptc_scheme(node))
-            case PtcInf(bound, body):
-                bound_scheme, out_scheme = scheme_of_vars(bound), ptc_scheme(node)
-                match body:
-                    case PtcBinary(op, antecedent, consequent) if (
-                        op == RESIDUUM and free_vars(antecedent) == bound
-                        and ptc_scheme(consequent) == out_scheme | bound_scheme
-                    ):
-                        # off the antecedent's support every term is 0 → x = top
-                        divisor, dividend = rec(antecedent), rec(consequent)
-                    case _:
-                        # every term is top → x, which is x exactly
-                        dividend, divisor = rec(body), ead(bound_scheme)
+                return tb.projection(*t, free_scheme(node))
+            case PtcInf(bound, _):
+                bound_scheme = scheme_of_vars(bound)
+                if len(t) == 2:  # the antecedent and the consequent, from `kids`
+                    # off the antecedent's support every term is 0 → x = top
+                    divisor, dividend = t
+                else:
+                    # every term is top → x, which is x exactly
+                    dividend, divisor = t[0], ead(bound_scheme)
                 warn_if_empty(bound_scheme, "universal quantification")
-                return dv.div_gcodd(dividend, divisor, ead(out_scheme))
-        raise TypeError(f"not a PTC expression: {node!r}")
+                return dv.div_gcodd(dividend, divisor, ead(free_scheme(node)))
+        return ev.number(node, *t)  # inside an atom
 
-    return rec(expr)
+    return ra.fold(expr, rule, kids)[id(expr)]
 
 
 def _pointwise_meet(t1: RankedDataTable, t2: RankedDataTable) -> RankedDataTable:
@@ -302,27 +314,6 @@ class VarFactory:
         return v
 
 
-def resolve_schemes(expr: PtcExpr, schemes) -> PtcExpr:
-    """Resolve the relation symbols inside every atom against a catalog."""
-
-    def rec(node):
-        match node:
-            case Atom(e, vs):
-                return Atom(ra.resolve_schemes(e, schemes), vs)
-            case PtcBinary(op, l, r):
-                return PtcBinary(op, rec(l), rec(r))
-            case PtcNabla(body):
-                return PtcNabla(rec(body))
-            case PtcDelta(body):
-                return PtcDelta(rec(body))
-            case PtcSup(bound, body):
-                return PtcSup(bound, rec(body))
-            case PtcInf(bound, body):
-                return PtcInf(bound, rec(body))
-
-    return rec(expr)
-
-
 def embed_ra(expr, var_name: str = "t0") -> Atom:
     """Any RA expression is an atomic calculus expression over one fresh
     variable on its scheme."""
@@ -342,22 +333,15 @@ def split_variable(expr: PtcExpr, var: TupleVar, parts: Iterable[TupleVar]) -> P
     def swap(vs: frozenset) -> frozenset:
         return (vs - {var}) | parts if var in vs else vs
 
-    def rec(node):
+    def rule(node, *below):
         match node:
             case Atom(e, vs):
                 return Atom(e, swap(vs))
-            case PtcBinary(op, l, r):
-                return PtcBinary(op, rec(l), rec(r))
-            case PtcNabla(body):
-                return PtcNabla(rec(body))
-            case PtcDelta(body):
-                return PtcDelta(rec(body))
-            case PtcSup(bound, body):
-                return PtcSup(swap(bound), rec(body))
-            case PtcInf(bound, body):
-                return PtcInf(swap(bound), rec(body))
+            case PtcSup(bound, _) | PtcInf(bound, _):
+                return type(node)(swap(bound), *below)
+        return ra._with_children(node, below)
 
-    out = rec(expr)
+    out = ra.fold(expr, rule, _calculus_children)[id(expr)]
     validate_ptc(out)
     return out
 
@@ -382,42 +366,41 @@ def compile_ptc_to_ra(expr: PtcExpr, inf_form: str = DIV_FORM):
     """
     if inf_form not in (DIV_FORM, GSDO_FORM):
         raise PtcError(f"unknown Inf compilation form {inf_form!r}")
-    validate_ptc(expr)
-    consts = ptc_constants(expr)
+    free, consts = _check(expr)
+
+    def free_scheme(node) -> Scheme:
+        return scheme_of_vars(free[id(node)])
 
     def ead(scheme: Scheme):
-        return ra.EadomExpr(frozenset(scheme), consts)
+        scheme = frozenset(scheme)
+        return ra.EadomExpr(scheme, frozenset(c for c in consts if c[0] in scheme))
 
-    def rec(node):
+    def rule(node, *f):
         match node:
             case Atom(e, _):
                 return e
             case PtcBinary(op, l, r):
-                f1, f2 = rec(l), rec(r)
-                s1, s2 = ptc_scheme(l), ptc_scheme(r)
                 if op == OTIMES:
-                    return ra.NaturalJoin(f1, f2)
-                left = ra.NaturalJoin(f1, ead(s2))
-                right = ra.NaturalJoin(f2, ead(s1))
+                    return ra.NaturalJoin(*f)
+                left = ra.NaturalJoin(f[0], ead(free_scheme(r)))
+                right = ra.NaturalJoin(f[1], ead(free_scheme(l)))
                 if op == MEET:
                     return ra.Intersection(left, right)
-                return ra.ResiduumRange(left, right, ead(s1 | s2))
-            case PtcNabla(body):
-                return ra.Nabla(rec(body))
-            case PtcDelta(body):
-                return ra.Delta(rec(body))
-            case PtcSup(_, body) :
-                return ra.Projection(ptc_scheme(node), rec(body))
-            case PtcInf(bound, body):
-                f = rec(body)
-                bound_scheme = scheme_of_vars(bound)
-                out_scheme = ptc_scheme(node)
+                return ra.ResiduumRange(left, right, ead(free_scheme(l) | free_scheme(r)))
+            case PtcNabla():
+                return ra.Nabla(*f)
+            case PtcDelta():
+                return ra.Delta(*f)
+            case PtcSup():
+                return ra.Projection(free_scheme(node), *f)
+            case PtcInf(bound, _):
+                bound_scheme, out_scheme = scheme_of_vars(bound), free_scheme(node)
                 if inf_form == DIV_FORM:
-                    return ra.DivRanged(f, ead(bound_scheme), ead(out_scheme))
-                return ra.GSDO(ead(out_scheme), ead(bound_scheme), f)
-        raise TypeError(f"not a PTC expression: {node!r}")
+                    return ra.DivRanged(*f, ead(bound_scheme), ead(out_scheme))
+                return ra.GSDO(ead(out_scheme), ead(bound_scheme), *f)
+        raise TypeError(f"not a PTC expression: {type(node).__name__}")
 
-    return rec(expr)
+    return ra.fold(expr, rule, _calculus_children)[id(expr)]
 
 
 # -- pretty printing -------------------------------------------------------
@@ -431,17 +414,21 @@ def _var_names(vs: Iterable[TupleVar]) -> str:
 
 def ptc_to_text(expr: PtcExpr) -> str:
     """Deterministic textual form matching the calculus grammar."""
-    match expr:
-        case Atom(e, vs):
-            return f"{ra.ra_to_text(e)}({_var_names(vs)})"
-        case PtcBinary(op, l, r):
-            return f"({ptc_to_text(l)} {_OP_TEXT[op]} {ptc_to_text(r)})"
-        case PtcNabla(body):
-            return f"NABLA({ptc_to_text(body)})"
-        case PtcDelta(body):
-            return f"DELTA({ptc_to_text(body)})"
-        case PtcSup(bound, body):
-            return f"ANY {_var_names(bound)} . ({ptc_to_text(body)})"
-        case PtcInf(bound, body):
-            return f"ALL {_var_names(bound)} . ({ptc_to_text(body)})"
-    raise TypeError(f"not a PTC expression: {expr!r}")
+    return ra.fold(expr, _text_rule)[id(expr)]
+
+
+def _text_rule(node, *t) -> str:
+    match node:
+        case Atom(_, vs):
+            return f"{t[0]}({_var_names(vs)})"
+        case PtcBinary(op, _, _):
+            return f"({t[0]} {_OP_TEXT[op]} {t[1]})"
+        case PtcNabla():
+            return f"NABLA({t[0]})"
+        case PtcDelta():
+            return f"DELTA({t[0]})"
+        case PtcSup(bound, _):
+            return f"ANY {_var_names(bound)} . ({t[0]})"
+        case PtcInf(bound, _):
+            return f"ALL {_var_names(bound)} . ({t[0]})"
+    return ra._text_rule(node, *t)  # inside an atom

@@ -30,6 +30,20 @@ def tup(scheme, *values):
     return Tuple(zip(sorted(scheme), values))
 
 
+def count_rule(monkeypatch, owner, name):
+    """A list that grows by one per call of `owner.name`, a traversal's rule
+    or any other function."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def scores(table):
     """Support as a plain {value-tuple-dict: degree} map, for assertions."""
     return {tuple(sorted(t.items())): d for t, d in table.rows.items()}

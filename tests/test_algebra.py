@@ -23,7 +23,7 @@ from gradix import (
 from gradix.algebra import Nabla, Union, constants_of, symbols_of, walk
 from gradix.harness import gen
 
-from conftest import rdt, sch, scores
+from conftest import count_rule, rdt, sch, scores
 
 
 @pytest.fixture
@@ -234,20 +234,6 @@ def test_ra_to_text_shapes():
     assert gx.ra_to_text(Union(D, E)) == "(D UNION E)"
 
 
-def _count_scheme_of(monkeypatch):
-    from gradix import algebra
-
-    calls = []
-    inner = algebra.scheme_of
-
-    def counting(expr):
-        calls.append(expr)
-        return inner(expr)
-
-    monkeypatch.setattr(algebra, "scheme_of", counting)
-    return calls
-
-
 @pytest.mark.parametrize("kind", ["GSD", "GTodd"])
 def test_scheme_of_infers_each_child_once(monkeypatch, kind):
     from gradix import algebra
@@ -266,6 +252,6 @@ def test_scheme_of_infers_each_child_once(monkeypatch, kind):
             expr = algebra.GTodd(expr, RelSym("S", sch(other, mid)), RelSym("U", sch("A", mid)))
         want = sch("A", "C")
     nodes = sum(1 for _ in walk(expr))
-    calls = _count_scheme_of(monkeypatch)
+    calls = count_rule(monkeypatch, algebra, "_scheme_rule")
     assert algebra.scheme_of(expr) == want
     assert len(calls) == nodes == 61

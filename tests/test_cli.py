@@ -240,6 +240,24 @@ def test_eval_rejects_nan_decimal_values(tmp_path, capsys):
     assert "not a finite decimal" in capsys.readouterr().err
 
 
+def test_compiled_text_evaluates_like_the_calculus(tmp_path):
+    """`COMPILE` prints each EADOM with the constants on its attributes, so
+    `EVAL` of the printed text gives the table `EVALPTC` gives."""
+    (tmp_path / "r.csv").write_text("A,B,rank\n1,x,0.5\n2,y,1\n")
+    head = (f'LOAD R FROM "{tmp_path}/r.csv" SCHEME A:int, B:text\n'
+            "VAR a : {A}\nVAR b : {B}\n")
+    formula = 'ALL b . ([B: "z"](b) => R(a, b))'
+    script = write_script(tmp_path, f"{head}EVALPTC {formula}\nCOMPILE {formula}\n")
+    code, out = run_main(["eval", "--lattice", "godel", "--script", script])
+    assert code == EXIT_OK
+    evalptc, compiled = out.split("-- COMPILE (line 5)\n")
+    assert 'BY EADOM[B; B: "z"] OVER EADOM[A])' in compiled
+    script = write_script(tmp_path, f"{head}EVAL {compiled}")
+    code, out = run_main(["eval", "--lattice", "godel", "--script", script])
+    assert code == EXIT_OK
+    assert out.replace("-- EVAL", "-- EVALPTC") == evalptc == "-- EVALPTC (line 4)\nA,rank\n\n"
+
+
 LIMIT = parsing.MAX_DEPTH
 
 

@@ -101,3 +101,92 @@ def test_calculus_infimum_runs_through_the_division_kernel():
     names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert "kinf" not in names
     assert "div_gcodd" in names
+
+
+def recursions(source: str) -> list:
+    """The recursions of a module: each group of functions that call
+    themselves, directly or through one another, as sorted qualified names.
+    A call `f(...)` resolves to the innermost enclosing definition of `f`,
+    and `self.f(...)` to a method of the same class."""
+    funcs, stack = {}, [(ast.parse(source), "")]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.FunctionDef):
+                    funcs[name] = child
+                stack.append((child, name))
+            else:
+                stack.append((child, scope))
+
+    def resolve(scope: str, called: str):
+        while True:
+            target = f"{scope}.{called}" if scope else called
+            if target in funcs:
+                return target
+            if not scope:
+                return None
+            scope = scope.rpartition(".")[0]
+
+    def callees(name: str) -> set:
+        out, todo = set(), list(funcs[name].body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue  # a nested definition's calls are its own
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name):
+                    out.add(resolve(name, f.id))
+                elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                      and f.value.id == "self"):
+                    out.add(resolve(name, f.attr))
+            todo.extend(ast.iter_child_nodes(node))
+        return out - {None}
+
+    graph = {name: callees(name) for name in funcs}
+    reach = {}
+    for name in funcs:
+        seen, todo = set(), list(graph[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(graph[callee])
+        reach[name] = seen
+    recursive = [name for name in funcs if name in reach[name]]
+    groups = {tuple(sorted(p for p in recursive if p in reach[q] and q in reach[p]))
+              for q in recursive}
+    return sorted(groups)
+
+
+def test_recursion_scan():
+    source = '''
+def f(x):
+    return f(x - 1)
+
+def g(e):
+    def rec(node):
+        return [rec(k) for k in node]
+    return rec(e)
+
+def h(x):
+    return ra.h(x)
+
+class C:
+    def a(self):
+        return self.b()
+
+    def b(self):
+        return self.a() + h(1)
+'''
+    assert recursions(source) == [("C.a", "C.b"), ("f",), ("g.rec",)]
+
+
+def test_no_traversal_recurses():
+    """Every traversal of the algebra and the calculus is a fold over one
+    iterative post-order, so the engine's stack depth does not grow with
+    the expression's."""
+    for module in ("algebra.py", "ptc.py"):
+        assert recursions((PACKAGE / module).read_text(encoding="utf-8")) == [], module

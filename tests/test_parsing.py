@@ -1,10 +1,14 @@
 """Grammar coverage, parse errors with positions, print/parse round trips,
 and script parsing."""
 
+from typing import get_args
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gradix as gx
-from gradix import ParseError, parse_ptc, parse_ra, parse_script
+from gradix import ParseError, parse_ptc, parse_ra, parse_script, parsing
+from gradix import algebra as alg
 from gradix.harness import gen
 from gradix.parsing import (
     MAX_DEPTH,
@@ -269,3 +273,74 @@ def test_multiline_expression_in_parens():
         'LOAD D1 FROM "x.csv"\nEVAL DIV(D1 BY D1\n  OVER D1)'
     )
     assert isinstance(stmts[1], EvalStmt)
+
+
+# -- print/parse round trip on generated algebra expressions -------------------
+
+ATTRS = st.sampled_from("ABC")
+SCHEMES = st.frozensets(ATTRS)
+VALUES = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text())
+
+
+def eadoms(scheme):
+    if not scheme:
+        return st.just(alg.EadomExpr(scheme))
+    own = st.frozensets(st.tuples(st.sampled_from(sorted(scheme)), VALUES), max_size=3)
+    return st.builds(alg.EadomExpr, st.just(scheme), own)
+
+
+#: every operator node but PROJECT, with its number of children
+OPERATORS = {
+    alg.Union: 2, alg.Intersection: 2, alg.NaturalJoin: 2, alg.Nabla: 1, alg.Delta: 1,
+    alg.ResiduumRange: 3, alg.DivRanged: 3, alg.Semijoin: 2, alg.GradedDifference: 2,
+    alg.Semidifference: 2, alg.GSDO: 3, alg.GSD: 3, alg.GGDO: 4, alg.GDDO: 4,
+    alg.GCodd: 3, alg.GTodd: 3,
+}
+LEAVES = (alg.RelSym, alg.DeeConst, alg.Singleton, alg.EadomExpr)
+
+RA_EXPRS = st.recursive(
+    st.one_of(
+        st.builds(alg.RelSym, st.sampled_from(["R", "S", "T"])),
+        st.builds(alg.DeeConst, VALUES),
+        st.builds(alg.Singleton, ATTRS, VALUES),
+        SCHEMES.flatmap(eadoms),
+    ),
+    lambda kids: st.one_of(
+        st.builds(alg.Projection, SCHEMES, kids),
+        *[st.builds(cls, *[kids] * n) for cls, n in OPERATORS.items()],
+    ),
+    max_leaves=12,
+)
+
+
+def test_generated_expressions_cover_every_node_type():
+    assert {*OPERATORS, alg.Projection, *LEAVES} == set(get_args(alg.RaExpr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(RA_EXPRS)
+@example(alg.Singleton("A", 0.1234567891))
+@example(alg.Singleton("A", 1234567890.5))
+@example(alg.DeeConst(0.1234567891))
+@example(alg.EadomExpr(sch("A", "B"), frozenset({("B", "z"), ("A", 1), ("A", 2.5)})))
+def test_printed_algebra_parses_back_to_the_same_expression(expr):
+    assert parsing._depth(expr) <= MAX_DEPTH
+    assert parse_ra(gx.ra_to_text(expr)) == expr
+
+
+def test_float_literals_keep_nine_digits_where_they_read_back():
+    assert gx.ra_to_text(alg.Singleton("A", 0.1)) == "[A: 0.1]"
+    assert gx.ra_to_text(alg.Singleton("A", 1e-05)) == "[A: 1e-05]"
+    assert gx.ra_to_text(alg.DeeConst(0.25)) == "DEE(0.25)"
+    assert gx.ra_to_text(alg.Singleton("A", 0.1234567891)) == "[A: 0.1234567891]"
+    assert gx.ra_to_text(alg.DeeConst(1234567890.5)) == "DEE(1234567890.5)"
+
+
+def test_eadom_constants_print_and_parse():
+    expr = alg.EadomExpr(sch("A", "B"), frozenset({("B", "z"), ("A", 1), ("C", 3)}))
+    # C is not an attribute of this EADOM, so its constant never reaches the table
+    assert gx.ra_to_text(expr) == 'EADOM[A,B; A: 1, B: "z"]'
+    assert parse_ra("EADOM[A; A: -2, A: 0.5]") == alg.EadomExpr(
+        sch("A"), frozenset({("A", -2), ("A", 0.5)}))
+    with pytest.raises(ParseError, match="not one of its attributes"):
+        parse_ra('EADOM[A; B: "z"]')

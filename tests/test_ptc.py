@@ -404,3 +404,10 @@ def test_universal_quantifier_touches_only_the_antecedent(monkeypatch, godel):
     assert sch("A", "B") not in {s for s, _rows in built}
     assert built == [(sch("A"), n)]
     assert dict(out.rows) == {Tuple({"A": i}): 0.9 for i in range(3)}
+
+
+def test_calculus_entry_points_reject_an_algebra_expression(inst):
+    for call in (free_vars, validate_ptc, gx.compile_ptc_to_ra,
+                 lambda e: gx.eval_ptc(e, inst)):
+        with pytest.raises(TypeError, match="not a PTC expression"):
+            call(R1)

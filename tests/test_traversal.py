@@ -1,0 +1,116 @@
+"""The one iterative post-order fold behind every algebra and calculus
+traversal: shared subtrees are folded once, equal subtrees are evaluated
+once, and expressions built through the API work at any depth."""
+
+import pytest
+
+import gradix as gx
+from gradix import DatabaseInstance, RelSym, parse_ra
+from gradix import algebra as alg
+from gradix import cli, parsing
+from gradix import ptc as pc
+from gradix.table import AttributeRegistry
+
+from conftest import count_rule, rdt, sch
+
+CHAIN = 10_000
+
+
+@pytest.fixture
+def inst(godel):
+    return DatabaseInstance(godel, {
+        "D": rdt(godel, {"A", "B"}, {(1, 1): 0.5, (2, 1): 0.9}),
+        "E": rdt(godel, {"B"}, {1: 0.4, 2: 1.0}),
+    })
+
+
+def dag(depth, leaf):
+    """`e = Union(e, Nabla(e))`, `depth` times: 2 * depth + 1 distinct nodes,
+    and 2 ** depth paths from the root down to `leaf`."""
+    e = leaf
+    for _ in range(depth):
+        e = alg.Union(e, alg.Nabla(e))
+    return e
+
+
+def test_shared_subtrees_are_folded_once(monkeypatch, inst):
+    # no assertion names the DAG itself: its repr has 2 ** 200 leaves
+    e = dag(200, RelSym("D", sch("A", "B")))
+    nodes = len(alg.walk(e))
+    schemes = count_rule(monkeypatch, alg, "_scheme_rule")
+    scheme = gx.scheme_of(e)
+    assert nodes == len(schemes) == 401 and scheme == sch("A", "B")
+    schemes.clear()
+    tables = count_rule(monkeypatch, alg._Evaluator, "_rule")
+    got = gx.eval_ra(e, inst)
+    assert len(schemes) == len(tables) == 401
+    assert got == gx.nabla(inst.table("D"))
+
+
+def test_parsed_equal_subtrees_are_evaluated_once(monkeypatch, inst):
+    joins = count_rule(monkeypatch, alg.tb, "natural_join")
+    expr = parse_ra("(D JOIN E) UNION (D JOIN E)", {"D": sch("A", "B"), "E": sch("B")})
+    assert expr.left is not expr.right
+    assert gx.eval_ra(expr, inst) == gx.natural_join(inst.table("D"), inst.table("E"))
+    assert len(joins) == 1
+
+
+def test_each_algebra_traversal_takes_a_long_chain(inst):
+    d = RelSym("D")
+    raw = alg.Singleton("B", 1)
+    for i in range(CHAIN):
+        raw = alg.Union(raw, alg.Singleton("B", i % 3)) if i % 2 else alg.Nabla(raw)
+    raw = alg.NaturalJoin(raw, d)
+    expr = gx.resolve_schemes(raw, {"D": sch("A", "B")})
+    assert expr.right.scheme == sch("A", "B") and expr.left is raw.left
+    assert gx.scheme_of(expr) == sch("A", "B")
+    assert gx.eval_ra(expr, inst) == inst.table("D")
+    text = gx.ra_to_text(expr)
+    assert text.count("NABLA(") == CHAIN // 2 and text.endswith(" UNION [B: 0]) JOIN D)")
+    assert len(alg.walk(expr)) == 3 + CHAIN + CHAIN // 2
+    assert alg.constants_of(expr) == frozenset({("B", 0), ("B", 1), ("B", 2)})
+    assert alg.symbols_of(expr) == {"D": sch("A", "B")}
+    assert parsing._depth(expr) == CHAIN + 1
+    registry = AttributeRegistry()
+    registry.declare("B", "int")
+    cli._check_value_types(expr, registry)
+
+
+@pytest.mark.parametrize("shape", ["nabla", "otimes"])
+def test_each_calculus_traversal_takes_a_long_chain(inst, shape):
+    a, b = pc.TupleVar("a", sch("A")), pc.TupleVar("b", sch("B"))
+    raw = pc.Atom(RelSym("D"), frozenset({a, b}))
+    for i in range(CHAIN):
+        if shape == "nabla":
+            raw = pc.PtcNabla(raw)
+        else:
+            raw = pc.PtcBinary(pc.OTIMES, raw, pc.Atom(alg.Singleton("B", i % 2), frozenset({b})))
+    expr = gx.resolve_schemes(raw, {"D": sch("A", "B")})
+    assert pc.free_vars(expr) == pc.all_vars(expr) == frozenset({a, b})
+    assert pc.ptc_scheme(expr) == sch("A", "B")
+    assert len(pc.atoms_of(expr)) == (1 if shape == "nabla" else CHAIN + 1)
+    assert pc.ptc_constants(expr) == (frozenset() if shape == "nabla"
+                                      else frozenset({("B", 0), ("B", 1)}))
+    pc.validate_ptc(expr)
+    want = gx.eval_ptc(expr, inst)
+    d = inst.table("D")
+    assert want == (gx.nabla(d) if shape == "nabla" else gx.empty(d.lattice, d.scheme))
+    assert gx.eval_ra(gx.compile_ptc_to_ra(expr), inst) == want
+    assert parsing._depth(expr) == CHAIN + 1
+    text = gx.ptc_to_text(expr)
+    assert text.count("D(a, b)") == 1
+    a2 = pc.TupleVar("a2", sch("A"))
+    split = gx.split_variable(expr, a, [a2])
+    assert pc.free_vars(split) == frozenset({a2, b})
+    assert gx.eval_ptc(split, inst) == want
+
+
+def test_shared_calculus_subtrees_are_folded_once(inst):
+    b = pc.TupleVar("b", sch("B"))
+    e = pc.Atom(RelSym("E", sch("B")), frozenset({b}))
+    for _ in range(200):
+        e = pc.PtcBinary(pc.MEET, e, pc.PtcDelta(e))
+    nodes, free = len(alg.walk(e)), pc.free_vars(e)
+    got, compiled = gx.eval_ptc(e, inst), gx.eval_ra(gx.compile_ptc_to_ra(e), inst)
+    assert nodes == 402 and free == frozenset({b})
+    assert got == compiled == gx.delta(inst.table("E"))
