@@ -603,15 +603,31 @@ _SYNTAX = {
     GGDO: "GGDO({}, {}; MED {}, {})", GDDO: "GDDO({}, {}; MED {}, {})",
     GCodd: "GCODD({}, {}; UNIV {})", GTodd: "GTODD({}, {}; UNIV {})",
 }
+_PIECES = {cls: syntax.split("{}") for cls, syntax in _SYNTAX.items()}
 
 
 def ra_to_text(expr: RaExpr) -> str:
     """Deterministic textual form; reparsing yields an equal AST."""
-    return fold(expr, _text_rule)[id(expr)]
+    return _rope_text(fold(expr, _text_rule)[id(expr)])
 
 
-def _text_rule(expr: RaExpr, *t) -> str:
-    """The text of one node, from its children's texts `t`."""
+def _rope_text(rope) -> str:
+    """The text of a rope: a string, or a tuple of ropes read in order.
+    The printers' rules return ropes holding their children's ropes, so a
+    node's text is never copied into its parent's, and printing takes time
+    linear in the length of the text at any depth."""
+    out, stack = [], [rope]
+    while stack:
+        part = stack.pop()
+        if type(part) is str:
+            out.append(part)
+        else:
+            stack.extend(reversed(part))
+    return "".join(out)
+
+
+def _text_rule(expr: RaExpr, *t):
+    """The text of one node as a rope, from its children's ropes `t`."""
     match expr:
         case RelSym(name, _):
             return name
@@ -620,13 +636,14 @@ def _text_rule(expr: RaExpr, *t) -> str:
         case Singleton(attr, value):
             return f"[{attr}: {value_to_literal(value)}]"
         case Projection(scheme):
-            return f"PROJECT[{_attr_list(scheme)}]({t[0]})"
+            return (f"PROJECT[{_attr_list(scheme)}](", t[0], ")")
         case EadomExpr(scheme, constants):
             # a constant off the scheme never reaches the table, so it is not printed
             own = sorted((c for c in constants if c[0] in scheme),
                          key=lambda c: (c[0], type(c[1]).__name__, c[1]))
             listed = ", ".join(f"{a}: {value_to_literal(v)}" for a, v in own)
             return f"EADOM[{_attr_list(scheme)}{'; ' if own else ''}{listed}]"
-    if type(expr) not in _SYNTAX:
+    pieces = _PIECES.get(type(expr))
+    if pieces is None:
         raise TypeError(f"not an RA expression: {type(expr).__name__}")
-    return _SYNTAX[type(expr)].format(*t)
+    return (pieces[0], *itertools.chain.from_iterable(zip(t, pieces[1:])))

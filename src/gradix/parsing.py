@@ -5,12 +5,30 @@ Every parse is total: it returns an AST or raises ParseError with the
 offending line and column.  Relation symbols parse with unresolved schemes
 (CSV headers are only known at run time); tuple variables resolve against
 explicit VAR declarations, so calculus expressions parse fully typed.
+
+`tokenize` scans with one regular expression, one match per token and
+the blanks before it.  `str.isdigit`, `str.isalpha` and `str.isalnum`
+decide which characters make numbers and names, and re's `\\d` and `\\w`
+differ from them beyond ASCII, so the expression is compiled with ASCII
+classes, and again with classes read from those predicates (built on
+first use) for a text holding a character beyond ASCII outside its
+strings and comments.  A comment does not advance the column, and an
+escaped newline inside a string starts no line.
+
+The parser pads the token list with one more EOF, so reading a token is
+one index; a keyword picks its production from a table.  The parser
+notes the name of every relation symbol it makes, so a script checks
+define-before-use without walking the expression; only an expression
+read from more than `MAX_DEPTH` tokens is folded to measure its depth.
 """
 
 from __future__ import annotations
 
+import functools
+import re
+import sys
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import algebra as ra
 from . import ptc as pc
@@ -34,137 +52,148 @@ KEYWORDS = {
 #: iterative: an AST built through the API is evaluated at any depth.
 MAX_DEPTH = 200
 
-_PUNCT = ("->", "=>", "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "*", "&", "=")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, KEYWORD, NUMBER, STRING, NEWLINE, EOF, or the punct text
     text: str
     line: int
     col: int
 
 
+def _token_pattern(digit: str, alpha: str, alnum: str) -> re.Pattern:
+    """The tokenizer's expression, given regex classes matching one
+    character that `str.isdigit`, `str.isalpha` or `_`, and `str.isalnum`
+    or `_` accept."""
+    return re.compile(
+        r"[ \t\r]*+(?:"
+        rf"(?P<WORD>{alpha}{alnum}*)"
+        r"|(?P<PUNCT>->|=>|[()\[\]{},;:.*&=])"
+        r"|(?P<NEWLINE>\n)"
+        rf"|(?P<NUMBER>-?{digit}(?:{digit}|[.eE]|(?<=[eE])[+-])*)"
+        r'|(?P<STRING>"(?:[^"\\]|\\.)*+")'
+        r"|(?P<COMMENT>#[^\n]*)"
+        r"|(?P<ERROR>.))",
+        re.DOTALL,
+    )
+
+
+_ASCII_TOKENS = _token_pattern("[0-9]", "[A-Za-z_]", "[A-Za-z0-9_]")
+
+
+@functools.cache
+def _unicode_tokens() -> re.Pattern:
+    # re's \d is str.isdecimal and \w is str.isalnum or _; `odd` holds the
+    # characters where isalnum is neither isalpha nor isdecimal (numerics
+    # such as '²' or '½'), the isdigit ones among them extend \d
+    odd = "".join(c for c in filter(str.isnumeric, map(chr, range(sys.maxunicode + 1)))
+                  if not c.isalpha() and not c.isdecimal())
+    digits = "".join(filter(str.isdigit, odd))
+    return _token_pattern(rf"[\d{digits}]", rf"(?![{odd}])[^\W\d]", r"\w")
+
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
+_OPENERS, _CLOSERS = frozenset("([{"), frozenset(")]}")
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending in EOF; ParseError at the first
+    character that starts no token, at an unterminated string, or at a
+    bracket nested deeper than `MAX_DEPTH`."""
+    toks = _scan(text, _ASCII_TOKENS)
+    return toks if toks is not None else _scan(text, _unicode_tokens())
+
+
+def _scan(text: str, pattern: re.Pattern) -> list[Token] | None:
+    """The tokens of `text` read with `pattern`; None where the ASCII
+    pattern meets a character it cannot classify in a text beyond ASCII."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
+    append, new = toks.append, tuple.__new__  # new(Token, fields) skips Token's __new__
+    line, bol = 1, 0  # bol: offset of the first character of the line
     depth = 0
-
-    def err(msg):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        word = m[kind]
+        start = m.end() - len(word)
+        col = start - bol + 1
+        if kind == "WORD":
+            append(new(Token, ("KEYWORD" if word in KEYWORDS else "IDENT", word, line, col)))
+        elif kind == "PUNCT":
+            if word in _OPENERS:
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise ParseError(f"brackets nested deeper than {MAX_DEPTH} levels",
+                                     line, col)
+            elif word in _CLOSERS and depth:
+                depth -= 1
+            append(new(Token, (word, word, line, col)))
+        elif kind == "NEWLINE":
             if depth == 0 and toks and toks[-1].kind != "NEWLINE":
-                toks.append(Token("NEWLINE", "\n", line, col))
-            i += 1
+                append(new(Token, ("NEWLINE", word, line, col)))
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            newlines = 0
-            last_break = None
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    j += 2
-                else:
-                    if text[j] == "\n":
-                        newlines += 1
-                        last_break = j
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                err("unterminated string literal")
-            toks.append(Token("STRING", "".join(out), line, col))
-            line += newlines
-            col = j + 1 - last_break if last_break is not None else col + j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            toks.append(Token("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("KEYWORD" if word in KEYWORDS else "IDENT", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                if p in "([{":
-                    depth += 1
-                    if depth > MAX_DEPTH:
-                        err(f"brackets nested deeper than {MAX_DEPTH} levels")
-                elif p in ")]}":
-                    depth = max(0, depth - 1)
-                toks.append(Token(p, p, line, col))
-                col += len(p)
-                i += len(p)
-                break
+            bol = start + 1
+        elif kind == "NUMBER":
+            append(new(Token, ("NUMBER", word, line, col)))
+        elif kind == "STRING":
+            body = word[1:-1]
+            plain = body
+            if "\\" in body:
+                plain = _ESCAPE.sub("  ", body)  # same length, no escaped newline
+                body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
+            append(new(Token, ("STRING", body, line, col)))
+            breaks = plain.count("\n")
+            if breaks:
+                line += breaks
+                bol = start + 2 + plain.rindex("\n")
+        elif kind == "COMMENT":
+            bol += len(word)  # a comment does not advance the column
         else:
-            err(f"unexpected character {ch!r}")
-    toks.append(Token("EOF", "", line, col))
+            if word == '"':
+                raise ParseError("unterminated string literal", line, col)
+            if pattern is _ASCII_TOKENS and not text.isascii():
+                return None
+            raise ParseError(f"unexpected character {word!r}", line, col)
+    append(new(Token, ("EOF", "", line, len(text) - bol + 1)))
     return toks
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], var_schemes: Mapping[str, Scheme] | None = None):
-        self.toks = tokens
+        self.toks = tokens + tokens[-1:]  # one more EOF: the last `next` may step past it
         self.pos = 0
         self.vars = dict(var_schemes or {})
+        self.symbols: list[str] = []  # the name of every RelSym made, in order
+        self.defined: set[str] = set()  # table names a script has bound so far
 
     # -- machinery --------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
-    def at_kw(self, word: str) -> bool:
-        return self.at("KEYWORD", word)
-
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.next()
+        tok = self.toks[self.pos]
+        if tok.kind == kind and (text is None or tok.text == text):
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.toks[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
             want = text or kind
             raise ParseError(f"expected {want!r}, found {tok.text or tok.kind!r}",
                              tok.line, tok.col)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def expect_kw(self, word: str) -> Token:
         return self.expect("KEYWORD", word)
@@ -192,9 +221,12 @@ class _Parser:
 
     def expression(self, parse):
         """One top-level expression read by `parse`, within `MAX_DEPTH`."""
-        tok = self.peek()
+        start = self.pos
+        tok = self.toks[start]
         expr = parse()
-        if _depth(expr) > MAX_DEPTH:
+        # every node owns at least one token of its own, so an expression
+        # read from at most MAX_DEPTH tokens is no deeper than that
+        if self.pos - start > MAX_DEPTH and _depth(expr) > MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
                              tok.line, tok.col)
         return expr
@@ -203,123 +235,136 @@ class _Parser:
 
     def ra_expr(self):
         left = self.ra_primary()
+        toks = self.toks
         while True:
-            if self.accept("KEYWORD", "UNION"):
-                left = ra.Union(left, self.ra_primary())
-            elif self.accept("KEYWORD", "ISECT"):
-                left = ra.Intersection(left, self.ra_primary())
-            elif self.accept("KEYWORD", "JOIN"):
-                left = ra.NaturalJoin(left, self.ra_primary())
-            else:
+            tok = toks[self.pos]
+            node = tok.kind == "KEYWORD" and _RA_BINARY.get(tok.text)
+            if not node:
                 return left
+            self.pos += 1
+            left = node(left, self.ra_primary())
 
     def ra_primary(self):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind == "IDENT":
-            self.next()
+            self.pos += 1
+            self.symbols.append(tok.text)
             return ra.RelSym(tok.text)
-        if self.accept("("):
-            e = self.ra_expr()
-            self.expect(")")
-            return e
-        if self.accept("KEYWORD", "DEE"):
-            self.expect("(")
-            tok = self.peek()
-            if tok.kind == "STRING":
-                degree = self.next().text
-            elif tok.kind == "NUMBER":
-                self.next()
-                degree = _number(tok)
-            else:
-                raise ParseError("DEE wants a rank literal", tok.line, tok.col)
-            self.expect(")")
-            return ra.DeeConst(degree)
-        if self.accept("["):
-            attr = self.expect("IDENT").text
-            self.expect(":")
-            value = self.value_literal()
-            self.expect("]")
-            return ra.Singleton(attr, value)
-        if self.accept("KEYWORD", "PROJECT"):
-            self.expect("[")
-            scheme = frozenset() if self.at("]") else self.attr_list()
-            self.expect("]")
-            self.expect("(")
-            child = self.ra_expr()
-            self.expect(")")
-            return ra.Projection(scheme, child)
-        if self.accept("KEYWORD", "NABLA"):
-            return ra.Nabla(self._parenthesized_ra())
-        if self.accept("KEYWORD", "DELTA"):
-            return ra.Delta(self._parenthesized_ra())
-        if self.accept("KEYWORD", "RES"):
-            self.expect("(")
-            left = self.ra_expr()
-            self.expect("->")
-            right = self.ra_expr()
-            self.expect_kw("OVER")
-            rng = self.ra_expr()
-            self.expect(")")
-            return ra.ResiduumRange(left, right, rng)
-        if self.accept("KEYWORD", "DIV"):
-            self.expect("(")
-            dividend = self.ra_expr()
-            self.expect_kw("BY")
-            divisor = self.ra_expr()
-            self.expect_kw("OVER")
-            rng = self.ra_expr()
-            self.expect(")")
-            return ra.DivRanged(dividend, divisor, rng)
-        for word, node in (("GSDO", ra.GSDO), ("GSD", ra.GSD)):
-            if self.accept("KEYWORD", word):
-                a, b = self._pair()
-                self.expect_kw("MED")
-                med = self.ra_expr()
-                self.expect(")")
-                return node(a, b, med)
-        for word, node in (("GGDO", ra.GGDO), ("GDDO", ra.GDDO)):
-            if self.accept("KEYWORD", word):
-                a, b = self._pair()
-                self.expect_kw("MED")
-                m1 = self.ra_expr()
-                self.expect(",")
-                m2 = self.ra_expr()
-                self.expect(")")
-                return node(a, b, m1, m2)
-        for word, node in (("GCODD", ra.GCodd), ("GTODD", ra.GTodd)):
-            if self.accept("KEYWORD", word):
-                a, b = self._pair()
-                self.expect_kw("UNIV")
-                u = self.ra_expr()
-                self.expect(")")
-                return node(a, b, u)
-        for word, node in (("SEMIJOIN", ra.Semijoin), ("GDIFF", ra.GradedDifference),
-                           ("SEMIDIFF", ra.Semidifference)):
-            if self.accept("KEYWORD", word):
-                self.expect("(")
-                a = self.ra_expr()
-                self.expect(",")
-                b = self.ra_expr()
-                self.expect(")")
-                return node(a, b)
-        if self.accept("KEYWORD", "EADOM"):
-            self.expect("[")
-            scheme = frozenset() if self.at("]") else self.attr_list()
-            constants = set()
-            if self.accept(";"):
-                while True:
-                    tok = self.expect("IDENT")
-                    if tok.text not in scheme:
-                        raise ParseError(f"EADOM constant on {tok.text!r}, which is not one "
-                                         "of its attributes", tok.line, tok.col)
-                    self.expect(":")
-                    constants.add((tok.text, self.value_literal()))
-                    if not self.accept(","):
-                        break
-            self.expect("]")
-            return ra.EadomExpr(scheme, frozenset(constants))
-        raise ParseError(f"expected an algebra expression, found {tok.text or tok.kind!r}",
-                         tok.line, tok.col)
+        rule = _RA_PRIMARY.get(tok.text if tok.kind == "KEYWORD" else tok.kind)
+        if rule is None:
+            raise ParseError(f"expected an algebra expression, found {tok.text or tok.kind!r}",
+                             tok.line, tok.col)
+        self.pos += 1
+        production, node = rule
+        return production(self, node)
+
+    # each production below starts after its first token; `node` is the
+    # class it builds where the table shares one production between two
+
+    def ra_group(self, _node):
+        e = self.ra_expr()
+        self.expect(")")
+        return e
+
+    def dee(self, _node):
+        self.expect("(")
+        tok = self.peek()
+        if tok.kind == "STRING":
+            degree = self.next().text
+        elif tok.kind == "NUMBER":
+            self.next()
+            degree = _number(tok)
+        else:
+            raise ParseError("DEE wants a rank literal", tok.line, tok.col)
+        self.expect(")")
+        return ra.DeeConst(degree)
+
+    def singleton(self, _node):
+        attr = self.expect("IDENT").text
+        self.expect(":")
+        value = self.value_literal()
+        self.expect("]")
+        return ra.Singleton(attr, value)
+
+    def project(self, _node):
+        self.expect("[")
+        scheme = frozenset() if self.at("]") else self.attr_list()
+        self.expect("]")
+        self.expect("(")
+        child = self.ra_expr()
+        self.expect(")")
+        return ra.Projection(scheme, child)
+
+    def unary(self, node):
+        return node(self._parenthesized_ra())
+
+    def residuum(self, _node):
+        self.expect("(")
+        left = self.ra_expr()
+        self.expect("->")
+        right = self.ra_expr()
+        self.expect_kw("OVER")
+        rng = self.ra_expr()
+        self.expect(")")
+        return ra.ResiduumRange(left, right, rng)
+
+    def division(self, _node):
+        self.expect("(")
+        dividend = self.ra_expr()
+        self.expect_kw("BY")
+        divisor = self.ra_expr()
+        self.expect_kw("OVER")
+        rng = self.ra_expr()
+        self.expect(")")
+        return ra.DivRanged(dividend, divisor, rng)
+
+    def mediated(self, node):
+        a, b = self._pair()
+        self.expect_kw("MED")
+        med = self.ra_expr()
+        self.expect(")")
+        return node(a, b, med)
+
+    def two_mediators(self, node):
+        a, b = self._pair()
+        self.expect_kw("MED")
+        m1 = self.ra_expr()
+        self.expect(",")
+        m2 = self.ra_expr()
+        self.expect(")")
+        return node(a, b, m1, m2)
+
+    def universe(self, node):
+        a, b = self._pair()
+        self.expect_kw("UNIV")
+        u = self.ra_expr()
+        self.expect(")")
+        return node(a, b, u)
+
+    def binary(self, node):
+        self.expect("(")
+        a = self.ra_expr()
+        self.expect(",")
+        b = self.ra_expr()
+        self.expect(")")
+        return node(a, b)
+
+    def eadom(self, _node):
+        self.expect("[")
+        scheme = frozenset() if self.at("]") else self.attr_list()
+        constants = set()
+        if self.accept(";"):
+            while True:
+                tok = self.expect("IDENT")
+                if tok.text not in scheme:
+                    raise ParseError(f"EADOM constant on {tok.text!r}, which is not one "
+                                     "of its attributes", tok.line, tok.col)
+                self.expect(":")
+                constants.add((tok.text, self.value_literal()))
+                if not self.accept(","):
+                    break
+        self.expect("]")
+        return ra.EadomExpr(scheme, frozenset(constants))
 
     def _parenthesized_ra(self):
         self.expect("(")
@@ -373,7 +418,7 @@ class _Parser:
         # shape first, falling back to the calculus reading of
         # NABLA/DELTA/(...); variable resolution happens only once the
         # shape is settled so undeclared-variable errors surface properly
-        save = self.pos
+        save, made = self.pos, len(self.symbols)
         try:
             expr = self.ra_primary()
             self.expect("(")
@@ -381,6 +426,7 @@ class _Parser:
             self.expect(")")
         except ParseError:
             self.pos = save
+            del self.symbols[made:]
         else:
             return pc.Atom(expr, self._resolve_vars(names))
         if self.accept("KEYWORD", "NABLA"):
@@ -417,6 +463,89 @@ class _Parser:
 
     def _var_set(self) -> frozenset:
         return self._resolve_vars(self._name_list())
+
+    # -- script statements ----------------------------------------------------
+    # each starts after its keyword `tok`
+
+    def defined_expression(self, parse, line: int):
+        """One top-level expression whose relation symbols are all defined."""
+        self.symbols.clear()
+        expr = self.expression(parse)
+        undefined = set(self.symbols).difference(self.defined)
+        if undefined:
+            raise ParseError(f"relation symbol {min(undefined)!r} used before definition",
+                             line, 1)
+        return expr
+
+    def load(self, tok):
+        name = self.expect("IDENT").text
+        self.expect_kw("FROM")
+        path = self.expect("STRING").text
+        types = []
+        if self.accept("KEYWORD", "SCHEME"):
+            while True:
+                attr = self.expect("IDENT").text
+                self.expect(":")
+                types.append((attr, self.expect("IDENT").text))
+                if not self.accept(","):
+                    break
+        self.defined.add(name)
+        return LoadStmt(name, path, tuple(types), tok.line)
+
+    def var(self, tok):
+        name = self.expect("IDENT").text
+        self.expect(":")
+        self.expect("{")
+        scheme = frozenset() if self.at("}") else self.attr_list()
+        self.expect("}")
+        prev = self.vars.get(name)
+        if prev is not None and prev != scheme:
+            raise ParseError(f"tuple variable {name!r} redeclared with a different scheme",
+                             tok.line, tok.col)
+        self.vars[name] = scheme
+        return VarStmt(name, scheme, tok.line)
+
+    def let(self, tok):
+        name = self.expect("IDENT").text
+        self.expect("=")
+        expr = self.defined_expression(self.ra_expr, tok.line)
+        self.defined.add(name)
+        return LetStmt(name, expr, tok.line)
+
+    def eval_stmt(self, tok):
+        return EvalStmt(self.defined_expression(self.ra_expr, tok.line), tok.line)
+
+    def evalptc(self, tok):
+        return EvalPtcStmt(self.defined_expression(self.ptc_expr, tok.line), tok.line)
+
+    def compile_stmt(self, tok):
+        return CompileStmt(self.defined_expression(self.ptc_expr, tok.line), tok.line)
+
+    def save(self, tok):
+        name = self.expect("IDENT").text
+        if name not in self.defined:
+            raise ParseError(f"cannot save undefined table {name!r}", tok.line, tok.col)
+        self.expect_kw("TO")
+        path = self.expect("STRING").text
+        return SaveStmt(name, path, tok.line)
+
+
+#: first token of an algebra primary other than a name (the keyword text,
+#: or the punctuation) → (production, the node class it builds or None)
+_RA_PRIMARY = {
+    "(": (_Parser.ra_group, None), "[": (_Parser.singleton, None),
+    "DEE": (_Parser.dee, None), "PROJECT": (_Parser.project, None),
+    "NABLA": (_Parser.unary, ra.Nabla), "DELTA": (_Parser.unary, ra.Delta),
+    "RES": (_Parser.residuum, None), "DIV": (_Parser.division, None),
+    "GSDO": (_Parser.mediated, ra.GSDO), "GSD": (_Parser.mediated, ra.GSD),
+    "GGDO": (_Parser.two_mediators, ra.GGDO), "GDDO": (_Parser.two_mediators, ra.GDDO),
+    "GCODD": (_Parser.universe, ra.GCodd), "GTODD": (_Parser.universe, ra.GTodd),
+    "SEMIJOIN": (_Parser.binary, ra.Semijoin), "GDIFF": (_Parser.binary, ra.GradedDifference),
+    "SEMIDIFF": (_Parser.binary, ra.Semidifference), "EADOM": (_Parser.eadom, None),
+}
+
+#: infix algebra keyword → node; all bind alike and associate left
+_RA_BINARY = {"UNION": ra.Union, "ISECT": ra.Intersection, "JOIN": ra.NaturalJoin}
 
 
 def _depth(expr) -> int:
@@ -514,81 +643,28 @@ class SaveStmt:
 
 Statement = LoadStmt | VarStmt | LetStmt | EvalStmt | EvalPtcStmt | CompileStmt | SaveStmt
 
+#: statement keyword → its production
+_STATEMENTS = {
+    "LOAD": _Parser.load, "VAR": _Parser.var, "LET": _Parser.let,
+    "EVAL": _Parser.eval_stmt, "EVALPTC": _Parser.evalptc,
+    "COMPILE": _Parser.compile_stmt, "SAVE": _Parser.save,
+}
+
 
 def parse_script(text: str) -> list[Statement]:
     """Parse a batch script; enforces define-before-use for table names and
     tuple variables (schemes of loaded tables stay unresolved until run)."""
     p = _Parser(tokenize(text))
     statements: list[Statement] = []
-    defined: set[str] = set()
-
-    def check_symbols(expr, line):
-        for name, _scheme in sorted(ra.symbols_of(expr).items()):
-            if name not in defined:
-                raise ParseError(f"relation symbol {name!r} used before definition",
-                                 line, 1)
-
     p.skip_newlines()
     while not p.at("EOF"):
         tok = p.peek()
-        line = tok.line
-        if p.accept("KEYWORD", "LOAD"):
-            name = p.expect("IDENT").text
-            p.expect_kw("FROM")
-            path = p.expect("STRING").text
-            types = []
-            if p.accept("KEYWORD", "SCHEME"):
-                while True:
-                    attr = p.expect("IDENT").text
-                    p.expect(":")
-                    types.append((attr, p.expect("IDENT").text))
-                    if not p.accept(","):
-                        break
-            statements.append(LoadStmt(name, path, tuple(types), line))
-            defined.add(name)
-        elif p.accept("KEYWORD", "VAR"):
-            name = p.expect("IDENT").text
-            p.expect(":")
-            p.expect("{")
-            scheme = frozenset() if p.at("}") else p.attr_list()
-            p.expect("}")
-            prev = p.vars.get(name)
-            if prev is not None and prev != scheme:
-                raise ParseError(
-                    f"tuple variable {name!r} redeclared with a different scheme",
-                    line, tok.col,
-                )
-            p.vars[name] = scheme
-            statements.append(VarStmt(name, scheme, line))
-        elif p.accept("KEYWORD", "LET"):
-            name = p.expect("IDENT").text
-            p.expect("=")
-            expr = p.expression(p.ra_expr)
-            check_symbols(expr, line)
-            statements.append(LetStmt(name, expr, line))
-            defined.add(name)
-        elif p.accept("KEYWORD", "EVAL"):
-            expr = p.expression(p.ra_expr)
-            check_symbols(expr, line)
-            statements.append(EvalStmt(expr, line))
-        elif p.accept("KEYWORD", "EVALPTC"):
-            expr = p.expression(p.ptc_expr)
-            check_symbols(expr, line)
-            statements.append(EvalPtcStmt(expr, line))
-        elif p.accept("KEYWORD", "COMPILE"):
-            expr = p.expression(p.ptc_expr)
-            check_symbols(expr, line)
-            statements.append(CompileStmt(expr, line))
-        elif p.accept("KEYWORD", "SAVE"):
-            name = p.expect("IDENT").text
-            if name not in defined:
-                raise ParseError(f"cannot save undefined table {name!r}", line, tok.col)
-            p.expect_kw("TO")
-            path = p.expect("STRING").text
-            statements.append(SaveStmt(name, path, line))
-        else:
+        statement = _STATEMENTS.get(tok.text) if tok.kind == "KEYWORD" else None
+        if statement is None:
             raise ParseError(f"expected a statement, found {tok.text or tok.kind!r}",
                              tok.line, tok.col)
+        p.pos += 1
+        statements.append(statement(p, tok))
         if not p.at("EOF"):
             p.expect("NEWLINE")
             p.skip_newlines()

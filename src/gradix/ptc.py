@@ -414,21 +414,22 @@ def _var_names(vs: Iterable[TupleVar]) -> str:
 
 def ptc_to_text(expr: PtcExpr) -> str:
     """Deterministic textual form matching the calculus grammar."""
-    return ra.fold(expr, _text_rule)[id(expr)]
+    return ra._rope_text(ra.fold(expr, _text_rule)[id(expr)])
 
 
-def _text_rule(node, *t) -> str:
+def _text_rule(node, *t):
+    """The text of one node as a rope (see `algebra._rope_text`)."""
     match node:
         case Atom(_, vs):
-            return f"{t[0]}({_var_names(vs)})"
+            return (t[0], f"({_var_names(vs)})")
         case PtcBinary(op, _, _):
-            return f"({t[0]} {_OP_TEXT[op]} {t[1]})"
+            return ("(", t[0], f" {_OP_TEXT[op]} ", t[1], ")")
         case PtcNabla():
-            return f"NABLA({t[0]})"
+            return ("NABLA(", t[0], ")")
         case PtcDelta():
-            return f"DELTA({t[0]})"
+            return ("DELTA(", t[0], ")")
         case PtcSup(bound, _):
-            return f"ANY {_var_names(bound)} . ({t[0]})"
+            return (f"ANY {_var_names(bound)} . (", t[0], ")")
         case PtcInf(bound, _):
-            return f"ALL {_var_names(bound)} . ({t[0]})"
+            return (f"ALL {_var_names(bound)} . (", t[0], ")")
     return ra._text_rule(node, *t)  # inside an atom

@@ -1,9 +1,12 @@
 """End-to-end command-line behaviour: scripts, CSV flow, suites, exit codes,
 and byte-level determinism."""
 
+import contextlib
 import io
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gradix import cli, parsing
 from gradix.cli import EXIT_IO, EXIT_OK, EXIT_QUERY, EXIT_UNKNOWN_SUITE, Session, main
@@ -318,3 +321,38 @@ def test_unreadable_input_is_io_error(unreadable, capsys, argv, culprit):
     assert code == EXIT_IO
     assert err.startswith("gradix: ") and culprit in err
     assert "Traceback" not in err
+
+
+#: pieces of script text, as bytes; no SAVE, so a drawn script writes no file
+SCRIPT_BYTES = st.lists(st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([
+        b"LOAD R FROM \"r.csv\" SCHEME A:text", b"LOAD", b"FROM", b"SCHEME", b"VAR",
+        b"a : {A}", b"LET", b"EVAL", b"EVALPTC", b"COMPILE", b"ALL", b"ANY", b"UNION",
+        b"JOIN", b"NABLA", b"EADOM[A]", b"DIV", b"BY", b"OVER", b"PROJECT", b"GTODD",
+        b"DEE(1)", b"DEE(\"x\")", b"[A: 1]", b"R", b"a", b"R(a)", b"X", b"=", b"=>",
+        b"->", b"*", b"&", b".", b",", b";", b":", b"(", b")", b"[", b"]", b"{", b"}",
+        b"\"", b"\\", b"\n", b"\r", b" ", b"#", b"1", b"-0.5", b"1e400", b"\x00",
+        b"\xff", b"\xc3", b"\xc3\xa9", b"\xe2\x82\xac", "\u00b2".encode(),
+    ]),
+), max_size=20).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCRIPT_BYTES)
+@example(b"EVAL DEE(1\n")  # unbalanced bracket
+@example(b"EVAL [A: \"never closed\n")
+@example(b"EVAL \x00")
+@example(b"EVAL \xff\xfe")
+@example(b"LOAD R FROM \"r.csv\" SCHEME A:text\nVAR a : {A}\nEVALPTC ALL a . (R(a))\n")
+def test_any_script_bytes_end_in_exit_0_1_or_2(script):
+    with tempfile.TemporaryDirectory() as d, contextlib.chdir(d):
+        with open("r.csv", "w") as fh:
+            fh.write("A,rank\nx,0.5\ny,1\n")
+        with open("script.gx", "wb") as fh:
+            fh.write(script)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--lattice", "godel", "--script", "script.gx"])
+    assert code in (EXIT_OK, EXIT_QUERY, EXIT_IO)
+    assert "Traceback" not in err.getvalue()

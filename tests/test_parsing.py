@@ -10,6 +10,7 @@ import gradix as gx
 from gradix import ParseError, parse_ptc, parse_ra, parse_script, parsing
 from gradix import algebra as alg
 from gradix.harness import gen
+from gradix.lattice import lattice_from_spec
 from gradix.parsing import (
     MAX_DEPTH,
     CompileStmt,
@@ -325,7 +326,10 @@ def test_generated_expressions_cover_every_node_type():
 @example(alg.EadomExpr(sch("A", "B"), frozenset({("B", "z"), ("A", 1), ("A", 2.5)})))
 def test_printed_algebra_parses_back_to_the_same_expression(expr):
     assert parsing._depth(expr) <= MAX_DEPTH
-    assert parse_ra(gx.ra_to_text(expr)) == expr
+    text = gx.ra_to_text(expr)
+    assert parse_ra(text) == expr
+    # each node owns a token, which lets the parser skip the depth fold on short input
+    assert parsing._depth(expr) < len(parsing.tokenize(text)) - 1
 
 
 def test_float_literals_keep_nine_digits_where_they_read_back():
@@ -344,3 +348,165 @@ def test_eadom_constants_print_and_parse():
         sch("A"), frozenset({("A", -2), ("A", 0.5)}))
     with pytest.raises(ParseError, match="not one of its attributes"):
         parse_ra('EADOM[A; B: "z"]')
+
+
+# -- the tokenizer against the character loop it replaced ----------------------
+
+def char_loop_tokenize(text):
+    """The tokenizer before the regular expression, one character at a time,
+    kept as the reference: (kind, text, line, col) per token."""
+    punct = ("->", "=>", "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "*", "&", "=")
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    depth = 0
+    while i < n:
+        ch = text[i]
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            if depth == 0 and toks and toks[-1][0] != "NEWLINE":
+                toks.append(("NEWLINE", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            out = []
+            newlines = 0
+            last_break = None
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    esc = text[j + 1]
+                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
+                    j += 2
+                else:
+                    if text[j] == "\n":
+                        newlines += 1
+                        last_break = j
+                    out.append(text[j])
+                    j += 1
+            if j >= n:
+                raise ParseError("unterminated string literal", line, col)
+            toks.append(("STRING", "".join(out), line, col))
+            line += newlines
+            col = j + 1 - last_break if last_break is not None else col + j + 1 - i
+            i = j + 1
+            continue
+        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            j = i + 1
+            while j < n and (text[j].isdigit() or text[j] in ".eE" or
+                             (text[j] in "+-" and text[j - 1] in "eE")):
+                j += 1
+            toks.append(("NUMBER", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            toks.append(("KEYWORD" if word in parsing.KEYWORDS else "IDENT", word, line, col))
+            col += j - i
+            i = j
+            continue
+        for p in punct:
+            if text.startswith(p, i):
+                if p in "([{":
+                    depth += 1
+                    if depth > MAX_DEPTH:
+                        raise ParseError(f"brackets nested deeper than {MAX_DEPTH} levels",
+                                         line, col)
+                elif p in ")]}":
+                    depth = max(0, depth - 1)
+                toks.append((p, p, line, col))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(("EOF", "", line, col))
+    return toks
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+PIECES = st.one_of(
+    st.sampled_from([*"!$%'+-/<>?@\\^`|~", "->", "=>", *"()[]{},;:.*&=", "-",
+                     "# note", "#", '"', '\\"', "\\", "\\n", "\\\n", '"a b"', '"x\ny"',
+                     "\n", "\r", "\t", " ", "  ", "1", "23", "4.5", "1e-3", "2E+7", "e",
+                     "E", "x", "_y", "R2", "²", "½", "Ⅻ", "٣", "一", "́", "\xa0",
+                     "\x00", "\x0b"]),
+    st.sampled_from(sorted(parsing.KEYWORDS)),
+    st.characters(categories=["L", "Nd", "No", "Nl"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(PIECES, max_size=14).map("".join))
+@example("²")  # str.isdigit accepts it, re's \d does not
+@example("-²1e+½")
+@example("a²b ½")
+@example("EVAL R # trailing comment")
+@example("EVAL R # comment\nEVAL S")
+@example('LOAD D FROM "a\\\nb\nc\\\nd" x\ny')  # escaped newlines start no line
+@example('"tab\\tquote\\"" end')
+@example('"never closed \\"')
+@example("(" * (MAX_DEPTH + 1))
+@example("é (" + "[" * MAX_DEPTH + "\n" + "]" * MAX_DEPTH + "\n)")
+def test_tokenize_matches_the_character_loop(text):
+    assert tokens_or_error(parsing.tokenize, text) == tokens_or_error(char_loop_tokenize, text)
+
+
+def test_each_parse_tokenizes_once(monkeypatch):
+    # a profiler counts tokens by rebinding the module-level name
+    sizes = []
+    inner = parsing.tokenize
+
+    def counting(text):
+        out = inner(text)
+        assert type(out) is list
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(parsing, "tokenize", counting)
+    parse_ra("D1 JOIN D2")
+    assert sizes == [4]
+    parse_ptc("ALL s . (P(s) => SP(r, s))", VARS)
+    assert sizes == [4, 17]
+    parse_script('LOAD P FROM "p.csv"\nVAR s : {P}\nEVALPTC NABLA(P(s))\n')
+    assert sizes == [4, 17, 22]
+
+
+# -- print/parse round trip on generated calculus expressions ------------------
+
+LATTICES = ("godel", "lukasiewicz", "goguen", "chain:5")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LATTICES), st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_printed_calculus_parses_back_to_the_same_expression(lattice, seed, depth):
+    from gradix.ptc import all_vars
+
+    cfg = gen.GenConfig(seed=seed, lattice=lattice_from_spec(lattice))
+    symbols = {"D1": sch("A", "B"), "D2": sch("B", "C"), "D3": sch("C"), "D0": sch()}
+    expr = gen.gen_ptc_expr(cfg, symbols, max_depth=depth, salt="round-trip")
+    assert parsing._depth(expr) <= MAX_DEPTH
+    var_schemes = {v.name: v.scheme for v in all_vars(expr)}
+    text = gx.ptc_to_text(expr)
+    assert parse_ptc(text, var_schemes, symbols) == expr
+    assert parsing._depth(expr) < len(parsing.tokenize(text)) - 1

@@ -2,6 +2,8 @@
 traversal: shared subtrees are folded once, equal subtrees are evaluated
 once, and expressions built through the API work at any depth."""
 
+import tracemalloc
+
 import pytest
 
 import gradix as gx
@@ -114,3 +116,39 @@ def test_shared_calculus_subtrees_are_folded_once(inst):
     got, compiled = gx.eval_ptc(e, inst), gx.eval_ra(gx.compile_ptc_to_ra(e), inst)
     assert nodes == 402 and free == frozenset({b})
     assert got == compiled == gx.delta(inst.table("E"))
+
+
+
+def chain_text(first, op, term, n):
+    """The printed form of the left-deep chain `first op term op … term` of
+    n terms."""
+    return "(" * (n - 1) + first + f" {op} {term})" * (n - 1)
+
+
+def chains(n):
+    """A left-deep algebra `UNION` chain and calculus `*` chain of n terms."""
+    r, p = RelSym("R"), pc.Atom(RelSym("P"), frozenset({pc.TupleVar("s", sch("P"))}))
+    e, f = r, p
+    for _ in range(n - 1):
+        e, f = alg.Union(e, r), pc.PtcBinary(pc.OTIMES, f, p)
+    return e, f
+
+
+def test_printing_a_long_chain_is_linear():
+    # the short chains pin the printers' text; the long ones must follow it
+    assert chain_text("R", "UNION", "R", 3) == "((R UNION R) UNION R)"
+    assert chain_text("P(s)", "*", "P(s)", 3) == "((P(s) * P(s)) * P(s))"
+    for n in (3, CHAIN):
+        e, f = chains(n)
+        assert gx.ra_to_text(e) == chain_text("R", "UNION", "R", n)
+        assert gx.ptc_to_text(f) == chain_text("P(s)", "*", "P(s)", n)
+    # a printer that copies each child's text into its parent's holds about
+    # n/2 times the text at once (about 1,000 bytes per character at n = 2,000)
+    for expr, to_text in zip(chains(2_000), (gx.ra_to_text, gx.ptc_to_text)):
+        tracemalloc.start()
+        try:
+            text = to_text(expr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * len(text)
