@@ -345,18 +345,6 @@ def node_constants(node) -> frozenset:
     return node.constants if isinstance(node, EadomExpr) else frozenset()
 
 
-def symbols_of(expr: RaExpr) -> dict:
-    """name → scheme for every relation symbol occurring in the expression."""
-    out: dict[str, Scheme | None] = {}
-    for node in walk(expr):
-        if isinstance(node, RelSym):
-            prev = out.get(node.name)
-            if prev is not None and node.scheme is not None and prev != node.scheme:
-                _fail(node, f"symbol {node.name!r} used with two schemes")
-            out[node.name] = node.scheme if node.scheme is not None else prev
-    return out
-
-
 def resolve_schemes(expr, schemes: Mapping[str, Scheme]):
     """Annotate unresolved relation symbols with schemes from a catalog, in
     an algebra expression or in the atoms of a calculus expression."""

@@ -7,13 +7,14 @@ offending line and column.  Relation symbols parse with unresolved schemes
 explicit VAR declarations, so calculus expressions parse fully typed.
 
 `tokenize` scans with one regular expression, one match per token and
-the blanks before it.  `str.isdigit`, `str.isalpha` and `str.isalnum`
-decide which characters make numbers and names, and re's `\\d` and `\\w`
-differ from them beyond ASCII, so the expression is compiled with ASCII
-classes, and again with classes read from those predicates (built on
-first use) for a text holding a character beyond ASCII outside its
-strings and comments.  A comment does not advance the column, and an
-escaped newline inside a string starts no line.
+the blanks before it; blanks that end the text match the empty end, so
+no run of them is read twice.  `str.isdigit`, `str.isalpha` and
+`str.isalnum` decide which characters make numbers and names, so the
+expression is compiled with ASCII classes.  A text beyond ASCII that
+fails to scan with those is scanned again with the classes widened by
+its own characters beyond ASCII that the predicates accept.  A comment
+does not advance the column, and an escaped newline inside a string
+starts no line.
 
 The parser pads the token list with one more EOF, so reading a token is
 one index; a keyword picks its production from a table.  The parser
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import re
-import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -65,14 +65,15 @@ def _token_pattern(digit: str, alpha: str, alnum: str) -> re.Pattern:
     character that `str.isdigit`, `str.isalpha` or `_`, and `str.isalnum`
     or `_` accept."""
     return re.compile(
-        r"[ \t\r]*+(?:"
+        r"[ \t\r]*(?:"
         rf"(?P<WORD>{alpha}{alnum}*)"
         r"|(?P<PUNCT>->|=>|[()\[\]{},;:.*&=])"
         r"|(?P<NEWLINE>\n)"
         rf"|(?P<NUMBER>-?{digit}(?:{digit}|[.eE]|(?<=[eE])[+-])*)"
-        r'|(?P<STRING>"(?:[^"\\]|\\.)*+")'
+        r'|(?P<STRING>"(?:[^"\\]|\\.)*")'
         r"|(?P<COMMENT>#[^\n]*)"
-        r"|(?P<ERROR>.))",
+        r"|(?P<ERROR>[^ \t\r])"
+        r"|\Z)",  # blanks that end the text
         re.DOTALL,
     )
 
@@ -80,15 +81,15 @@ def _token_pattern(digit: str, alpha: str, alnum: str) -> re.Pattern:
 _ASCII_TOKENS = _token_pattern("[0-9]", "[A-Za-z_]", "[A-Za-z0-9_]")
 
 
-@functools.cache
-def _unicode_tokens() -> re.Pattern:
-    # re's \d is str.isdecimal and \w is str.isalnum or _; `odd` holds the
-    # characters where isalnum is neither isalpha nor isdecimal (numerics
-    # such as '²' or '½'), the isdigit ones among them extend \d
-    odd = "".join(c for c in filter(str.isnumeric, map(chr, range(sys.maxunicode + 1)))
-                  if not c.isalpha() and not c.isdecimal())
-    digits = "".join(filter(str.isdigit, odd))
-    return _token_pattern(rf"[\d{digits}]", rf"(?![{odd}])[^\W\d]", r"\w")
+@functools.lru_cache(maxsize=64)
+def _unicode_tokens(extra: str) -> re.Pattern:
+    """The expression whose classes also hold the characters of `extra`
+    that `str.isdigit`, `str.isalpha` and `str.isalnum` accept."""
+    def accepted(predicate) -> str:
+        return re.escape("".join(filter(predicate, extra)))
+
+    return _token_pattern(f"[0-9{accepted(str.isdigit)}]", f"[A-Za-z_{accepted(str.isalpha)}]",
+                          f"[A-Za-z0-9_{accepted(str.isalnum)}]")
 
 
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
@@ -100,19 +101,25 @@ def tokenize(text: str) -> list[Token]:
     """The tokens of `text`, ending in EOF; ParseError at the first
     character that starts no token, at an unterminated string, or at a
     bracket nested deeper than `MAX_DEPTH`."""
-    toks = _scan(text, _ASCII_TOKENS)
-    return toks if toks is not None else _scan(text, _unicode_tokens())
+    try:
+        return _scan(text, _ASCII_TOKENS)
+    except ParseError:
+        if text.isascii():
+            raise
+    extra = "".join(sorted(c for c in set(text) if not c.isascii()))
+    return _scan(text, _unicode_tokens(extra))
 
 
-def _scan(text: str, pattern: re.Pattern) -> list[Token] | None:
-    """The tokens of `text` read with `pattern`; None where the ASCII
-    pattern meets a character it cannot classify in a text beyond ASCII."""
+def _scan(text: str, pattern: re.Pattern) -> list[Token]:
+    """The tokens of `text` read with `pattern`."""
     toks: list[Token] = []
     append, new = toks.append, tuple.__new__  # new(Token, fields) skips Token's __new__
     line, bol = 1, 0  # bol: offset of the first character of the line
     depth = 0
     for m in pattern.finditer(text):
         kind = m.lastgroup
+        if kind is None:  # the blanks that end the text
+            break
         word = m[kind]
         start = m.end() - len(word)
         col = start - bol + 1
@@ -150,8 +157,6 @@ def _scan(text: str, pattern: re.Pattern) -> list[Token] | None:
         else:
             if word == '"':
                 raise ParseError("unterminated string literal", line, col)
-            if pattern is _ASCII_TOKENS and not text.isascii():
-                return None
             raise ParseError(f"unexpected character {word!r}", line, col)
     append(new(Token, ("EOF", "", line, len(text) - bol + 1)))
     return toks
@@ -255,18 +260,17 @@ class _Parser:
             raise ParseError(f"expected an algebra expression, found {tok.text or tok.kind!r}",
                              tok.line, tok.col)
         self.pos += 1
-        production, node = rule
-        return production(self, node)
+        return rule(self)
 
-    # each production below starts after its first token; `node` is the
-    # class it builds where the table shares one production between two
+    # each production below starts after its first token; one that
+    # `_RA_PRIMARY` shares among keywords builds the node `_node` names
 
-    def ra_group(self, _node):
+    def ra_group(self):
         e = self.ra_expr()
         self.expect(")")
         return e
 
-    def dee(self, _node):
+    def dee(self):
         self.expect("(")
         tok = self.peek()
         if tok.kind == "STRING":
@@ -279,14 +283,14 @@ class _Parser:
         self.expect(")")
         return ra.DeeConst(degree)
 
-    def singleton(self, _node):
+    def singleton(self):
         attr = self.expect("IDENT").text
         self.expect(":")
         value = self.value_literal()
         self.expect("]")
         return ra.Singleton(attr, value)
 
-    def project(self, _node):
+    def project(self):
         self.expect("[")
         scheme = frozenset() if self.at("]") else self.attr_list()
         self.expect("]")
@@ -295,10 +299,11 @@ class _Parser:
         self.expect(")")
         return ra.Projection(scheme, child)
 
-    def unary(self, node):
+    def unary(self):
+        node = self._node()
         return node(self._parenthesized_ra())
 
-    def residuum(self, _node):
+    def residuum(self):
         self.expect("(")
         left = self.ra_expr()
         self.expect("->")
@@ -308,7 +313,7 @@ class _Parser:
         self.expect(")")
         return ra.ResiduumRange(left, right, rng)
 
-    def division(self, _node):
+    def division(self):
         self.expect("(")
         dividend = self.ra_expr()
         self.expect_kw("BY")
@@ -318,14 +323,16 @@ class _Parser:
         self.expect(")")
         return ra.DivRanged(dividend, divisor, rng)
 
-    def mediated(self, node):
+    def mediated(self):
+        node = self._node()
         a, b = self._pair()
         self.expect_kw("MED")
         med = self.ra_expr()
         self.expect(")")
         return node(a, b, med)
 
-    def two_mediators(self, node):
+    def two_mediators(self):
+        node = self._node()
         a, b = self._pair()
         self.expect_kw("MED")
         m1 = self.ra_expr()
@@ -334,14 +341,16 @@ class _Parser:
         self.expect(")")
         return node(a, b, m1, m2)
 
-    def universe(self, node):
+    def universe(self):
+        node = self._node()
         a, b = self._pair()
         self.expect_kw("UNIV")
         u = self.ra_expr()
         self.expect(")")
         return node(a, b, u)
 
-    def binary(self, node):
+    def binary(self):
+        node = self._node()
         self.expect("(")
         a = self.ra_expr()
         self.expect(",")
@@ -349,7 +358,7 @@ class _Parser:
         self.expect(")")
         return node(a, b)
 
-    def eadom(self, _node):
+    def eadom(self):
         self.expect("[")
         scheme = frozenset() if self.at("]") else self.attr_list()
         constants = set()
@@ -365,6 +374,10 @@ class _Parser:
                     break
         self.expect("]")
         return ra.EadomExpr(scheme, frozenset(constants))
+
+    def _node(self):
+        """The node class named by the keyword just read."""
+        return _RA_NODE[self.toks[self.pos - 1].text]
 
     def _parenthesized_ra(self):
         self.expect("(")
@@ -531,17 +544,22 @@ class _Parser:
 
 
 #: first token of an algebra primary other than a name (the keyword text,
-#: or the punctuation) → (production, the node class it builds or None)
+#: or the punctuation) → its production
 _RA_PRIMARY = {
-    "(": (_Parser.ra_group, None), "[": (_Parser.singleton, None),
-    "DEE": (_Parser.dee, None), "PROJECT": (_Parser.project, None),
-    "NABLA": (_Parser.unary, ra.Nabla), "DELTA": (_Parser.unary, ra.Delta),
-    "RES": (_Parser.residuum, None), "DIV": (_Parser.division, None),
-    "GSDO": (_Parser.mediated, ra.GSDO), "GSD": (_Parser.mediated, ra.GSD),
-    "GGDO": (_Parser.two_mediators, ra.GGDO), "GDDO": (_Parser.two_mediators, ra.GDDO),
-    "GCODD": (_Parser.universe, ra.GCodd), "GTODD": (_Parser.universe, ra.GTodd),
-    "SEMIJOIN": (_Parser.binary, ra.Semijoin), "GDIFF": (_Parser.binary, ra.GradedDifference),
-    "SEMIDIFF": (_Parser.binary, ra.Semidifference), "EADOM": (_Parser.eadom, None),
+    "(": _Parser.ra_group, "[": _Parser.singleton, "DEE": _Parser.dee,
+    "PROJECT": _Parser.project, "RES": _Parser.residuum, "DIV": _Parser.division,
+    "EADOM": _Parser.eadom, "NABLA": _Parser.unary, "DELTA": _Parser.unary,
+    "GSDO": _Parser.mediated, "GSD": _Parser.mediated,
+    "GGDO": _Parser.two_mediators, "GDDO": _Parser.two_mediators,
+    "GCODD": _Parser.universe, "GTODD": _Parser.universe,
+    "SEMIJOIN": _Parser.binary, "GDIFF": _Parser.binary, "SEMIDIFF": _Parser.binary,
+}
+
+#: keyword of a production that `_RA_PRIMARY` shares → the node it builds
+_RA_NODE = {
+    "NABLA": ra.Nabla, "DELTA": ra.Delta, "GSDO": ra.GSDO, "GSD": ra.GSD,
+    "GGDO": ra.GGDO, "GDDO": ra.GDDO, "GCODD": ra.GCodd, "GTODD": ra.GTodd,
+    "SEMIJOIN": ra.Semijoin, "GDIFF": ra.GradedDifference, "SEMIDIFF": ra.Semidifference,
 }
 
 #: infix algebra keyword → node; all bind alike and associate left

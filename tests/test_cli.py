@@ -3,10 +3,9 @@ and byte-level determinism."""
 
 import contextlib
 import io
-import tempfile
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gradix import cli, parsing
 from gradix.cli import EXIT_IO, EXIT_OK, EXIT_QUERY, EXIT_UNKNOWN_SUITE, Session, main
@@ -338,21 +337,21 @@ SCRIPT_BYTES = st.lists(st.one_of(
 ), max_size=20).map(b"".join)
 
 
-@settings(max_examples=150, deadline=None)
+# every example writes both files again and none saves, so one directory serves them all
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(SCRIPT_BYTES)
 @example(b"EVAL DEE(1\n")  # unbalanced bracket
 @example(b"EVAL [A: \"never closed\n")
 @example(b"EVAL \x00")
 @example(b"EVAL \xff\xfe")
 @example(b"LOAD R FROM \"r.csv\" SCHEME A:text\nVAR a : {A}\nEVALPTC ALL a . (R(a))\n")
-def test_any_script_bytes_end_in_exit_0_1_or_2(script):
-    with tempfile.TemporaryDirectory() as d, contextlib.chdir(d):
-        with open("r.csv", "w") as fh:
-            fh.write("A,rank\nx,0.5\ny,1\n")
-        with open("script.gx", "wb") as fh:
-            fh.write(script)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["eval", "--lattice", "godel", "--script", "script.gx"])
+def test_any_script_bytes_end_in_exit_0_1_or_2(tmp_path, monkeypatch, script):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.csv").write_text("A,rank\nx,0.5\ny,1\n")
+    (tmp_path / "script.gx").write_bytes(script)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--lattice", "godel", "--script", "script.gx"])
     assert code in (EXIT_OK, EXIT_QUERY, EXIT_IO)
     assert "Traceback" not in err.getvalue()

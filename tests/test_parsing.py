@@ -1,6 +1,8 @@
 """Grammar coverage, parse errors with positions, print/parse round trips,
 and script parsing."""
 
+import re
+import time
 from typing import get_args
 
 import pytest
@@ -461,6 +463,7 @@ PIECES = st.one_of(
 @example("²")  # str.isdigit accepts it, re's \d does not
 @example("-²1e+½")
 @example("a²b ½")
+@example("LET Größe = R٣ UNION Ⅻ")
 @example("EVAL R # trailing comment")
 @example("EVAL R # comment\nEVAL S")
 @example('LOAD D FROM "a\\\nb\nc\\\nd" x\ny')  # escaped newlines start no line
@@ -470,6 +473,22 @@ PIECES = st.one_of(
 @example("é (" + "[" * MAX_DEPTH + "\n" + "]" * MAX_DEPTH + "\n)")
 def test_tokenize_matches_the_character_loop(text):
     assert tokens_or_error(parsing.tokenize, text) == tokens_or_error(char_loop_tokenize, text)
+
+
+def test_token_expressions_need_no_python_newer_than_3_10():
+    # possessive quantifiers and atomic groups came to re in Python 3.11
+    for pattern in (parsing._ASCII_TOKENS, parsing._unicode_tokens("é²")):
+        assert "(?>" not in pattern.pattern
+        assert not re.search(r"[*+?}]\+", pattern.pattern)
+
+
+def test_blanks_that_end_a_text_are_read_once():
+    text = "EVAL R" + " \t\r" * 10_000
+    start = time.perf_counter()
+    toks = parsing.tokenize(text)
+    assert time.perf_counter() - start < 1.0  # reading them back one by one takes minutes
+    assert [tuple(tok) for tok in toks] == [
+        ("KEYWORD", "EVAL", 1, 1), ("IDENT", "R", 1, 6), ("EOF", "", 1, len(text) + 1)]
 
 
 def test_each_parse_tokenizes_once(monkeypatch):
