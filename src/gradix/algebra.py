@@ -295,42 +295,34 @@ def _scheme_rule(expr, *s) -> Scheme:
                 _fail(expr, "the two sides and the range must share one scheme")
             return s[0]
         case DivRanged():
-            dividend, divisor, rng = s
-            if divisor & rng:
-                _fail(expr, "divisor and range schemes overlap")
-            if dividend != divisor | rng:
-                _fail(expr, "dividend scheme must be the union of divisor and range schemes")
-            return rng
+            return _division(expr, dv.ranged_scheme, s)
         case GradedDifference():
             if s[0] != s[1]:
                 _fail(expr, "difference needs equal schemes")
             return s[0]
         case GSDO():
-            r, d, m = s
-            if r & d or m != r | d:
-                _fail(expr, "wants dividend R, divisor S, mediator R∪S with R∩S=∅")
-            return r
+            return _division(expr, dv.gsdo_scheme, s)
         case GSD():
-            dv.gsd_roles(*s)
+            _division(expr, dv.gsd_roles, s)
             return s[0]
         case GGDO():
-            r, t, m3, m4 = s
-            d = m3 - r
-            if (r & t) or (d & t) or m3 != r | d or m4 != d | t:
-                _fail(expr, "wants dividend R, divisor T, mediators R∪S and S∪T")
+            r, _, t = _division(expr, dv.ggdo_roles, s)
             return r | t
         case GCodd():
-            dividend, divisor, r = s
-            if divisor & r or dividend != r | divisor:
-                _fail(expr, "wants dividend R∪S, divisor S, universe R")
-            return r
+            return _division(expr, dv.gcodd_scheme, s)
         case GTodd():
-            s1, s2, u = s
-            rt = s1 ^ s2
-            if u != rt:
-                _fail(expr, "universe must cover the non-shared scheme parts")
-            return rt
+            _division(expr, dv.gtodd_roles, s)
+            return s[2]
     raise TypeError(f"not an RA expression: {type(expr).__name__}")
+
+
+def _division(expr, contract, s: tuple):
+    """`contract(*s)`, a division's scheme check from the division module,
+    on the schemes `s` of `expr`'s children; its error names `expr`'s class."""
+    try:
+        return contract(*s)
+    except SchemeError as exc:
+        _fail(expr, str(exc))
 
 
 def constants_of(expr: RaExpr) -> frozenset:
@@ -581,7 +573,8 @@ def _attr_list(scheme: Scheme) -> str:
     return ",".join(sorted(scheme))
 
 
-#: the text of each operator node, one `{}` per child in field order
+#: the text of each operator node, one `{}` per child in field order; the
+#: parser reads its operator productions from these templates as well
 _SYNTAX = {
     Union: "({} UNION {})", Intersection: "({} ISECT {})", NaturalJoin: "({} JOIN {})",
     Nabla: "NABLA({})", Delta: "DELTA({})", ResiduumRange: "RES({} -> {} OVER {})",

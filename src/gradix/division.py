@@ -38,15 +38,6 @@ from .table import (
 )
 
 
-def _disjoint(*schemes: Scheme) -> bool:
-    seen: set = set()
-    for s in schemes:
-        if seen & s:
-            return False
-        seen |= s
-    return True
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SchemeError(message)
@@ -142,6 +133,53 @@ def _residuum_infimum(outer: RankedDataTable, groups: dict, to_key, to_prefix, a
     return rows
 
 
+# -- scheme contracts: the one check of each division's operand schemes,
+# shared by its operator below and by static scheme inference ---------------
+
+
+def ranged_scheme(dividend: Scheme, divisor: Scheme, rng: Scheme) -> Scheme:
+    """R, for a dividend on R∪S, a divisor on S and a range on R, R∩S = ∅."""
+    _require(not (divisor & rng), "divisor and range schemes must be disjoint")
+    _require(dividend == rng | divisor,
+             "dividend must live on the union of range and divisor schemes")
+    return rng
+
+
+def gsdo_scheme(r: Scheme, s: Scheme, mediator: Scheme) -> Scheme:
+    """R, for a dividend on R, a divisor on S and a mediator on R∪S, R∩S = ∅."""
+    _require(not (r & s), "dividend and divisor schemes must be disjoint")
+    _require(mediator == r | s,
+             "mediator must live on the union of dividend and divisor schemes")
+    return r
+
+
+def ggdo_roles(r: Scheme, t: Scheme, m1: Scheme, m2: Scheme) -> tuple:
+    """(R, S, T), for a dividend on R, a divisor on T and mediators on R∪S
+    and S∪T, R, S and T pairwise disjoint."""
+    s = m1 - r  # so R∩S = ∅
+    _require(not ((r | s) & t), "Great Divide schemes R, S, T must be pairwise disjoint")
+    _require(m1 == r | s, "first mediator must be on R∪S")
+    _require(m2 == s | t, "second mediator must be on S∪T")
+    return r, s, t
+
+
+def gcodd_scheme(dividend: Scheme, divisor: Scheme, universe: Scheme) -> Scheme:
+    """R, for a dividend on R∪S, a divisor on S and a universe on R, R∩S = ∅."""
+    _require(not (divisor & universe), "divisor and universe schemes must be disjoint")
+    _require(dividend == universe | divisor,
+             "dividend must live on the union of universe and divisor schemes")
+    return universe
+
+
+def gtodd_roles(d1: Scheme, d2: Scheme, universe: Scheme) -> tuple:
+    """(R, S, T), for d1 on R∪S and d2 on S∪T, S their shared part, and a
+    universe on R∪T."""
+    s = d1 & d2
+    r, t = d1 - s, d2 - s
+    _require(universe == r | t, "universe must live on the union of the non-shared scheme parts")
+    return r, s, t
+
+
 def div_ranged(
     dividend: RankedDataTable, divisor: RankedDataTable, rng: RankedDataTable
 ) -> RankedDataTable:
@@ -155,15 +193,10 @@ def div_ranged(
     enumerated.
     """
     lat = _same_lattice(dividend, divisor, rng)
-    s_scheme, r_scheme = divisor.scheme, rng.scheme
-    _require(not (s_scheme & r_scheme), "divisor and range schemes must be disjoint")
-    _require(
-        dividend.scheme == r_scheme | s_scheme,
-        "dividend must live on the union of range and divisor schemes",
-    )
+    r_scheme = ranged_scheme(dividend.scheme, divisor.scheme, rng.scheme)
     rows = _residuum_infimum(
         rng, {(): _value_rows(divisor)}, _one_group, _itself,
-        _merger(r_scheme, s_scheme), _values_index(dividend).get, _inside_inf,
+        _merger(r_scheme, divisor.scheme), _values_index(dividend).get, _inside_inf,
     )
     return _table(r_scheme, lat, rows)
 
@@ -177,15 +210,10 @@ def div_gsdo(
     result(r) = d1(r) ⊗ ⋀_s (d2(s) → d3(rs)), tail 1 off support.
     """
     lat = _same_lattice(d1, d2, d3)
-    r_scheme, s_scheme = d1.scheme, d2.scheme
-    _require(not (r_scheme & s_scheme), "dividend and divisor schemes must be disjoint")
-    _require(
-        d3.scheme == r_scheme | s_scheme,
-        "mediator must live on the union of dividend and divisor schemes",
-    )
+    r_scheme = gsdo_scheme(d1.scheme, d2.scheme, d3.scheme)
     rows = _residuum_infimum(
         d1, {(): _value_rows(d2)}, _one_group, _itself,
-        _merger(r_scheme, s_scheme), _values_index(d3).get, _times_inf,
+        _merger(r_scheme, d2.scheme), _values_index(d3).get, _times_inf,
     )
     return _table(r_scheme, lat, rows)
 
@@ -236,15 +264,10 @@ def div_gcodd(
     """
     lat = _same_lattice(d1, d2, universe)
     _require_non_ranked(universe, "div_gcodd")
-    s_scheme, r_scheme = d2.scheme, universe.scheme
-    _require(not (s_scheme & r_scheme), "divisor and universe schemes must be disjoint")
-    _require(
-        d1.scheme == r_scheme | s_scheme,
-        "dividend must live on the union of universe and divisor schemes",
-    )
+    r_scheme = gcodd_scheme(d1.scheme, d2.scheme, universe.scheme)
     rows = _residuum_infimum(
         universe, {(): _value_rows(d2)}, _one_group, _itself,
-        _merger(r_scheme, s_scheme), _values_index(d1).get, _bare_inf,
+        _merger(r_scheme, d2.scheme), _values_index(d1).get, _bare_inf,
     )
     return _table(r_scheme, lat, rows)
 
@@ -260,13 +283,7 @@ def div_gtodd(
     """
     lat = _same_lattice(d1, d2, universe)
     _require_non_ranked(universe, "div_gtodd")
-    s_scheme = d1.scheme & d2.scheme
-    r_scheme = d1.scheme - s_scheme
-    t_scheme = d2.scheme - s_scheme
-    _require(
-        universe.scheme == r_scheme | t_scheme,
-        "universe must live on the union of the non-shared scheme parts",
-    )
+    r_scheme, s_scheme, t_scheme = gtodd_roles(d1.scheme, d2.scheme, universe.scheme)
     rows = _residuum_infimum(
         universe, _grouped(d2, t_scheme, s_scheme), *_pickers(universe, t_scheme, r_scheme),
         _merger(r_scheme, s_scheme), _values_index(d1).get, _bare_inf,
@@ -288,14 +305,7 @@ def div_ggdo(
     divisor.
     """
     lat = _same_lattice(d1, d2, d3, d4)
-    r_scheme, t_scheme = d1.scheme, d2.scheme
-    s_scheme = d3.scheme - r_scheme
-    _require(
-        _disjoint(r_scheme, s_scheme, t_scheme),
-        "Great Divide schemes R, S, T must be pairwise disjoint",
-    )
-    _require(d3.scheme == r_scheme | s_scheme, "first mediator must be on R∪S")
-    _require(d4.scheme == s_scheme | t_scheme, "second mediator must be on S∪T")
+    r_scheme, s_scheme, t_scheme = ggdo_roles(d1.scheme, d2.scheme, d3.scheme, d4.scheme)
     u = natural_join(d1, d2)
     rows = _residuum_infimum(
         u, _grouped(d4, t_scheme, s_scheme), *_pickers(u, t_scheme, r_scheme),

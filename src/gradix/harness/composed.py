@@ -11,7 +11,9 @@ divisions.
 
 from __future__ import annotations
 
-from ..division import _disjoint, _require, _require_boolean, gsd_roles, semidifference
+from ..division import (
+    _require, _require_boolean, ggdo_roles, gsd_roles, gsdo_scheme, semidifference,
+)
 from ..table import (
     RankedDataTable,
     _same_lattice,
@@ -39,9 +41,7 @@ def div_small_composed(
     """Original Small Divide: D1 ∖ π_R((D1 ⋈ D2) ∖ D3) (two-valued)."""
     _require_boolean(d1, "div_small_composed")
     _same_lattice(d1, d2, d3)
-    r_scheme, s_scheme = d1.scheme, d2.scheme
-    _require(not (r_scheme & s_scheme), "dividend and divisor schemes must be disjoint")
-    _require(d3.scheme == r_scheme | s_scheme, "mediator must be on R∪S")
+    r_scheme = gsdo_scheme(d1.scheme, d2.scheme, d3.scheme)
     return difference_graded(
         d1, projection(difference_graded(natural_join(d1, d2), d3), r_scheme)
     )
@@ -69,14 +69,7 @@ def div_great_composed(
     """Original Great Divide: (D1⋈D2) ⋉̄ ((D1⋈D4) ⋉̄ D3) (two-valued)."""
     _require_boolean(d1, "div_great_composed")
     _same_lattice(d1, d2, d3, d4)
-    r_scheme, t_scheme = d1.scheme, d2.scheme
-    s_scheme = d3.scheme - r_scheme
-    _require(
-        _disjoint(r_scheme, s_scheme, t_scheme)
-        and d3.scheme == r_scheme | s_scheme
-        and d4.scheme == s_scheme | t_scheme,
-        "Great Divide scheme shapes violated",
-    )
+    ggdo_roles(d1.scheme, d2.scheme, d3.scheme, d4.scheme)
     return semidifference(
         natural_join(d1, d2), semidifference(natural_join(d1, d4), d3)
     )

@@ -17,15 +17,22 @@ does not advance the column, and an escaped newline inside a string
 starts no line.
 
 The parser pads the token list with one more EOF, so reading a token is
-one index; a keyword picks its production from a table.  The parser
-notes the name of every relation symbol it makes, so a script checks
-define-before-use without walking the expression; only an expression
-read from more than `MAX_DEPTH` tokens is folded to measure its depth.
+one index; a keyword picks its production from a table.  The algebra
+operators are read as the printer writes them: each template of
+`algebra._SYNTAX` gives an infix keyword or an `operator` production,
+which expects the template's tokens and reads an expression at each `{}`.
+The parser notes the name of every relation symbol it makes, so a script
+checks define-before-use without walking the expression; only an
+expression read from more than `MAX_DEPTH` tokens is folded for depth.
+A calculus primary is tried as an atom before it is read as a group, but
+a group whose matching closer no `(` follows cannot be an atom, so nested
+groups are read once.  Number literals must be finite.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -164,21 +171,14 @@ def _scan(text: str, pattern: re.Pattern) -> list[Token]:
 
 class _Parser:
     def __init__(self, tokens: list[Token], var_schemes: Mapping[str, Scheme] | None = None):
-        self.toks = tokens + tokens[-1:]  # one more EOF: the last `next` may step past it
+        self.toks = tokens + tokens[-1:]  # one more EOF: a production may step past the first
         self.pos = 0
         self.vars = dict(var_schemes or {})
         self.symbols: list[str] = []  # the name of every RelSym made, in order
         self.defined: set[str] = set()  # table names a script has bound so far
+        self.closers: dict | None = None  # token index of each opener → of its closer
 
     # -- machinery --------------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
         tok = self.toks[self.pos]
@@ -200,29 +200,28 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_kw(self, word: str) -> Token:
-        return self.expect("KEYWORD", word)
-
     def skip_newlines(self):
         while self.accept("NEWLINE"):
             pass
 
     # -- shared pieces ----------------------------------------------------
 
-    def attr_list(self) -> Scheme:
-        attrs = [self.expect("IDENT").text]
+    def names(self) -> list[Token]:
+        names = [self.expect("IDENT")]
         while self.accept(","):
-            attrs.append(self.expect("IDENT").text)
-        return frozenset(attrs)
+            names.append(self.expect("IDENT"))
+        return names
 
-    def value_literal(self):
-        tok = self.peek()
-        if tok.kind == "STRING":
-            return self.next().text
-        if tok.kind == "NUMBER":
-            self.next()
-            return _number(tok)
-        raise ParseError("expected a value literal", tok.line, tok.col)
+    def scheme(self, closer: str) -> Scheme:
+        """The attribute names before `closer`, none where it comes next."""
+        return frozenset() if self.at(closer) else frozenset([t.text for t in self.names()])
+
+    def value_literal(self, error: str = "expected a value literal"):
+        tok = self.toks[self.pos]
+        if tok.kind != "STRING" and tok.kind != "NUMBER":
+            raise ParseError(error, tok.line, tok.col)
+        self.pos += 1
+        return tok.text if tok.kind == "STRING" else _number(tok)
 
     def expression(self, parse):
         """One top-level expression read by `parse`, within `MAX_DEPTH`."""
@@ -262,8 +261,7 @@ class _Parser:
         self.pos += 1
         return rule(self)
 
-    # each production below starts after its first token; one that
-    # `_RA_PRIMARY` shares among keywords builds the node `_node` names
+    # each production below starts after its first token
 
     def ra_group(self):
         e = self.ra_expr()
@@ -272,14 +270,7 @@ class _Parser:
 
     def dee(self):
         self.expect("(")
-        tok = self.peek()
-        if tok.kind == "STRING":
-            degree = self.next().text
-        elif tok.kind == "NUMBER":
-            self.next()
-            degree = _number(tok)
-        else:
-            raise ParseError("DEE wants a rank literal", tok.line, tok.col)
+        degree = self.value_literal("DEE wants a rank literal")
         self.expect(")")
         return ra.DeeConst(degree)
 
@@ -292,75 +283,16 @@ class _Parser:
 
     def project(self):
         self.expect("[")
-        scheme = frozenset() if self.at("]") else self.attr_list()
+        scheme = self.scheme("]")
         self.expect("]")
         self.expect("(")
         child = self.ra_expr()
         self.expect(")")
         return ra.Projection(scheme, child)
 
-    def unary(self):
-        node = self._node()
-        return node(self._parenthesized_ra())
-
-    def residuum(self):
-        self.expect("(")
-        left = self.ra_expr()
-        self.expect("->")
-        right = self.ra_expr()
-        self.expect_kw("OVER")
-        rng = self.ra_expr()
-        self.expect(")")
-        return ra.ResiduumRange(left, right, rng)
-
-    def division(self):
-        self.expect("(")
-        dividend = self.ra_expr()
-        self.expect_kw("BY")
-        divisor = self.ra_expr()
-        self.expect_kw("OVER")
-        rng = self.ra_expr()
-        self.expect(")")
-        return ra.DivRanged(dividend, divisor, rng)
-
-    def mediated(self):
-        node = self._node()
-        a, b = self._pair()
-        self.expect_kw("MED")
-        med = self.ra_expr()
-        self.expect(")")
-        return node(a, b, med)
-
-    def two_mediators(self):
-        node = self._node()
-        a, b = self._pair()
-        self.expect_kw("MED")
-        m1 = self.ra_expr()
-        self.expect(",")
-        m2 = self.ra_expr()
-        self.expect(")")
-        return node(a, b, m1, m2)
-
-    def universe(self):
-        node = self._node()
-        a, b = self._pair()
-        self.expect_kw("UNIV")
-        u = self.ra_expr()
-        self.expect(")")
-        return node(a, b, u)
-
-    def binary(self):
-        node = self._node()
-        self.expect("(")
-        a = self.ra_expr()
-        self.expect(",")
-        b = self.ra_expr()
-        self.expect(")")
-        return node(a, b)
-
     def eadom(self):
         self.expect("[")
-        scheme = frozenset() if self.at("]") else self.attr_list()
+        scheme = self.scheme("]")
         constants = set()
         if self.accept(";"):
             while True:
@@ -375,23 +307,20 @@ class _Parser:
         self.expect("]")
         return ra.EadomExpr(scheme, frozenset(constants))
 
-    def _node(self):
-        """The node class named by the keyword just read."""
-        return _RA_NODE[self.toks[self.pos - 1].text]
-
-    def _parenthesized_ra(self):
-        self.expect("(")
-        e = self.ra_expr()
-        self.expect(")")
-        return e
-
-    def _pair(self):
-        self.expect("(")
-        a = self.ra_expr()
-        self.expect(",")
-        b = self.ra_expr()
-        self.expect(";")
-        return a, b
+    def operator(self, node, steps: tuple):
+        """An operator of `algebra._SYNTAX`, after its keyword: `steps` is
+        what its template fixes, in order: the (kind, text) of each token,
+        and None for each child, an algebra expression."""
+        kids, toks = [], self.toks
+        for step in steps:
+            if step is None:
+                kids.append(self.ra_expr())
+                continue
+            tok = toks[self.pos]
+            if tok.kind != step[0] or tok.text != step[1]:
+                self.expect(*step)  # raises
+            self.pos += 1
+        return node(*kids)
 
     # -- pseudo tuple calculus ----------------------------------------------
 
@@ -417,53 +346,58 @@ class _Parser:
         return expr
 
     def ptc_primary(self):
-        tok = self.peek()
-        if tok.kind == "KEYWORD" and tok.text in ("ALL", "ANY"):
-            self.next()
-            bound = self._var_set()
+        tok = self.toks[self.pos]
+        word = tok.text if tok.kind == "KEYWORD" else None
+        if word == "ALL" or word == "ANY":
+            self.pos += 1
+            bound = self._resolve_vars(self.names())
             self.expect(".")
-            self.expect("(")
-            body = self.ptc_expr()
-            self.expect(")")
-            node = pc.PtcInf if tok.text == "ALL" else pc.PtcSup
-            return node(bound, body)
+            return (pc.PtcInf if word == "ALL" else pc.PtcSup)(bound, self._ptc_group())
         # an atom is an algebra expression applied to variables; try that
-        # shape first, falling back to the calculus reading of
-        # NABLA/DELTA/(...); variable resolution happens only once the
-        # shape is settled so undeclared-variable errors surface properly
-        save, made = self.pos, len(self.symbols)
-        try:
-            expr = self.ra_primary()
-            self.expect("(")
-            names = [] if self.at(")") else self._name_list()
-            self.expect(")")
-        except ParseError:
-            self.pos = save
-            del self.symbols[made:]
-        else:
-            return pc.Atom(expr, self._resolve_vars(names))
-        if self.accept("KEYWORD", "NABLA"):
-            return pc.PtcNabla(self._parenthesized_ptc())
-        if self.accept("KEYWORD", "DELTA"):
-            return pc.PtcDelta(self._parenthesized_ptc())
-        if self.accept("("):
-            body = self.ptc_expr()
-            self.expect(")")
-            return body
-        raise ParseError(f"expected a calculus expression, found {tok.text or tok.kind!r}",
-                         tok.line, tok.col)
+        # shape first, where it may be one, falling back to the calculus
+        # reading of NABLA/DELTA/(...); variable resolution happens only once
+        # the shape is settled so undeclared-variable errors surface properly
+        group = word == "NABLA" or word == "DELTA"
+        if self._may_be_atom(self.pos + group):
+            save, made = self.pos, len(self.symbols)
+            try:
+                expr = self.ra_primary()
+                self.expect("(")
+                names = [] if self.at(")") else self.names()
+                self.expect(")")
+            except ParseError:
+                self.pos = save
+                del self.symbols[made:]
+            else:
+                return pc.Atom(expr, self._resolve_vars(names))
+        if group:
+            self.pos += 1
+            return (pc.PtcNabla if word == "NABLA" else pc.PtcDelta)(self._ptc_group())
+        if tok.kind != "(":
+            raise ParseError(f"expected a calculus expression, found {tok.text or tok.kind!r}",
+                             tok.line, tok.col)
+        return self._ptc_group()
 
-    def _parenthesized_ptc(self):
+    def _may_be_atom(self, opener: int) -> bool:
+        """False where the token at `opener` is `(` and no `(` follows its
+        matching closer, where any algebra primary opened there ends."""
+        if self.toks[opener].kind != "(":
+            return True
+        if self.closers is None:  # built once per parse, when first needed
+            self.closers, open_ = {}, []
+            for i, t in enumerate(self.toks):
+                if t.kind in _OPENERS:
+                    open_.append(i)
+                elif t.kind in _CLOSERS and open_:
+                    self.closers[open_.pop()] = i
+        closer = self.closers.get(opener)
+        return closer is not None and self.toks[closer + 1].kind == "("
+
+    def _ptc_group(self):
         self.expect("(")
         e = self.ptc_expr()
         self.expect(")")
         return e
-
-    def _name_list(self) -> list[Token]:
-        names = [self.expect("IDENT")]
-        while self.accept(","):
-            names.append(self.expect("IDENT"))
-        return names
 
     def _resolve_vars(self, names: list[Token]) -> frozenset:
         out = set()
@@ -473,9 +407,6 @@ class _Parser:
                                  tok.line, tok.col)
             out.add(pc.TupleVar(tok.text, self.vars[tok.text]))
         return frozenset(out)
-
-    def _var_set(self) -> frozenset:
-        return self._resolve_vars(self._name_list())
 
     # -- script statements ----------------------------------------------------
     # each starts after its keyword `tok`
@@ -492,7 +423,7 @@ class _Parser:
 
     def load(self, tok):
         name = self.expect("IDENT").text
-        self.expect_kw("FROM")
+        self.expect("KEYWORD", "FROM")
         path = self.expect("STRING").text
         types = []
         if self.accept("KEYWORD", "SCHEME"):
@@ -509,7 +440,7 @@ class _Parser:
         name = self.expect("IDENT").text
         self.expect(":")
         self.expect("{")
-        scheme = frozenset() if self.at("}") else self.attr_list()
+        scheme = self.scheme("}")
         self.expect("}")
         prev = self.vars.get(name)
         if prev is not None and prev != scheme:
@@ -538,32 +469,40 @@ class _Parser:
         name = self.expect("IDENT").text
         if name not in self.defined:
             raise ParseError(f"cannot save undefined table {name!r}", tok.line, tok.col)
-        self.expect_kw("TO")
+        self.expect("KEYWORD", "TO")
         path = self.expect("STRING").text
         return SaveStmt(name, path, tok.line)
 
 
 #: first token of an algebra primary other than a name (the keyword text,
-#: or the punctuation) → its production
+#: or the punctuation) → its production; `_read_syntax` adds the operators
 _RA_PRIMARY = {
     "(": _Parser.ra_group, "[": _Parser.singleton, "DEE": _Parser.dee,
-    "PROJECT": _Parser.project, "RES": _Parser.residuum, "DIV": _Parser.division,
-    "EADOM": _Parser.eadom, "NABLA": _Parser.unary, "DELTA": _Parser.unary,
-    "GSDO": _Parser.mediated, "GSD": _Parser.mediated,
-    "GGDO": _Parser.two_mediators, "GDDO": _Parser.two_mediators,
-    "GCODD": _Parser.universe, "GTODD": _Parser.universe,
-    "SEMIJOIN": _Parser.binary, "GDIFF": _Parser.binary, "SEMIDIFF": _Parser.binary,
-}
-
-#: keyword of a production that `_RA_PRIMARY` shares → the node it builds
-_RA_NODE = {
-    "NABLA": ra.Nabla, "DELTA": ra.Delta, "GSDO": ra.GSDO, "GSD": ra.GSD,
-    "GGDO": ra.GGDO, "GDDO": ra.GDDO, "GCODD": ra.GCodd, "GTODD": ra.GTodd,
-    "SEMIJOIN": ra.Semijoin, "GDIFF": ra.GradedDifference, "SEMIDIFF": ra.Semidifference,
+    "PROJECT": _Parser.project, "EADOM": _Parser.eadom,
 }
 
 #: infix algebra keyword → node; all bind alike and associate left
-_RA_BINARY = {"UNION": ra.Union, "ISECT": ra.Intersection, "JOIN": ra.NaturalJoin}
+_RA_BINARY = {}
+
+
+def _read_syntax():
+    """Read each template of `algebra._SYNTAX` with `_scan` (a profiler counts
+    the tokens of `tokenize`): one of the form `({} KEYWORD {})` puts its node
+    in `_RA_BINARY`, any other an `operator` production in `_RA_PRIMARY`."""
+    for node, template in ra._SYNTAX.items():
+        steps = []
+        for piece in template.split("{}"):
+            steps += [(tok.kind, tok.text) for tok in _scan(piece, _ASCII_TOKENS)[:-1]]
+            steps.append(None)
+        steps.pop()  # the last piece is followed by no child
+        if steps[0] == ("(", "("):
+            _RA_BINARY[steps[2][1]] = node
+        else:
+            _RA_PRIMARY[steps[0][1]] = functools.partial(
+                _Parser.operator, node=node, steps=tuple(steps[1:]))
+
+
+_read_syntax()
 
 
 def _depth(expr) -> int:
@@ -574,13 +513,18 @@ def _depth(expr) -> int:
 
 
 def _number(tok: Token):
+    """The int or float a NUMBER token spells; ParseError where it spells
+    none, or a float too large to be finite."""
     text = tok.text
     try:
-        if "." in text or "e" in text or "E" in text:
-            return float(text)
-        return int(text)
+        if "." not in text and "e" not in text and "E" not in text:
+            return int(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"bad number {text!r}", tok.line, tok.col) from None
+    if not math.isfinite(value):
+        raise ParseError(f"number {text!r} is not finite", tok.line, tok.col)
+    return value
 
 
 def parse_ra(text: str, symbols: Mapping[str, Scheme] | None = None):
@@ -676,7 +620,7 @@ def parse_script(text: str) -> list[Statement]:
     statements: list[Statement] = []
     p.skip_newlines()
     while not p.at("EOF"):
-        tok = p.peek()
+        tok = p.toks[p.pos]
         statement = _STATEMENTS.get(tok.text) if tok.kind == "KEYWORD" else None
         if statement is None:
             raise ParseError(f"expected a statement, found {tok.text or tok.kind!r}",

@@ -260,6 +260,22 @@ def test_compiled_text_evaluates_like_the_calculus(tmp_path):
     assert out.replace("-- EVAL", "-- EVALPTC") == evalptc == "-- EVALPTC (line 4)\nA,rank\n\n"
 
 
+@pytest.mark.parametrize("script, message", [
+    ("EVAL [A: 1e400]\n", "script.gx:1:10: number '1e400' is not finite"),
+    # a calculus primary that fails to read as an atom is read as a calculus group
+    ("VAR a : {A}\nCOMPILE [A: 1e400](a)\n", "script.gx:2:9: expected a calculus expression"),
+])
+def test_non_finite_number_literal_is_a_query_error(tmp_path, capsys, script, message):
+    # a literal too large for a float once read as inf, and COMPILE printed
+    # `[A: inf]`, which EVAL could not read back
+    assert main(["eval", "--lattice", "godel", "--script", write_script(tmp_path, script)]) \
+        == EXIT_QUERY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 LIMIT = parsing.MAX_DEPTH
 
 

@@ -55,6 +55,29 @@ def test_div_ranged_scheme_errors(godel):
         gx.div_ranged(d, rdt(godel, {"B"}, {1: 0.5}), rdt(godel, {"C"}, {1: 0.5}))
 
 
+@pytest.mark.parametrize("node, op, schemes", [
+    (gx.DivRanged, gx.div_ranged, [("A", "B"), ("B",), ("B",)]),
+    (gx.DivRanged, gx.div_ranged, [("A", "B"), ("B",), ("C",)]),
+    (gx.GSDO, gx.div_gsdo, [("A",), ("A",), ("A",)]),
+    (gx.GSDO, gx.div_gsdo, [("A",), ("B",), ("A",)]),
+    (gx.GSD, gx.div_gsd, [("A", "B"), ("B",), ("A", "B")]),
+    (gx.GGDO, gx.div_ggdo, [("A",), ("A",), ("A",), ("A",)]),
+    (gx.GGDO, gx.div_ggdo, [("A",), ("B",), ("C",), ("C",)]),
+    (gx.GGDO, gx.div_ggdo, [("A",), ("B",), ("A", "C"), ("C",)]),
+    (gx.GCodd, gx.div_gcodd, [("A", "B"), ("B",), ("B",)]),
+    (gx.GCodd, gx.div_gcodd, [("A", "B"), ("B",), ("C",)]),
+    (gx.GTodd, gx.div_gtodd, [("A", "B"), ("B", "C"), ("A",)]),
+], ids=lambda v: v.__name__ if hasattr(v, "__name__") else "")
+def test_a_division_checks_its_schemes_alike_statically_and_at_run_time(godel, node, op,
+                                                                       schemes):
+    # one check per division: scheme inference says which node failed it
+    with pytest.raises(SchemeError) as at_run_time:
+        op(*[gx.empty(godel, sch(*s)) for s in schemes])
+    with pytest.raises(SchemeError) as static:
+        gx.scheme_of(node(*[gx.RelSym(f"T{i}", sch(*s)) for i, s in enumerate(schemes)]))
+    assert str(static.value) == f"{node.__name__}: {at_run_time.value}"
+
+
 # -- div_gsdo / div_gsd -------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Grammar coverage, parse errors with positions, print/parse round trips,
 and script parsing."""
 
+import dataclasses
 import re
 import time
 from typing import get_args
@@ -191,6 +192,80 @@ def test_ra_round_trip_spec_forms():
         ast1 = parse_ra(text)
         ast2 = parse_ra(gx.ra_to_text(ast1))
         assert ast1 == ast2
+
+
+def operator_instance(cls):
+    """An operator node over distinct relation symbols, one per child."""
+    return cls(*[alg.RelSym(f"R{i}") for i in range(len(dataclasses.fields(cls)))])
+
+
+def test_every_operator_round_trips():
+    for cls in alg._SYNTAX:
+        expr = operator_instance(cls)
+        assert parse_ra(gx.ra_to_text(expr)) == expr, cls
+
+
+def test_each_token_an_operator_template_fixes_is_expected():
+    # an operator's production reads each token of its template after the
+    # keyword; blanking one out names it and the token found in its place
+    for cls, template in alg._SYNTAX.items():
+        if template.startswith("("):
+            continue  # infix: `ra_expr` reads its keyword between two operands
+        text = gx.ra_to_text(operator_instance(cls))
+        toks = parsing.tokenize(text)
+        for i, tok in enumerate(toks[1:-1], 1):
+            if tok.kind == "IDENT":
+                continue  # a child
+            start = tok.col - 1
+            blanked = text[:start] + " " * len(tok.text) + text[start + len(tok.text):]
+            after = toks[i + 1]
+            with pytest.raises(ParseError) as exc:
+                parse_ra(blanked)
+            want = f"expected {tok.text!r}, found {after.text or after.kind!r}"
+            assert (str(exc.value), exc.value.line, exc.value.column) == (
+                f"{after.line}:{after.col}: {want}", after.line, after.col), blanked
+
+
+def test_every_word_of_an_operator_template_is_a_keyword():
+    # a word missing from KEYWORDS would read as a relation symbol, and the
+    # operator it names, or its production, would not parse
+    words = {w for t in alg._SYNTAX.values() for w in re.findall(r"[A-Za-z_]\w*", t)}
+    assert words and words <= parsing.KEYWORDS
+
+
+@pytest.mark.parametrize("opener", ["NABLA(", "DELTA(", "("])
+def test_nested_calculus_groups_are_read_once(monkeypatch, opener):
+    # a group is read as an algebra primary only where `(` follows its
+    # closer, so each level is not read again below every level above it
+    calls = []
+    primary = parsing._Parser.ra_primary
+
+    def counting(self):
+        calls.append(self.pos)
+        return primary(self)
+
+    monkeypatch.setattr(parsing._Parser, "ra_primary", counting)
+    for n in (50, MAX_DEPTH - 1):
+        calls.clear()
+        parse_ptc(nested(opener, "P(s)", n), VARS, SYMS)
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(ParseError, match="expected a calculus expression, found 'BY'"):
+            parse_ptc(nested(opener, "BY", n), VARS, SYMS)
+        assert len(calls) == 1
+    # a nest that is an atom's algebra expression is read once, as algebra
+    # (not at full depth: the counting wrapper adds a stack frame per level)
+    calls.clear()
+    parse_ptc(nested(opener, "P", 100) + "(s)", VARS, SYMS)
+    assert len(calls) <= 2 * 100
+
+
+def test_non_finite_number_literals_are_parse_errors():
+    for text, col in (("[A: 1e400]", 5), ("DEE(-1e999)", 5), ("EADOM[A; A: 2E+308]", 13)):
+        with pytest.raises(ParseError, match="is not finite") as exc:
+            parse_ra(text)
+        assert (exc.value.line, exc.value.column) == (1, col)
+    assert parse_ra("[A: 1e308]").value == 1e308
 
 
 def test_ra_round_trip_random():
