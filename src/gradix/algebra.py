@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 from . import division as dv
 from . import table as tb
 from .errors import SchemeError, UnboundSymbolError
-from .table import DatabaseInstance, RankedDataTable, Scheme, Tuple
+from .table import DatabaseInstance, RankedDataTable, Scheme
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,7 @@ def eadom_values(instance: DatabaseInstance, attr: str, extra_values=()) -> list
     for _name, d in instance.tables():
         if attr in d.scheme:
             i = tb.attrs_of(d.scheme).index(attr)
-            vals.update(t._values[i] for t in d.rows)
+            vals.update(v[i] for v in d._rows)
     return sorted(vals, key=lambda v: (type(v).__name__, v))
 
 
@@ -375,15 +375,9 @@ def eadom(instance: DatabaseInstance, scheme: Scheme, extra_values=()) -> Ranked
     """Extended active domain over a scheme: the cross join of per-attribute
     domains, every tuple at score 1.  eadom(∅) is Dee₁; an attribute with no
     values anywhere yields the empty table."""
-    names = tb.attrs_of(scheme)
     lat = instance.lattice
-    if not names:
-        return tb.dee(lat, lat.top)
-    columns = [eadom_values(instance, a, extra_values) for a in names]
-    rows = dict.fromkeys(
-        (tb._make_tuple(names, combo) for combo in itertools.product(*columns)), lat.top
-    )
-    return tb._table(frozenset(scheme), lat, rows)
+    columns = [eadom_values(instance, a, extra_values) for a in tb.attrs_of(scheme)]
+    return tb._table(frozenset(scheme), lat, dict.fromkeys(itertools.product(*columns), lat.top))
 
 
 def eadom_ra_expr(
@@ -477,9 +471,7 @@ class _Evaluator:
             case DeeConst(degree):
                 return tb.dee(lat, _coerce_degree(lat, degree))
             case Singleton(attr, value):
-                return RankedDataTable(
-                    frozenset({attr}), lat, {Tuple({attr: value}): lat.top}
-                )
+                return tb._table(frozenset({attr}), lat, {(value,): lat.top})
             case EadomExpr(scheme, constants):
                 return self.eadom_table(scheme, constants)
             case Union():

@@ -30,7 +30,6 @@ from .table import (
     _same_lattice,
     _sup_index,
     _table,
-    _values_index,
     attrs_of,
     difference_graded,
     natural_join,
@@ -60,17 +59,11 @@ def _pickers(d: RankedDataTable, *schemes: Scheme) -> list:
     return [_project_plan(names, attrs_of(s)) for s in schemes]
 
 
-def _value_rows(d: RankedDataTable) -> list:
-    """(value tuple, degree) pairs of the stored rows."""
-    return [(t._values, b) for t, b in d.rows.items()]
-
-
 def _grouped(d: RankedDataTable, key: Scheme, rest: Scheme) -> dict:
     """The rows of `d` as {values on `key`: [(values on `rest`, degree)]}."""
     to_key, to_rest = _pickers(d, key, rest)
     groups: dict = {}
-    for t, b in d.rows.items():
-        v = t._values
+    for v, b in d._rows.items():
         groups.setdefault(to_key(v), []).append((to_rest(v), b))
     return groups
 
@@ -125,10 +118,9 @@ def _residuum_infimum(outer: RankedDataTable, groups: dict, to_key, to_prefix, a
     lat = outer.lattice
     kresiduum, bottom = lat.kresiduum, lat.bottom
     rows = {}
-    for t, w in outer.rows.items():
-        v = t._values
+    for v, w in outer._rows.items():
         head = to_prefix(v)
-        rows[t] = combine(lat, w, [kresiduum(b, score(assemble(head + sv), bottom))
+        rows[v] = combine(lat, w, [kresiduum(b, score(assemble(head + sv), bottom))
                                    for sv, b in groups.get(to_key(v), ())])
     return rows
 
@@ -195,8 +187,8 @@ def div_ranged(
     lat = _same_lattice(dividend, divisor, rng)
     r_scheme = ranged_scheme(dividend.scheme, divisor.scheme, rng.scheme)
     rows = _residuum_infimum(
-        rng, {(): _value_rows(divisor)}, _one_group, _itself,
-        _merger(r_scheme, divisor.scheme), _values_index(dividend).get, _inside_inf,
+        rng, {(): divisor._rows.items()}, _one_group, _itself,
+        _merger(r_scheme, divisor.scheme), dividend._rows.get, _inside_inf,
     )
     return _table(r_scheme, lat, rows)
 
@@ -212,8 +204,8 @@ def div_gsdo(
     lat = _same_lattice(d1, d2, d3)
     r_scheme = gsdo_scheme(d1.scheme, d2.scheme, d3.scheme)
     rows = _residuum_infimum(
-        d1, {(): _value_rows(d2)}, _one_group, _itself,
-        _merger(r_scheme, d2.scheme), _values_index(d3).get, _times_inf,
+        d1, {(): d2._rows.items()}, _one_group, _itself,
+        _merger(r_scheme, d2.scheme), d3._rows.get, _times_inf,
     )
     return _table(r_scheme, lat, rows)
 
@@ -266,8 +258,8 @@ def div_gcodd(
     _require_non_ranked(universe, "div_gcodd")
     r_scheme = gcodd_scheme(d1.scheme, d2.scheme, universe.scheme)
     rows = _residuum_infimum(
-        universe, {(): _value_rows(d2)}, _one_group, _itself,
-        _merger(r_scheme, d2.scheme), _values_index(d1).get, _bare_inf,
+        universe, {(): d2._rows.items()}, _one_group, _itself,
+        _merger(r_scheme, d2.scheme), d1._rows.get, _bare_inf,
     )
     return _table(r_scheme, lat, rows)
 
@@ -286,7 +278,7 @@ def div_gtodd(
     r_scheme, s_scheme, t_scheme = gtodd_roles(d1.scheme, d2.scheme, universe.scheme)
     rows = _residuum_infimum(
         universe, _grouped(d2, t_scheme, s_scheme), *_pickers(universe, t_scheme, r_scheme),
-        _merger(r_scheme, s_scheme), _values_index(d1).get, _bare_inf,
+        _merger(r_scheme, s_scheme), d1._rows.get, _bare_inf,
     )
     return _table(universe.scheme, lat, rows)
 
@@ -309,7 +301,7 @@ def div_ggdo(
     u = natural_join(d1, d2)
     rows = _residuum_infimum(
         u, _grouped(d4, t_scheme, s_scheme), *_pickers(u, t_scheme, r_scheme),
-        _merger(r_scheme, s_scheme), _values_index(d3).get, _times_inf,
+        _merger(r_scheme, s_scheme), d3._rows.get, _times_inf,
     )
     return _table(u.scheme, lat, rows)
 

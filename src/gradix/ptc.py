@@ -228,7 +228,7 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
 
     def has_values(attr: str) -> bool:
         return any(a == attr for a, _v in consts) or any(
-            attr in d.scheme and d.rows for _name, d in instance.tables())
+            attr in d.scheme and len(d) for _name, d in instance.tables())
 
     def warn_if_empty(scheme: Scheme, what: str):
         # EADOM over a scheme is empty exactly when one of its attributes has no value
@@ -263,12 +263,11 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
                 names = tb.attrs_of(scheme)
                 to_1 = tb._project_plan(names, tb.attrs_of(t1.scheme))
                 to_2 = tb._project_plan(names, tb.attrs_of(t2.scheme))
-                score1, score2 = tb._values_index(t1).get, tb._values_index(t2).get
+                score1, score2 = t1._rows.get, t2._rows.get
                 kresiduum, bottom = lat.kresiduum, lat.bottom
                 rows = {
-                    u: kresiduum(score1(to_1(u._values), bottom),
-                                 score2(to_2(u._values), bottom))
-                    for u in ead(scheme).rows
+                    u: kresiduum(score1(to_1(u), bottom), score2(to_2(u), bottom))
+                    for u in ead(scheme)._rows
                 }
                 return tb._table(scheme, lat, rows)
             case PtcNabla():

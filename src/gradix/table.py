@@ -5,6 +5,13 @@ A ranked data table (RDT) maps tuples on a fixed relation scheme to degrees
 from one residuated lattice; only tuples with nonzero score are stored, so
 finiteness of the answer set is a structural invariant.  Tables are
 immutable, every operation returns a new table, and all operations are pure.
+
+Inside the engine a table keys its rows by plain value tuples, the values in
+the sorted-attribute order of `attrs_of(scheme)`: the operators, the
+divisions, EADOM and CSV read and write hash, probe and sort these, and no
+row becomes a `Tuple`.  `Tuple` is the type of the API: the validating
+constructor takes `Tuple`s, and `score`, iteration, `support`, `sorted_rows`
+and the read-only `rows` view give them, each built when asked for.
 """
 
 from __future__ import annotations
@@ -12,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping
+from collections.abc import ItemsView, Mapping
+from operator import itemgetter
+from typing import Iterable
 
 from .errors import (
     LatticeMismatchError,
@@ -229,15 +237,73 @@ def tuple_join(r1: Tuple, r2: Tuple) -> Tuple:
     return r1.join(r2)
 
 
+class RowsView(Mapping):
+    """Read-only map from the `Tuple`s of a table's rows to their degrees.
+
+    It reads the table's own dict, keyed by value tuples on `names`, and
+    builds a `Tuple` for each key it gives out.  A probe that is no `Tuple`,
+    or one on another scheme, finds nothing; `get` and `in` are each one
+    dict lookup.
+    """
+
+    __slots__ = ("_names", "_rows")
+
+    def __init__(self, names: tuple, rows: dict):
+        self._names = names
+        self._rows = rows
+
+    def get(self, t, default=None):
+        if isinstance(t, Tuple) and t._attrs == self._names:
+            return self._rows.get(t._values, default)
+        return default
+
+    def __getitem__(self, t):
+        d = self.get(t)
+        if d is None:
+            raise KeyError(t)
+        return d
+
+    def __contains__(self, t):
+        return isinstance(t, Tuple) and t._attrs == self._names and t._values in self._rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        names = self._names
+        return (_make_tuple(names, v) for v in self._rows)
+
+    def items(self):
+        return _RowItems(self)
+
+    def values(self):
+        return self._rows.values()
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _RowItems(ItemsView):
+    """The (Tuple, degree) pairs of a `RowsView`, without a lookup per key."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        names = self._mapping._names
+        return ((_make_tuple(names, v), d) for v, d in self._mapping._rows.items())
+
+
 class RankedDataTable:
     """Finite map from tuples on a scheme to nonzero degrees.
 
-    The constructor is the validating entry point: every tuple must be on
-    the scheme and every degree passes `lattice.check`.  Operator results
-    are built by `_table`, which trusts its input.
+    The constructor is the validating entry point: every tuple must be a
+    `Tuple` on the scheme and every degree passes `lattice.check`.  Operator
+    results are built by `_table`, which trusts its input.  `_rows` maps the
+    value tuple of each stored row to its degree; `rows` is a read-only view
+    of it keyed by `Tuple`s.
     """
 
-    __slots__ = ("scheme", "lattice", "rows")
+    __slots__ = ("scheme", "lattice", "_rows")
 
     def __init__(self, scheme: Scheme, lattice: ResiduatedLattice, rows=()):
         self.scheme = frozenset(scheme)
@@ -253,21 +319,27 @@ class RankedDataTable:
                 )
             d = check(d)
             if d != bottom:
-                stored[t] = d
-        self.rows = stored
+                stored[t._values] = d
+        self._rows = stored
+
+    @property
+    def rows(self) -> RowsView:
+        return RowsView(attrs_of(self.scheme), self._rows)
 
     def score(self, t: Tuple):
-        return self.rows.get(t, self.lattice.bottom)
+        if isinstance(t, Tuple) and t._attrs == attrs_of(self.scheme):
+            return self._rows.get(t._values, self.lattice.bottom)
+        return self.lattice.bottom
 
     def support(self):
         return self.rows.keys()
 
     def is_non_ranked(self) -> bool:
         """All stored scores are exactly the top degree."""
-        return all(d == self.lattice.top for d in self.rows.values())
+        return all(d == self.lattice.top for d in self._rows.values())
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.rows.items())
@@ -277,28 +349,33 @@ class RankedDataTable:
             isinstance(other, RankedDataTable)
             and other.scheme == self.scheme
             and other.lattice == self.lattice
-            and other.rows == self.rows
+            and other._rows == self._rows
         )
 
     def __hash__(self):
-        return hash((self.scheme, frozenset(self.rows.items())))
+        return hash((self.scheme, frozenset(self._rows.items())))
+
+    def _pairs(self, other: "RankedDataTable"):
+        """The (self, other) degrees of each tuple either table stores."""
+        bottom = self.lattice.bottom
+        r1, r2 = self._rows, other._rows
+        if other.scheme != self.scheme:  # no tuple is on both schemes
+            return [(d, bottom) for d in r1.values()] + [(bottom, d) for d in r2.values()]
+        return [(r1.get(v, bottom), r2.get(v, bottom)) for v in r1.keys() | r2.keys()]
 
     def approx_equals(self, other: "RankedDataTable") -> bool:
         """Pointwise equality under the lattice's degree tolerance."""
         if other.scheme != self.scheme or other.lattice != self.lattice:
             return False
-        lat = self.lattice
-        for t in self.rows.keys() | other.rows.keys():
-            if not lat.eq(self.score(t), other.score(t)):
-                return False
-        return True
+        eq = self.lattice.eq
+        return all(eq(a, b) for a, b in self._pairs(other))
 
     def max_deviation(self, other: "RankedDataTable") -> float:
         """Largest pointwise degree difference over the union of supports."""
-        lat = self.lattice
+        diff = self.lattice.degree_diff
         dev = 0.0
-        for t in self.rows.keys() | other.rows.keys():
-            dev = max(dev, lat.degree_diff(self.score(t), other.score(t)))
+        for a, b in self._pairs(other):
+            dev = max(dev, diff(a, b))
         return dev
 
     def __repr__(self):
@@ -309,36 +386,32 @@ class RankedDataTable:
 def _table(scheme: Scheme, lattice: ResiduatedLattice, rows: dict) -> RankedDataTable:
     """Trusted construction for operator results.
 
-    `rows` (a dict the table takes over) must map tuples on the frozenset
-    `scheme` to carrier members; nothing of that is checked.  Bottom degrees
-    are still dropped: only nonzero scores are stored, whatever the operator
-    computed.
+    `rows` (a dict the table takes over) must map value tuples on the
+    frozenset `scheme`, in `attrs_of(scheme)` order, to carrier members;
+    nothing of that is checked.  Bottom degrees are still dropped: only
+    nonzero scores are stored, whatever the operator computed.
     """
     bottom = lattice.bottom
     if bottom in rows.values():
-        rows = {t: d for t, d in rows.items() if d != bottom}
+        rows = {v: d for v, d in rows.items() if d != bottom}
     out = _new(RankedDataTable)
     out.scheme = scheme
     out.lattice = lattice
-    out.rows = rows
+    out._rows = rows
     return out
 
 
-def _values_index(d: RankedDataTable) -> dict:
-    """The table's scores keyed by bare value tuples (sorted-attribute order)."""
-    return {t._values: a for t, a in d.rows.items()}
-
-
 def _sup_index(d: RankedDataTable, names: tuple) -> dict:
-    """The projection of `d` onto the sub-names `names`, keyed by bare value
-    tuples: each projected value tuple scores the ∨ of its rows' degrees."""
+    """The projection of `d` onto the sub-names `names`: each projected
+    value tuple scores the ∨ of its rows' degrees.  On `d`'s own names this
+    is `d`'s own dict, not a copy."""
     if names == attrs_of(d.scheme):
-        return _values_index(d)
+        return d._rows
     pick = _project_plan(attrs_of(d.scheme), names)
     kjoin = d.lattice.kjoin
     best: dict[tuple, object] = {}
-    for t, a in d.rows.items():
-        s = pick(t._values)
+    for v, a in d._rows.items():
+        s = pick(v)
         prev = best.get(s)
         best[s] = a if prev is None else kjoin(prev, a)
     return best
@@ -378,11 +451,11 @@ def union(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
     kjoin = lat.kjoin
-    r1 = d1.rows
+    r1 = d1._rows
     rows = dict(r1)
-    for t, b in d2.rows.items():
-        a = r1.get(t)
-        rows[t] = b if a is None else kjoin(a, b)
+    for v, b in d2._rows.items():
+        a = r1.get(v)
+        rows[v] = b if a is None else kjoin(a, b)
     return _table(scheme, lat, rows)
 
 
@@ -390,8 +463,8 @@ def intersection(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
     kmeet = lat.kmeet
-    r2 = d2.rows
-    rows = {t: kmeet(a, r2[t]) for t, a in d1.rows.items() if t in r2}
+    r2 = d2._rows
+    rows = {v: kmeet(a, r2[v]) for v, a in d1._rows.items() if v in r2}
     return _table(scheme, lat, rows)
 
 
@@ -399,17 +472,15 @@ def _join_rows(d1: RankedDataTable, d2: RankedDataTable, kernel) -> RankedDataTa
     """Rows rs of D1 ⋈ D2 scored kernel(D1(r), D2(s)), by hashing D2 on the
     shared attributes."""
     plan = _join_plan(attrs_of(d1.scheme), attrs_of(d2.scheme))
-    names, merge, left_key, right_key = plan.names, plan.merge, plan.left_key, plan.right_key
+    merge, left_key, right_key = plan.merge, plan.left_key, plan.right_key
     by_common: dict[tuple, list] = {}
-    for t2, b in d2.rows.items():
-        v2 = t2._values
+    for v2, b in d2._rows.items():
         by_common.setdefault(right_key(v2), []).append((v2, b))
     rows = {}
-    for t1, a in d1.rows.items():
-        v1 = t1._values
+    for v1, a in d1._rows.items():
         for v2, b in by_common.get(left_key(v1), ()):
-            rows[_make_tuple(names, merge(v1 + v2))] = kernel(a, b)
-    return _table(_SCHEME_OF[names], d1.lattice, rows)
+            rows[merge(v1 + v2)] = kernel(a, b)
+    return _table(_SCHEME_OF[plan.names], d1.lattice, rows)
 
 
 def natural_join(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
@@ -426,10 +497,9 @@ def projection(d: RankedDataTable, scheme: Scheme) -> RankedDataTable:
         )
     lat = d.lattice
     if scheme == d.scheme:
-        return _table(d.scheme, lat, dict(d.rows))
+        return _table(d.scheme, lat, dict(d._rows))
     names = attrs_of(scheme)
-    rows = {_make_tuple(names, s): a for s, a in _sup_index(d, names).items()}
-    return _table(_SCHEME_OF[names], lat, rows)
+    return _table(_SCHEME_OF[names], lat, _sup_index(d, names))
 
 
 def semijoin(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
@@ -448,10 +518,10 @@ def difference_graded(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTab
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
     kotimes, kresiduum, bottom = lat.kotimes, lat.kresiduum, lat.bottom
-    r2 = d2.rows
+    r2 = d2._rows
     rows = {
-        t: kotimes(a, kresiduum(r2.get(t, bottom), bottom))
-        for t, a in d1.rows.items()
+        v: kotimes(a, kresiduum(r2.get(v, bottom), bottom))
+        for v, a in d1._rows.items()
     }
     return _table(scheme, lat, rows)
 
@@ -459,7 +529,7 @@ def difference_graded(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTab
 def nabla(d: RankedDataTable) -> RankedDataTable:
     """Support indicator: nonzero scores become 1."""
     lat = d.lattice
-    return _table(d.scheme, lat, dict.fromkeys(d.rows, lat.top))
+    return _table(d.scheme, lat, dict.fromkeys(d._rows, lat.top))
 
 
 def delta(d: RankedDataTable) -> RankedDataTable:
@@ -470,7 +540,7 @@ def delta(d: RankedDataTable) -> RankedDataTable:
     """
     lat = d.lattice
     is_top, top = lat.is_top, lat.top
-    return _table(d.scheme, lat, {t: top for t, a in d.rows.items() if is_top(a)})
+    return _table(d.scheme, lat, {v: top for v, a in d._rows.items() if is_top(a)})
 
 
 def residuum_with_range(
@@ -480,10 +550,10 @@ def residuum_with_range(
     lat = _same_lattice(d1, d2, rng)
     scheme = _same_scheme(d1, d2, rng)
     kotimes, kresiduum, bottom = lat.kotimes, lat.kresiduum, lat.bottom
-    r1, r2 = d1.rows, d2.rows
+    r1, r2 = d1._rows, d2._rows
     rows = {
-        t: kotimes(g, kresiduum(r1.get(t, bottom), r2.get(t, bottom)))
-        for t, g in rng.rows.items()
+        v: kotimes(g, kresiduum(r1.get(v, bottom), r2.get(v, bottom)))
+        for v, g in rng._rows.items()
     }
     return _table(scheme, lat, rows)
 
@@ -594,7 +664,7 @@ _PLAIN_TYPES = frozenset({str, int})
 
 def _columns(d: RankedDataTable) -> list:
     """The value columns of `d`, in sorted-attribute order."""
-    return list(zip(*[t._values for t in d.rows]))
+    return list(zip(*d._rows))
 
 
 def _column_types(columns: list) -> list:
@@ -603,7 +673,7 @@ def _column_types(columns: list) -> list:
 
 
 def _runs(d: RankedDataTable, column_types: list) -> list:
-    """The rows of `d` in `sorted_rows` order, as (degree, tuples) runs.
+    """The rows of `d` in `sorted_rows` order, as (degree, value tuples) runs.
 
     Rows are grouped by degree; the groups are ordered by a rank key
     computed once per distinct degree, and each group is sorted by values
@@ -612,21 +682,20 @@ def _runs(d: RankedDataTable, column_types: list) -> list:
     distinct keys.
     """
     groups: dict = {}
-    for t, a in d.rows.items():
+    for v, a in d._rows.items():
         group = groups.get(a)
         if group is None:
-            groups[a] = [t]
+            groups[a] = [v]
         else:
-            group.append(t)
+            group.append(v)
+    by_values = None  # value tuples of one type per column sort as they are
     if any(len(types) > 1 for types in column_types):
-        def by_values(t):
-            return tuple([(type(v).__name__, v) for v in t._values])
-    else:
-        by_values = attrgetter("_values")
+        def by_values(values):
+            return tuple([(type(v).__name__, v) for v in values])
     sort_key = d.lattice.sort_key
     runs = sorted(groups.items(), key=lambda run: -float(sort_key(run[0])))
-    for _a, tuples in runs:
-        tuples.sort(key=by_values)
+    for _a, values in runs:
+        values.sort(key=by_values)
     return runs
 
 
@@ -637,7 +706,9 @@ def sorted_rows(d: RankedDataTable):
     mixes types is ordered by type name first, which keeps it sortable
     rather than raising.
     """
-    return [(t, a) for a, tuples in _runs(d, _column_types(_columns(d))) for t in tuples]
+    names = attrs_of(d.scheme)
+    return [(_make_tuple(names, v), a)
+            for a, values in _runs(d, _column_types(_columns(d))) for v in values]
 
 
 def _holds_cr(texts: list, columns: list, column_types: list) -> bool:
@@ -682,20 +753,20 @@ def write_csv(d: RankedDataTable, out) -> None:
         return line
 
     fmt = d.lattice.format_degree
-    runs = [((fmt(a),), tuples) for a, tuples in _runs(d, column_types)]
+    runs = [((fmt(a),), values) for a, values in _runs(d, column_types)]
     header = list(attrs_of(d.scheme)) + ["rank"]
     # A csv writer quotes a cell only for the characters of its line
     # terminator, and a "\r" left unquoted does not read back.  Text holding
     # one takes the "\r\n" writer through `_LfLines`; all other text takes
     # the plain writer, which writes the same bytes for it and spends about a
     # third less time (query-bulk, traced `table.write_csv.s`).
-    if _holds_cr(header + [rank for (rank,), _tuples in runs], columns, column_types):
+    if _holds_cr(header + [rank for (rank,), _values in runs], columns, column_types):
         writer = csv.writer(_LfLines(out), lineterminator="\r\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for rank, tuples in runs:
-        lines = (t._values + rank for t in tuples)
+    for rank, values in runs:
+        lines = (v + rank for v in values)
         writer.writerows(map(to_text, lines) if converted else lines)
 
 
@@ -775,7 +846,7 @@ def read_csv(
                 rank = ranks.get(text)
                 if rank is None:
                     rank = ranks[text] = parse_degree(text.strip())
-            rows[_make_tuple(names, values)] = rank
+            rows[values] = rank
     except csv.Error as exc:
         raise _malformed(reader, exc) from None
     if count - blank != len(rows):
