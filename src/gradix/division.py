@@ -98,12 +98,6 @@ def _times_inf(lat, w, residua):
     return lat.kotimes(w, lat.kinf(residua))
 
 
-def _bare_inf(lat, _top, residua):
-    """⋀ residua, for outer rows from a non-ranked universe: no `top ⊗`,
-    which is not exact on every float lattice."""
-    return lat.kinf(residua)
-
-
 def _residuum_infimum(outer: RankedDataTable, groups: dict, to_key, to_prefix, assemble,
                       score, combine) -> dict:
     """The residuum infimum shared by every graded division.
@@ -259,7 +253,7 @@ def div_gcodd(
     r_scheme = gcodd_scheme(d1.scheme, d2.scheme, universe.scheme)
     rows = _residuum_infimum(
         universe, {(): d2._rows.items()}, _one_group, _itself,
-        _merger(r_scheme, d2.scheme), d1._rows.get, _bare_inf,
+        _merger(r_scheme, d2.scheme), d1._rows.get, _times_inf,
     )
     return _table(r_scheme, lat, rows)
 
@@ -278,7 +272,7 @@ def div_gtodd(
     r_scheme, s_scheme, t_scheme = gtodd_roles(d1.scheme, d2.scheme, universe.scheme)
     rows = _residuum_infimum(
         universe, _grouped(d2, t_scheme, s_scheme), *_pickers(universe, t_scheme, r_scheme),
-        _merger(r_scheme, s_scheme), d1._rows.get, _bare_inf,
+        _merger(r_scheme, s_scheme), d1._rows.get, _times_inf,
     )
     return _table(universe.scheme, lat, rows)
 

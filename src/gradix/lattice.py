@@ -243,6 +243,11 @@ def _goedel_residuum(a, b):
 
 
 def _lukasiewicz_otimes(a, b):
+    # exact at the unit: a + 1.0 - 1.0 need not give a back in binary floats
+    if b == 1.0:
+        return a
+    if a == 1.0:
+        return b
     return max(a + b - 1.0, 0.0)
 
 

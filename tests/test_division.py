@@ -204,12 +204,14 @@ def test_div_gddo_boolean_vs_set_oracle(boolean):
 
 
 def test_weightless_divisions_take_the_bare_infimum(lukasiewicz):
-    """Compared with ==, not within the tolerance: on Łukasiewicz
-    1.0 ⊗ 0.1 = 0.10000000000000009, so a top ⊗ folded into the infimum of
-    GCODD or GTODD shows.  The ranged division's range degree is a ⊗ factor
-    by definition, so with range degree 1.0 it scores exactly 1.0 ⊗ 0.1."""
+    """Compared with ==, not within the tolerance: the top ⊗ that GCODD and
+    GTODD fold into the infimum of their non-ranked universe must leave it
+    exact, which holds because 1.0 is an exact unit of Łukasiewicz ⊗ (a
+    float sum 1.0 + 0.1 - 1.0 gives 0.10000000000000009).  The ranged
+    division's range degree is a ⊗ factor by definition, so with range
+    degree 1.0 it scores exactly 1.0 ⊗ 0.1."""
     lat = lukasiewicz
-    assert lat.kotimes(1.0, 0.1) != 0.1
+    assert lat.kotimes(1.0, 0.1) == 0.1
     d1 = rdt(lat, {"A", "B"}, {(1, 1): 0.1})
     d2 = rdt(lat, {"B"}, {1: 1.0})
     univ = rdt(lat, {"A"}, {1: 1.0})

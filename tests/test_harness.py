@@ -197,3 +197,13 @@ def test_all_theorem_ids_run_briefly(godel):
         rep = run_theorem_suite(theorem_id, GenConfig(seed=2, lattice=godel), 5)
         assert rep.passed, rep.summary()
         assert rep.instances == 5
+
+
+def test_ptc_compiler_is_exact_where_a_join_pads_with_top(lukasiewicz):
+    """The batch of seed 219470408359473 failed at instance 15: the compiled
+    form's JOIN EADOM[...] padding multiplied degrees by top, a float sum
+    drifted by 2.2e-16 above 0, and NABLA turned that into 1."""
+    rep = run_theorem_suite("ptc-compiler", GenConfig(seed=219470408359473, lattice=lukasiewicz),
+                            20)
+    assert rep.passed, rep.summary()
+    assert rep.max_deviation == 0

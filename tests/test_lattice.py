@@ -102,6 +102,28 @@ def test_adjointness_floats(a, b, c):
             assert lat.otimes(a, b) <= c + DEGREE_TOL
 
 
+@given(st.floats(0, 1))
+@example(0.1)  # 1.0 + 0.1 - 1.0 is 0.10000000000000009
+@example(0.9500000000000001)
+def test_top_is_an_exact_unit_of_otimes(x):
+    """a ⊗ 1 = 1 ⊗ a = a with ==, not within the tolerance, on every
+    built-in lattice and every carrier member a."""
+    carrier, order, _ = _diamond_tables()
+    diamond = FiniteTableLattice(carrier, order, [("a", "a", "a"), ("a", "b", "0"),
+                                                  ("b", "b", "b")])
+    for lat in (make_lattice("boolean"), make_lattice("godel"), make_lattice("lukasiewicz"),
+                make_lattice("goguen"), FiniteChain(2), FiniteChain(5), FiniteChain(7), diamond):
+        if lat is diamond:
+            a = round(x * (diamond.size() - 1))
+        elif isinstance(lat, (BooleanLattice, FiniteChain)):
+            a = round(x * lat.top)
+        else:
+            a = lat.check(x)
+        assert lat.kotimes(a, lat.top) == a
+        assert lat.kotimes(lat.top, a) == a
+        assert lat.otimes(a, lat.top) == a
+
+
 def test_otimes_distributes_over_sup(any_lattice):
     lat = any_lattice
     rng = random.Random(99)
