@@ -18,6 +18,7 @@ literals, user-built tables); the table operators then run on the kernels.
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from typing import Iterable, Sequence
@@ -142,6 +143,13 @@ def _format_unit(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DegreeError(f"cannot parse rank {text!r}") from None
+
+
 class _ChainLattice(ResiduatedLattice):
     """Lattices whose degrees are totally ordered by Python's own order:
     ∧/∨ are min/max and ⋀ is a plain minimum."""
@@ -180,7 +188,7 @@ class BooleanLattice(_ChainLattice):
         return str(int(a))
 
     def parse_degree(self, text):
-        v = float(text)
+        v = _parse_float(text)
         if v in (0.0, 1.0):
             return int(v)
         raise DegreeError(f"boolean rank must be 0 or 1, got {text!r}")
@@ -225,11 +233,7 @@ class UnitIntervalLattice(_ChainLattice):
         return _format_unit(a)
 
     def parse_degree(self, text):
-        try:
-            v = float(text)
-        except ValueError:
-            raise DegreeError(f"cannot parse rank {text!r}") from None
-        return self.check(v)
+        return self.check(_parse_float(text))
 
     def __eq__(self, other):
         return type(other) is type(self)
@@ -319,13 +323,12 @@ class FiniteChain(_ChainLattice):
         return _format_unit(a / (self.n - 1))
 
     def parse_degree(self, text):
-        try:
-            v = float(text)
-        except ValueError:
-            raise DegreeError(f"cannot parse rank {text!r}") from None
-        k = round(v * (self.n - 1))
-        if 0 <= k <= self.n - 1 and abs(v - k / (self.n - 1)) <= DEGREE_TOL:
-            return k
+        v = _parse_float(text)
+        scaled = v * (self.n - 1)
+        if math.isfinite(scaled):  # round() raises on nan and inf
+            k = round(scaled)
+            if 0 <= k <= self.n - 1 and abs(v - k / (self.n - 1)) <= DEGREE_TOL:
+                return k
         raise DegreeError(f"{text!r} is not a level of the {self.n}-chain")
 
     def __eq__(self, other):

@@ -371,3 +371,63 @@ def test_any_script_bytes_end_in_exit_0_1_or_2(tmp_path, monkeypatch, script):
         code = main(["eval", "--lattice", "godel", "--script", "script.gx"])
     assert code in (EXIT_OK, EXIT_QUERY, EXIT_IO)
     assert "Traceback" not in err.getvalue()
+
+
+#: pieces of CSV text, as bytes: headers, cells and ranks, good and bad
+CSV_BYTES = st.lists(st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([
+        b"A", b"B", b"rank", b"A,rank\n", b"A,B,rank\n", b",", b"\n", b"\r\n", b"\"", b" ",
+        b"x", b"1", b"0", b"0.5", b"0.25", b"1.0", b"-0", b"abc", b"0.5x", b"nan", b"inf",
+        b"-inf", b"1e400", b"1e308", b"\x00", b"\xff", b"\xc3\xa9", b"\"a,b\"", b"\"\"",
+    ]),
+), max_size=24).map(b"".join)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["boolean", "godel", "lukasiewicz", "goguen", "chain:5"]), CSV_BYTES)
+@example("boolean", b"A,rank\nx,abc\n")
+@example("boolean", b"A,rank\nx,0.5x\n")
+@example("boolean", b"A,rank\nx,\n")
+@example("chain:5", b"A,rank\nx,nan\n")
+@example("chain:5", b"A,rank\nx,inf\n")
+@example("chain:5", b"A,rank\nx,1e308\n")
+def test_any_csv_bytes_end_in_exit_0_1_or_2(tmp_path, monkeypatch, spec, data):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.csv").write_bytes(data)
+    (tmp_path / "script.gx").write_text('LOAD R FROM "r.csv"\nEVAL R\n')
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--lattice", spec, "--script", "script.gx"])
+    assert code in (EXIT_OK, EXIT_QUERY, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
+
+
+#: pieces of lattice-file text, as bytes
+LATTICE_BYTES = st.lists(st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([
+        b"carrier 0 a 1\n", b"carrier", b"order", b"otimes", b"0", b"a", b"b", b"1", b" ",
+        b"\n", b"#", b"order 0 a\n", b"order a 1\n", b"otimes a a a\n", b"otimes a a 0\n",
+        b"\x00", b"\xff", b"\xc3\xa9",
+    ]),
+), max_size=20).map(b"".join)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(LATTICE_BYTES)
+@example(b"carrier 0 a 1\norder 0 a\norder a 1\notimes a a a\n")
+@example(b"carrier 0 a 1\norder a 0\n")
+@example(b"carrier\n")
+def test_any_lattice_file_bytes_end_in_exit_0_1_or_2(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l.lat").write_bytes(data)
+    (tmp_path / "r.csv").write_text("A,rank\nx,1\ny,a\n")
+    (tmp_path / "script.gx").write_text('LOAD R FROM "r.csv"\nEVAL NABLA(R)\n')
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--lattice", "table:l.lat", "--script", "script.gx"])
+    assert code in (EXIT_OK, EXIT_QUERY, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
