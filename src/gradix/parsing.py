@@ -25,8 +25,10 @@ The parser notes the name of every relation symbol it makes, so a script
 checks define-before-use without walking the expression; only an
 expression read from more than `MAX_DEPTH` tokens is folded for depth.
 A calculus primary is tried as an atom before it is read as a group, but
-a group whose matching closer no `(` follows cannot be an atom, so nested
-groups are read once.  Number literals must be finite.
+a group whose matching closer no `(` follows cannot be an atom, and no
+atom is tried where an algebra primary has failed to read, so nested
+groups are read a bounded number of times.  A primary that can only be an
+atom reports the atom reading's error.  Number literals must be finite.
 """
 
 from __future__ import annotations
@@ -177,6 +179,7 @@ class _Parser:
         self.symbols: list[str] = []  # the name of every RelSym made, in order
         self.defined: set[str] = set()  # table names a script has bound so far
         self.closers: dict | None = None  # token index of each opener → of its closer
+        self.no_atom: dict[int, ParseError] = {}  # token index → why an atom there fails
 
     # -- machinery --------------------------------------------------------
 
@@ -249,7 +252,8 @@ class _Parser:
             left = node(left, self.ra_primary())
 
     def ra_primary(self):
-        tok = self.toks[self.pos]
+        start = self.pos
+        tok = self.toks[start]
         if tok.kind == "IDENT":
             self.pos += 1
             self.symbols.append(tok.text)
@@ -259,7 +263,12 @@ class _Parser:
             raise ParseError(f"expected an algebra expression, found {tok.text or tok.kind!r}",
                              tok.line, tok.col)
         self.pos += 1
-        return rule(self)
+        try:
+            return rule(self)
+        except ParseError as exc:
+            # an atom read from `start` fails alike, whatever reads it
+            self.no_atom.setdefault(start, exc)
+            raise
 
     # each production below starts after its first token
 
@@ -358,22 +367,29 @@ class _Parser:
         # reading of NABLA/DELTA/(...); variable resolution happens only once
         # the shape is settled so undeclared-variable errors surface properly
         group = word == "NABLA" or word == "DELTA"
-        if self._may_be_atom(self.pos + group):
-            save, made = self.pos, len(self.symbols)
+        start = self.pos
+        failure = self.no_atom.get(start)
+        if failure is None and self._may_be_atom(start + group):
+            made = len(self.symbols)
             try:
                 expr = self.ra_primary()
                 self.expect("(")
                 names = [] if self.at(")") else self.names()
                 self.expect(")")
-            except ParseError:
-                self.pos = save
+            except ParseError as exc:
+                self.pos = start
                 del self.symbols[made:]
+                failure = exc
             else:
                 return pc.Atom(expr, self._resolve_vars(names))
         if group:
             self.pos += 1
             return (pc.PtcNabla if word == "NABLA" else pc.PtcDelta)(self._ptc_group())
         if tok.kind != "(":
+            # no calculus reading starts here, so the atom reading's error
+            # tells why, unless that reading could not start either
+            if (failure.line, failure.column) != (tok.line, tok.col):
+                raise failure
             raise ParseError(f"expected a calculus expression, found {tok.text or tok.kind!r}",
                              tok.line, tok.col)
         return self._ptc_group()

@@ -262,8 +262,8 @@ def test_compiled_text_evaluates_like_the_calculus(tmp_path):
 
 @pytest.mark.parametrize("script, message", [
     ("EVAL [A: 1e400]\n", "script.gx:1:10: number '1e400' is not finite"),
-    # a calculus primary that fails to read as an atom is read as a calculus group
-    ("VAR a : {A}\nCOMPILE [A: 1e400](a)\n", "script.gx:2:9: expected a calculus expression"),
+    # a calculus primary that only an atom can be reports the atom's own error
+    ("VAR a : {A}\nCOMPILE [A: 1e400](a)\n", "script.gx:2:13: number '1e400' is not finite"),
 ])
 def test_non_finite_number_literal_is_a_query_error(tmp_path, capsys, script, message):
     # a literal too large for a float once read as inf, and COMPILE printed

@@ -260,6 +260,43 @@ def test_nested_calculus_groups_are_read_once(monkeypatch, opener):
     assert len(calls) <= 2 * 100
 
 
+@pytest.mark.parametrize("opener", ["NABLA(", "DELTA(", "("])
+def test_groups_an_atom_may_follow_are_read_a_bounded_number_of_times(monkeypatch, opener):
+    # where `(` follows every closer the lookahead lets each level through;
+    # a level whose algebra reading failed once is not read as an atom again
+    calls = []
+    primary = parsing._Parser.ra_primary
+
+    def counting(self):
+        calls.append(self.pos)
+        return primary(self)
+
+    monkeypatch.setattr(parsing._Parser, "ra_primary", counting)
+    counts = {}
+    for n in (25, 50, 100, 190):
+        calls.clear()
+        with pytest.raises(ParseError, match="expected '\\)', found '\\('"):
+            parse_ptc(opener * n + "P(s)" + ")(s)" * n, VARS, SYMS)
+        counts[n] = len(calls)
+    assert all(count <= n + 2 for n, count in counts.items()), counts
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[A: 1e400](s)", "1:5: number '1e400' is not finite"),
+    ("SP", "1:3: expected '(', found 'EOF'"),
+    ("SP(r) & P s", "1:11: expected '(', found 's'"),
+    ("PROJECT[P(SP)(s)", "1:10: expected ']', found '('"),
+    ("NABLA(P)(s", "1:8: expected '(', found ')'"),
+    # an atom reading that cannot start keeps the calculus message
+    ("& P(s)", "1:1: expected a calculus expression, found '&'"),
+    ("(BY)", "1:2: expected a calculus expression, found 'BY'"),
+])
+def test_a_primary_only_an_atom_can_be_reports_the_atom_error(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_ptc(text, VARS, SYMS)
+    assert str(exc.value) == message
+
+
 def test_non_finite_number_literals_are_parse_errors():
     for text, col in (("[A: 1e400]", 5), ("DEE(-1e999)", 5), ("EADOM[A; A: 2E+308]", 13)):
         with pytest.raises(ParseError, match="is not finite") as exc:
