@@ -39,6 +39,10 @@ def assert_trusted_invariant(out):
         assert not lat.is_bottom(d), (t, d)
         assert lat.check(d) == d
         assert t.scheme == out.scheme
+    # inside the engine rows are keyed by plain value tuples on the scheme
+    width = len(out.scheme)
+    for values in out._rows:
+        assert type(values) is tuple and len(values) == width, values
     assert gx.RankedDataTable(out.scheme, lat, out.rows) == out
 
 
@@ -118,6 +122,50 @@ def test_operator_pipeline_never_calls_check(monkeypatch, godel):
     # the counter does see the validating entry points
     godel.otimes(0.5, 0.5)
     assert len(calls) == 2
+
+
+def test_operator_pipeline_builds_no_tuple(monkeypatch, godel):
+    """LOAD, JOIN, PROJECT, every division and write_csv run on value
+    tuples: no `Tuple` is constructed, by its constructor or the trusted
+    `_make_tuple`."""
+    made = []
+    init, make = tb.Tuple.__init__, tb._make_tuple
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    def counting_make(names, values):
+        made.append(values)
+        return make(names, values)
+
+    monkeypatch.setattr(tb.Tuple, "__init__", counting_init)
+    monkeypatch.setattr(tb, "_make_tuple", counting_make)
+    reg = gx.AttributeRegistry()
+
+    def load(text):
+        return gx.read_csv(text, godel, reg)
+
+    sp = load("S,P,rank\ns1,p1,0.9\ns1,p2,0.7\ns2,p1,0.4\ns2,p2,1\n")
+    pc = load("P,C,rank\np1,c1,0.8\np2,c2,0.6\np2,c1,0.3\n")
+    divisor = load("C,rank\nc1,0.5\nc2,0.5\n")
+    s, c = load("S\ns1\ns2\n"), load("C\nc1\nc2\n")
+    joined = tb.natural_join(sp, pc)
+    projected = tb.projection(joined, sch("S", "C"))
+    results = [
+        joined, projected,
+        dv.div_ranged(projected, divisor, tb.projection(projected, sch("S"))),
+        dv.div_gsdo(tb.projection(projected, sch("S")), divisor, projected),
+        dv.div_gsd(tb.projection(sp, sch("S")), pc, projected),
+        dv.div_gcodd(projected, divisor, s),
+        dv.div_gtodd(sp, pc, tb.natural_join(s, c)),
+        dv.div_ggdo(s, c, sp, pc),
+        dv.div_gddo(s, c, sp, pc),
+    ]
+    texts = [tb.table_to_csv(out) for out in results]
+    assert made == []
+    assert all(len(out) for out in results)
+    assert texts[2] == "S,rank\ns1,0.8\ns2,0.4\n"
 
 
 def test_validating_entry_points_still_reject(godel):

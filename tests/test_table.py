@@ -350,3 +350,51 @@ def test_tuple_pickles_into_a_process_that_never_saw_its_scheme(monkeypatch):
     loaded = pickle.loads(data)
     assert loaded.scheme == sch("A", "B")
     assert loaded == Tuple({"A": 1, "B": "x"})
+
+
+# -- the read-only rows view ----------------------------------------------------
+
+
+def test_rows_is_a_read_only_view(godel):
+    d = rdt(godel, {"A", "B"}, {(1, "x"): 0.5, (2, "y"): 1.0})
+    t = tup({"A", "B"}, 1, "x")
+    with pytest.raises(TypeError):
+        d.rows[t] = 0.0
+    with pytest.raises(TypeError):
+        d.rows[tup({"C"}, 1)] = 0.5
+    assert not hasattr(d.rows, "update") and not hasattr(d.rows, "pop")
+    assert d.rows == {t: 0.5, tup({"A", "B"}, 2, "y"): 1.0}
+    assert len(d.rows) == 2 and list(d.rows) == [t, tup({"A", "B"}, 2, "y")]
+    assert list(d.rows.items()) == list(d) == [(t, 0.5), (tup({"A", "B"}, 2, "y"), 1.0)]
+    assert list(d.rows.values()) == [0.5, 1.0]
+    assert d.rows[t] == 0.5
+    assert repr(d.rows) == "{⟨A: 1, B: 'x'⟩: 0.5, ⟨A: 2, B: 'y'⟩: 1.0}"
+
+
+def test_rows_view_finds_nothing_off_the_scheme(godel):
+    d = rdt(godel, {"A"}, {1: 0.5})
+    for probe in (tup({"B"}, 1), tup({"A", "B"}, 1, 1), (1,), 1, "A", None):
+        assert d.score(probe) == godel.bottom
+        assert d.rows.get(probe) is None
+        assert probe not in d.rows
+        with pytest.raises(KeyError):
+            d.rows[probe]
+    assert d.rows.get(tup({"B"}, 1), "none") == "none"
+
+
+def test_rows_view_finds_equal_values(godel):
+    d = rdt(godel, {"A"}, {1.0: 0.5})
+    assert d.score(Tuple({"A": 1})) == 0.5
+    assert d.rows.get(Tuple({"A": 1})) == 0.5
+    assert Tuple({"A": 1}) in d.rows and Tuple({"A": 1}) in d.support()
+
+
+def test_table_survives_pickling(godel, chain5):
+    import pickle
+
+    for table in (rdt(godel, {"A", "B"}, {(1, "x"): 0.5, (2, "y"): 1.0}),
+                  rdt(chain5, {"A"}, {1: 3}), gx.dee(godel, 0.25), gx.empty(godel, sch("A"))):
+        back = pickle.loads(pickle.dumps(table))
+        assert back == table and hash(back) == hash(table)
+        assert back.rows == table.rows and back.scheme == table.scheme
+        assert gx.table_to_csv(back) == gx.table_to_csv(table)
