@@ -327,9 +327,7 @@ class RankedDataTable:
         return RowsView(attrs_of(self.scheme), self._rows)
 
     def score(self, t: Tuple):
-        if isinstance(t, Tuple) and t._attrs == attrs_of(self.scheme):
-            return self._rows.get(t._values, self.lattice.bottom)
-        return self.lattice.bottom
+        return self.rows.get(t, self.lattice.bottom)
 
     def support(self):
         return self.rows.keys()
