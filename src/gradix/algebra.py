@@ -1,21 +1,22 @@
 """Relational-algebra expressions: AST, static scheme inference, evaluation
 against a database instance, and extended-active-domain machinery.
 
-The AST nodes are frozen, hashable values.  Every traversal of them, here
-and in the calculus, is a `fold`: one iterative post-order over the
-distinct nodes that applies a per-node rule to the children's results, so
-it takes an expression of any depth and costs each shared subtree once.
-The evaluator numbers nodes by structure and evaluates each number once.
-The core node set keeps the ranged division, the residuum-with-range, and
-the EADOM table source; the remaining divisions are sugar nodes evaluated
-through the division module.
+Every AST node, of the algebra, the calculus and the scripts, is a `Node`:
+a frozen, hashable value with the semantics of a frozen dataclass.  Every
+traversal of them, here and in the calculus, is a `fold`: one iterative
+post-order over the distinct nodes that applies a per-node rule to the
+children's results, so it takes an expression of any depth and costs each
+shared subtree once.  A `_Numbering` numbers nodes by structure; the
+evaluator is one that evaluates each number once, and `==`, `hash` and
+pickling read a numbering's flat encoding.  The core node set keeps the
+ranged division, the residuum-with-range, and the EADOM table source; the
+remaining divisions are sugar nodes evaluated through the division module.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping
 
 from . import division as dv
@@ -24,187 +25,7 @@ from .errors import SchemeError, UnboundSymbolError
 from .table import DatabaseInstance, RankedDataTable, Scheme
 
 
-@dataclass(frozen=True)
-class RelSym:
-    """Relation symbol; the scheme is carried so scheme inference needs no
-    instance.  A parser may leave it None and resolve later."""
-
-    name: str
-    scheme: Scheme | None = None
-
-
-@dataclass(frozen=True)
-class DeeConst:
-    """Table on the empty scheme scoring the empty tuple with a literal.
-
-    The literal is written like a CSV rank: a number in [0, 1] (snapped to
-    chain levels on finite chains) or a carrier label string.
-    """
-
-    degree: object
-
-
-@dataclass(frozen=True)
-class Singleton:
-    """One attribute, one value, score 1; the only way an expression can
-    introduce a value that is absent from the database."""
-
-    attribute: str
-    value: object
-
-
-@dataclass(frozen=True)
-class Union:
-    left: "RaExpr"
-    right: "RaExpr"
-
-
-@dataclass(frozen=True)
-class Intersection:
-    left: "RaExpr"
-    right: "RaExpr"
-
-
-@dataclass(frozen=True)
-class NaturalJoin:
-    left: "RaExpr"
-    right: "RaExpr"
-
-
-@dataclass(frozen=True)
-class Projection:
-    scheme: Scheme
-    child: "RaExpr"
-
-
-@dataclass(frozen=True)
-class Nabla:
-    child: "RaExpr"
-
-
-@dataclass(frozen=True)
-class Delta:
-    child: "RaExpr"
-
-
-@dataclass(frozen=True)
-class ResiduumRange:
-    left: "RaExpr"
-    right: "RaExpr"
-    rng: "RaExpr"
-
-
-@dataclass(frozen=True)
-class DivRanged:
-    dividend: "RaExpr"
-    divisor: "RaExpr"
-    rng: "RaExpr"
-
-
-@dataclass(frozen=True)
-class EadomExpr:
-    """Extended active domain of the whole instance over a scheme, extended
-    with any constants baked in (the calculus compiler adds the singleton
-    constants of the expression being compiled)."""
-
-    scheme: Scheme
-    constants: frozenset = field(default_factory=frozenset)
-
-
-# -- sugar nodes -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Semijoin:
-    left: "RaExpr"
-    right: "RaExpr"
-
-
-@dataclass(frozen=True)
-class GradedDifference:
-    left: "RaExpr"
-    right: "RaExpr"
-
-
-@dataclass(frozen=True)
-class Semidifference:
-    left: "RaExpr"
-    right: "RaExpr"
-
-
-@dataclass(frozen=True)
-class GSDO:
-    dividend: "RaExpr"
-    divisor: "RaExpr"
-    mediator: "RaExpr"
-
-
-@dataclass(frozen=True)
-class GSD:
-    dividend: "RaExpr"
-    divisor: "RaExpr"
-    mediator: "RaExpr"
-
-
-@dataclass(frozen=True)
-class GGDO:
-    dividend: "RaExpr"
-    divisor: "RaExpr"
-    mediator1: "RaExpr"
-    mediator2: "RaExpr"
-
-
-@dataclass(frozen=True)
-class GDDO:
-    dividend: "RaExpr"
-    divisor: "RaExpr"
-    mediator1: "RaExpr"
-    mediator2: "RaExpr"
-
-
-@dataclass(frozen=True)
-class GCodd:
-    dividend: "RaExpr"
-    divisor: "RaExpr"
-    universe: "RaExpr"
-
-
-@dataclass(frozen=True)
-class GTodd:
-    dividend: "RaExpr"
-    divisor: "RaExpr"
-    universe: "RaExpr"
-
-
-RaExpr = (
-    RelSym | DeeConst | Singleton | Union | Intersection | NaturalJoin
-    | Projection | Nabla | Delta | ResiduumRange | DivRanged | EadomExpr
-    | Semijoin | GradedDifference | Semidifference
-    | GSDO | GSD | GGDO | GDDO | GCodd | GTodd
-)
-
-
-def _fail(node, message: str):
-    raise SchemeError(f"{type(node).__name__}: {message}")
-
-
-# -- traversal -------------------------------------------------------------
-
-
-class _Shapes(dict):
-    """node class → (child field names, child getter, class-and-scalars
-    getter), read once from the class's dataclass fields: a field annotated
-    with an expression type (`RaExpr`, `PtcExpr`) holds a child, any other
-    field a scalar."""
-
-    def __missing__(self, cls):
-        kids = tuple(f.name for f in fields(cls) if "Expr" in f.type)
-        scalars = tuple(f.name for f in fields(cls) if f.name not in kids)
-        shape = self[cls] = (kids, _getter(kids), operator.attrgetter("__class__", *scalars))
-        return shape
-
-
-_SHAPES = _Shapes()
+# -- nodes and traversal ---------------------------------------------------
 
 
 def _getter(names: tuple):
@@ -215,10 +36,122 @@ def _getter(names: tuple):
     return operator.attrgetter(*names) if names else lambda node: ()
 
 
+class Node:
+    """An immutable expression node.  A subclass lists its fields in
+    `__slots__`, in constructor order, the child fields in `_kids` and the
+    values of its trailing fields in `_defaults`.  A node without children
+    compares and hashes on its fields; one with children through a
+    `_Numbering`, and none of `==`, `hash`, `repr` and pickling recurses."""
+
+    __slots__ = ()
+    _kids = _defaults = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields, kids = cls.__slots__, cls._kids
+        scalars = tuple(name for name in fields if name not in kids)
+        cls.__match_args__, cls.__init__ = fields, _init(cls, fields)
+        cls._fields_of, cls._kids_of, cls._scalars_of = map(
+            staticmethod, map(_getter, (fields, kids, scalars)))
+        cls._key = staticmethod(operator.attrgetter("__class__", *scalars))
+        cls._build_setters = tuple(getattr(cls, name).__set__ for name in scalars + kids)
+        if not kids:  # compared and hashed on its fields, as a dataclass is
+            get = cls._fields_of
+            cls.__eq__ = lambda self, other: (get(self) == get(other) if other.__class__
+                                              is self.__class__ else NotImplemented)
+            cls.__hash__ = lambda self: hash(get(self))
+
+    @classmethod
+    def _build(cls, scalars, kids):
+        """The node with these fields, set without `__init__`."""
+        node = object.__new__(cls)
+        for put, value in zip(cls._build_setters, (*scalars, *kids)):
+            put(node, value)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _encoding(self) == _encoding(other)
+
+    def __hash__(self):
+        return hash(_encoding(self))
+
+    def __reduce__(self):
+        if not self._kids:
+            return type(self), self._fields_of(self)
+        return _rebuild, (_encoding(self),)
+
+    def __repr__(self):
+        return _rope_text(fold(self, _repr_rule)[id(self)])
+
+
+def _init(cls, fields: tuple):
+    """`cls.__init__`: it takes the fields as parameters, the trailing ones
+    defaulting to `cls._defaults`, sets each through its slot, and then
+    calls the class's `__post_init__`, where it has one."""
+    space = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in fields)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    exec(f"def __init__(self, {', '.join(fields)}):\n{body}", space)
+    init = space["__init__"]
+    init.__defaults__, init.__qualname__ = cls._defaults or None, f"{cls.__qualname__}.__init__"
+    return init
+
+
+def _repr_rule(node: Node, *below):
+    """The repr of one node as a rope, from its children's ropes `below`."""
+    kids = dict(zip(node._kids, below))
+    fields = [(", ", f"{name}=", kids[name] if name in kids else repr(getattr(node, name)))
+              for name in node.__slots__]
+    return (f"{type(node).__qualname__}(", fields[0][1:], *fields[1:], ")")
+
+
+class _Numbering:
+    """Numbers nodes by structure, children first: a number stands for a
+    class, its scalar fields and its children's numbers."""
+
+    def __init__(self):
+        self.numbers: dict = {}  # (class and scalars, children's numbers) → number
+        self.nodes: list = []  # number → (node, children's numbers)
+
+    def number(self, node: Node, *nums) -> int:
+        """The number of one node, from its children's numbers."""
+        key = (type(node)._key(node), *nums)
+        n = self.numbers.get(key)
+        if n is None:
+            n = self.numbers[key] = len(self.nodes)
+            self.nodes.append((node, nums))
+        return n
+
+
+def _encoding(root: Node) -> tuple:
+    """The keys of a numbering of `root`, made children first."""
+    numbering = _Numbering()
+    fold(root, numbering.number)
+    return tuple(numbering.numbers)
+
+
+def _rebuild(encoding: tuple) -> Node:
+    """The node whose `_encoding` is `encoding`."""
+    made: list = []
+    for head, *nums in encoding:
+        cls, *scalars = head if type(head) is tuple else (head,)
+        made.append(cls._build(scalars, [made[i] for i in nums]))
+    return made[-1]
+
+
 def children(node) -> tuple:
     """The subexpressions of an algebra or calculus node, in field order; a
     calculus atom's one child is its algebra expression."""
-    return _SHAPES[type(node)][1](node)
+    return type(node)._kids_of(node)
 
 
 def fold(root, rule, kids=None) -> dict:
@@ -236,7 +169,10 @@ def fold(root, rule, kids=None) -> dict:
             node, below = node
             done[id(node)] = rule(node, *map(get, map(id, below)))
         elif id(node) not in done:
-            below = kids(node) if kids else _SHAPES[type(node)][1](node)
+            try:
+                below = kids(node) if kids else type(node)._kids_of(node)
+            except AttributeError:
+                raise TypeError(f"not an expression node: {type(node).__name__}") from None
             if below:
                 push((node, below))
                 stack.extend(reversed(below))
@@ -251,13 +187,130 @@ def walk(expr, kids=None) -> list:
     return list(fold(expr, lambda node, *_: node, kids).values())
 
 
-def _with_children(node, below: tuple):
+def _with_children(node: Node, below: tuple) -> Node:
     """`node` with its children replaced by `below`; `node` itself when
     they are the same objects."""
-    kids, get_kids, _ = _SHAPES[type(node)]
-    if all(map(operator.is_, get_kids(node), below)):
+    cls = type(node)
+    if all(map(operator.is_, cls._kids_of(node), below)):
         return node
-    return replace(node, **dict(zip(kids, below)))
+    return cls._build(cls._scalars_of(node), below)
+
+
+class RelSym(Node):
+    """Relation symbol; the scheme is carried so scheme inference needs no
+    instance.  A parser may leave it None and resolve later."""
+
+    __slots__ = ("name", "scheme")
+    _defaults = (None,)
+
+
+class DeeConst(Node):
+    """Table on the empty scheme scoring the empty tuple with a literal.
+
+    The literal is written like a CSV rank: a number in [0, 1] (snapped to
+    chain levels on finite chains) or a carrier label string.
+    """
+
+    __slots__ = ("degree",)
+
+
+class Singleton(Node):
+    """One attribute, one value, score 1; the only way an expression can
+    introduce a value that is absent from the database."""
+
+    __slots__ = ("attribute", "value")
+
+
+class Union(Node):
+    __slots__ = _kids = ("left", "right")
+
+
+class Intersection(Node):
+    __slots__ = _kids = ("left", "right")
+
+
+class NaturalJoin(Node):
+    __slots__ = _kids = ("left", "right")
+
+
+class Projection(Node):
+    __slots__ = ("scheme", "child")
+    _kids = ("child",)
+
+
+class Nabla(Node):
+    __slots__ = _kids = ("child",)
+
+
+class Delta(Node):
+    __slots__ = _kids = ("child",)
+
+
+class ResiduumRange(Node):
+    __slots__ = _kids = ("left", "right", "rng")
+
+
+class DivRanged(Node):
+    __slots__ = _kids = ("dividend", "divisor", "rng")
+
+
+class EadomExpr(Node):
+    """Extended active domain of the whole instance over a scheme, extended
+    with any constants baked in (the calculus compiler adds the singleton
+    constants of the expression being compiled)."""
+
+    __slots__ = ("scheme", "constants")
+    _defaults = (frozenset(),)
+
+
+# -- sugar nodes -----------------------------------------------------------
+
+
+class Semijoin(Node):
+    __slots__ = _kids = ("left", "right")
+
+
+class GradedDifference(Node):
+    __slots__ = _kids = ("left", "right")
+
+
+class Semidifference(Node):
+    __slots__ = _kids = ("left", "right")
+
+
+class GSDO(Node):
+    __slots__ = _kids = ("dividend", "divisor", "mediator")
+
+
+class GSD(Node):
+    __slots__ = _kids = ("dividend", "divisor", "mediator")
+
+
+class GGDO(Node):
+    __slots__ = _kids = ("dividend", "divisor", "mediator1", "mediator2")
+
+
+class GDDO(Node):
+    __slots__ = _kids = ("dividend", "divisor", "mediator1", "mediator2")
+
+
+class GCodd(Node):
+    __slots__ = _kids = ("dividend", "divisor", "universe")
+
+
+class GTodd(Node):
+    __slots__ = _kids = ("dividend", "divisor", "universe")
+
+
+RaExpr = (
+    RelSym | DeeConst | Singleton | Union | Intersection | NaturalJoin | Projection | Nabla
+    | Delta | ResiduumRange | DivRanged | EadomExpr | Semijoin | GradedDifference
+    | Semidifference | GSDO | GSD | GGDO | GDDO | GCodd | GTodd
+)
+
+
+def _fail(node, message: str):
+    raise SchemeError(f"{type(node).__name__}: {message}")
 
 
 def scheme_of(expr: RaExpr) -> Scheme:
@@ -423,16 +476,14 @@ def eadom_ra_expr(
 # -- evaluation ------------------------------------------------------------
 
 
-class _Evaluator:
+class _Evaluator(_Numbering):
     """Evaluates expressions against one instance, each equal subexpression
-    once: a node's number stands for its class, scalar fields and children's
-    numbers, children first, and a number's table is computed when first
-    asked for.  No node is hashed, so a shared subtree costs its size once."""
+    once: a number's table is computed when first asked for.  No node is
+    hashed, so a shared subtree costs its size once."""
 
     def __init__(self, instance: DatabaseInstance):
+        super().__init__()
         self.instance = instance
-        self.numbers: dict = {}  # (class and scalars, children's numbers) → number
-        self.nodes: list = []  # number → (node, children's numbers)
         self.tables: list = []  # number → table, for the numbers evaluated so far
         self._eadom_cache: dict = {}
 
@@ -441,15 +492,6 @@ class _Evaluator:
         if key not in self._eadom_cache:
             self._eadom_cache[key] = eadom(self.instance, scheme, constants)
         return self._eadom_cache[key]
-
-    def number(self, node: RaExpr, *nums) -> int:
-        """The number of one node, from its children's numbers."""
-        key = (_SHAPES[type(node)][2](node), *nums)
-        n = self.numbers.get(key)
-        if n is None:
-            n = self.numbers[key] = len(self.nodes)
-            self.nodes.append((node, nums))
-        return n
 
     def table(self, n: int) -> RankedDataTable:
         """The table of number n, evaluating first every smaller number not
@@ -474,41 +516,24 @@ class _Evaluator:
                 return tb._table(frozenset({attr}), lat, {(value,): lat.top})
             case EadomExpr(scheme, constants):
                 return self.eadom_table(scheme, constants)
-            case Union():
-                return tb.union(*t)
-            case Intersection():
-                return tb.intersection(*t)
-            case NaturalJoin():
-                return tb.natural_join(*t)
             case Projection(scheme):
                 return tb.projection(*t, scheme)
-            case Nabla():
-                return tb.nabla(*t)
-            case Delta():
-                return tb.delta(*t)
-            case ResiduumRange():
-                return tb.residuum_with_range(*t)
-            case DivRanged():
-                return dv.div_ranged(*t)
-            case Semijoin():
-                return tb.semijoin(*t)
-            case GradedDifference():
-                return tb.difference_graded(*t)
-            case Semidifference():
-                return dv.semidifference(*t)
-            case GSDO():
-                return dv.div_gsdo(*t)
-            case GSD():
-                return dv.div_gsd(*t)
-            case GGDO():
-                return dv.div_ggdo(*t)
-            case GDDO():
-                return dv.div_gddo(*t)
-            case GCodd():
-                return dv.div_gcodd(*t)
-            case GTodd():
-                return dv.div_gtodd(*t)
-        raise TypeError(f"not an RA expression: {type(expr).__name__}")
+        op = _OPERATORS.get(type(expr))
+        if op is None:
+            raise TypeError(f"not an RA expression: {type(expr).__name__}")
+        return getattr(*op)(*t)
+
+
+#: node class → (module, name) of the function that evaluates it on its
+#: children's tables, looked up at each call, so a profiler may rebind it
+_OPERATORS = {
+    Union: (tb, "union"), Intersection: (tb, "intersection"), NaturalJoin: (tb, "natural_join"),
+    Nabla: (tb, "nabla"), Delta: (tb, "delta"), ResiduumRange: (tb, "residuum_with_range"),
+    Semijoin: (tb, "semijoin"), GradedDifference: (tb, "difference_graded"),
+    DivRanged: (dv, "div_ranged"), Semidifference: (dv, "semidifference"),
+    GSDO: (dv, "div_gsdo"), GSD: (dv, "div_gsd"), GGDO: (dv, "div_ggdo"),
+    GDDO: (dv, "div_gddo"), GCodd: (dv, "div_gcodd"), GTodd: (dv, "div_gtodd"),
+}
 
 
 def _coerce_degree(lat, raw):

@@ -21,8 +21,6 @@ from . import algebra as ra
 from . import parsing
 from . import ptc as pc
 from .errors import GradixError, ParseError, TypeRegistryError
-from .harness.gen import GenConfig
-from .harness.suites import BOOLEAN_SUITES, THEOREM_IDS, run_theorem_suite
 from .lattice import ResiduatedLattice, lattice_from_spec, make_lattice
 from .table import (
     AttributeRegistry,
@@ -189,6 +187,10 @@ def _default_seed() -> int:
 
 
 def _cmd_check(args) -> int:
+    # only `check` needs the harness, so `eval` does not import it
+    from .harness.gen import GenConfig
+    from .harness.suites import BOOLEAN_SUITES, THEOREM_IDS, run_theorem_suite
+
     if args.suite not in THEOREM_IDS:
         print(f"gradix: unknown suite {args.suite!r}; known: {', '.join(THEOREM_IDS)}",
               file=sys.stderr)
@@ -204,6 +206,14 @@ def _cmd_check(args) -> int:
     report = run_theorem_suite(args.suite, config, args.n)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_QUERY
+
+
+def count(text: str) -> int:
+    """A whole number of at least 1; argparse makes anything else a usage error."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_check = sub.add_parser("check", help="run a theorem suite")
-    p_check.add_argument("--suite", required=True, help=", ".join(THEOREM_IDS))
+    p_check.add_argument("--suite", required=True, help="suite id; an unknown one lists them all")
     p_check.add_argument("--lattice", help="lattice for graded suites (default godel)")
     p_check.add_argument("--seed", type=int, help="suite seed (falls back to GRADIX_SEED)")
-    p_check.add_argument("--n", type=int, help="instances to test")
+    p_check.add_argument("--n", type=count, help="instances to test, at least 1")
     p_check.set_defaults(func=_cmd_check)
     return parser
 

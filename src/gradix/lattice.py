@@ -570,10 +570,18 @@ def make_lattice(kind: str, **params) -> ResiduatedLattice:
     if k == "goguen":
         return GoguenLattice()
     if kind.lower() in ("finite_chain", "chain"):
-        return FiniteChain(params["n"])
+        return FiniteChain(*_params(kind, params, "n"))
     if kind.lower() in ("finite_table", "table"):
-        return FiniteTableLattice(params["carrier"], params["order"], params["otimes"])
+        return FiniteTableLattice(*_params(kind, params, "carrier", "order", "otimes"))
     raise LatticeError(f"unknown lattice kind {kind!r}")
+
+
+def _params(kind: str, params: dict, *names: str) -> list:
+    """The values of the parameters `names` of a lattice kind, in order."""
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise LatticeError(f"lattice kind {kind!r} needs {', '.join(map(repr, missing))}")
+    return [params[name] for name in names]
 
 
 def load_lattice_file(path) -> FiniteTableLattice:

@@ -22,8 +22,8 @@ operators are read as the printer writes them: each template of
 `algebra._SYNTAX` gives an infix keyword or an `operator` production,
 which expects the template's tokens and reads an expression at each `{}`.
 The parser notes the name of every relation symbol it makes, so a script
-checks define-before-use without walking the expression; only an
-expression read from more than `MAX_DEPTH` tokens is folded for depth.
+checks define-before-use without walking the expression.  Only brackets
+make the parser recurse, and `MAX_DEPTH` limits only them.
 A calculus primary is tried as an atom before it is read as a group, but
 a group whose matching closer no `(` follows cannot be an atom, and no
 atom is tried where an algebra primary has failed to read, so nested
@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from . import algebra as ra
@@ -52,13 +51,11 @@ KEYWORDS = {
     "TO", "SCHEME",
 }
 
-#: Deepest nesting an expression may have: brackets inside brackets, and
-#: operator levels on any path from the root of the parsed expression down
-#: to a relation symbol or constant.  The parser recurses once per bracket,
-#: and `==`, `hash`, `repr` and pickling of the AST it returns recurse once
-#: per level, so a deeper expression would exhaust Python's stack; the
-#: parser raises `ParseError` instead.  The engine's own traversals are
-#: iterative: an AST built through the API is evaluated at any depth.
+#: Deepest nesting of brackets inside brackets.  The parser recurses once
+#: per bracket, so deeper brackets would exhaust Python's stack; the
+#: tokenizer raises `ParseError` instead.  Nothing else limits depth: an
+#: infix chain is read in a loop, and the AST of any depth is folded,
+#: compared, hashed, printed and pickled without recursion.
 MAX_DEPTH = 200
 
 
@@ -226,18 +223,6 @@ class _Parser:
         self.pos += 1
         return tok.text if tok.kind == "STRING" else _number(tok)
 
-    def expression(self, parse):
-        """One top-level expression read by `parse`, within `MAX_DEPTH`."""
-        start = self.pos
-        tok = self.toks[start]
-        expr = parse()
-        # every node owns at least one token of its own, so an expression
-        # read from at most MAX_DEPTH tokens is no deeper than that
-        if self.pos - start > MAX_DEPTH and _depth(expr) > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
-                             tok.line, tok.col)
-        return expr
-
     # -- relational algebra -------------------------------------------------
 
     def ra_expr(self):
@@ -396,7 +381,11 @@ class _Parser:
 
     def _may_be_atom(self, opener: int) -> bool:
         """False where the token at `opener` is `(` and no `(` follows its
-        matching closer, where any algebra primary opened there ends."""
+        matching closer, where any algebra primary opened there ends.  The
+        `no_atom` memo does not replace this: it holds only readings that
+        failed, and in a nest like `((P))` each level reads as algebra, so
+        without this test every level would be read again below each level
+        above it."""
         if self.toks[opener].kind != "(":
             return True
         if self.closers is None:  # built once per parse, when first needed
@@ -430,7 +419,7 @@ class _Parser:
     def defined_expression(self, parse, line: int):
         """One top-level expression whose relation symbols are all defined."""
         self.symbols.clear()
-        expr = self.expression(parse)
+        expr = parse()
         undefined = set(self.symbols).difference(self.defined)
         if undefined:
             raise ParseError(f"relation symbol {min(undefined)!r} used before definition",
@@ -521,13 +510,6 @@ def _read_syntax():
 _read_syntax()
 
 
-def _depth(expr) -> int:
-    """Operator levels on the longest path from `expr` down to a leaf; an
-    atom's algebra expression counts one level below the atom."""
-    levels = ra.fold(expr, lambda node, *below: 1 + max(below, default=-1))
-    return levels[id(expr)]
-
-
 def _number(tok: Token):
     """The int or float a NUMBER token spells; ParseError where it spells
     none, or a float too large to be finite."""
@@ -547,7 +529,7 @@ def parse_ra(text: str, symbols: Mapping[str, Scheme] | None = None):
     """Parse one algebra expression; optionally resolve symbol schemes."""
     p = _Parser(tokenize(text))
     p.skip_newlines()
-    expr = p.expression(p.ra_expr)
+    expr = p.ra_expr()
     p.skip_newlines()
     p.expect("EOF")
     if symbols is not None:
@@ -561,7 +543,7 @@ def parse_ptc(text: str, var_schemes: Mapping[str, Scheme],
     optionally resolve the relation symbols inside its atoms."""
     p = _Parser(tokenize(text), var_schemes)
     p.skip_newlines()
-    expr = p.expression(p.ptc_expr)
+    expr = p.ptc_expr()
     p.skip_newlines()
     p.expect("EOF")
     if symbols is not None:
@@ -572,51 +554,36 @@ def parse_ptc(text: str, var_schemes: Mapping[str, Scheme],
 # -- scripts ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoadStmt:
-    name: str
-    path: str
-    types: tuple  # ((attr, type_name), ...)
-    line: int
+class LoadStmt(ra.Node):
+    __slots__ = ("name", "path", "types", "line")  # types: ((attr, type_name), ...)
 
 
-@dataclass(frozen=True)
-class VarStmt:
-    name: str
-    scheme: Scheme
-    line: int
+class VarStmt(ra.Node):
+    __slots__ = ("name", "scheme", "line")
 
 
-@dataclass(frozen=True)
-class LetStmt:
-    name: str
-    expr: object
-    line: int
+class LetStmt(ra.Node):
+    __slots__ = ("name", "expr", "line")
+    _kids = ("expr",)
 
 
-@dataclass(frozen=True)
-class EvalStmt:
-    expr: object
-    line: int
+class EvalStmt(ra.Node):
+    __slots__ = ("expr", "line")
+    _kids = ("expr",)
 
 
-@dataclass(frozen=True)
-class EvalPtcStmt:
-    expr: object
-    line: int
+class EvalPtcStmt(ra.Node):
+    __slots__ = ("expr", "line")
+    _kids = ("expr",)
 
 
-@dataclass(frozen=True)
-class CompileStmt:
-    expr: object
-    line: int
+class CompileStmt(ra.Node):
+    __slots__ = ("expr", "line")
+    _kids = ("expr",)
 
 
-@dataclass(frozen=True)
-class SaveStmt:
-    name: str
-    path: str
-    line: int
+class SaveStmt(ra.Node):
+    __slots__ = ("name", "path", "line")
 
 
 Statement = LoadStmt | VarStmt | LetStmt | EvalStmt | EvalPtcStmt | CompileStmt | SaveStmt

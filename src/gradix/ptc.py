@@ -21,7 +21,6 @@ costs Q's support; any other ∀ divides by EADOM[bound].
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import algebra as ra
@@ -36,52 +35,43 @@ RESIDUUM = "residuum"
 _BINARY_OPS = (OTIMES, MEET, RESIDUUM)
 
 
-@dataclass(frozen=True)
-class TupleVar:
-    name: str
-    scheme: Scheme
+class TupleVar(ra.Node):
+    __slots__ = ("name", "scheme")
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(ra.Node):
     """A relational-algebra expression applied to tuple variables whose
     schemes jointly cover its scheme."""
 
-    expr: ra.RaExpr
-    vars: frozenset
+    __slots__ = ("expr", "vars")
+    _kids = ("expr",)
 
 
-@dataclass(frozen=True)
-class PtcBinary:
-    op: str
-    left: "PtcExpr"
-    right: "PtcExpr"
+class PtcBinary(ra.Node):
+    __slots__ = ("op", "left", "right")
+    _kids = ("left", "right")
 
     def __post_init__(self):
         if self.op not in _BINARY_OPS:
             raise PtcError(f"unknown connective {self.op!r}")
 
 
-@dataclass(frozen=True)
-class PtcNabla:
-    body: "PtcExpr"
+class PtcNabla(ra.Node):
+    __slots__ = _kids = ("body",)
 
 
-@dataclass(frozen=True)
-class PtcDelta:
-    body: "PtcExpr"
+class PtcDelta(ra.Node):
+    __slots__ = _kids = ("body",)
 
 
-@dataclass(frozen=True)
-class PtcSup:
-    bound: frozenset
-    body: "PtcExpr"
+class PtcSup(ra.Node):
+    __slots__ = ("bound", "body")
+    _kids = ("body",)
 
 
-@dataclass(frozen=True)
-class PtcInf:
-    bound: frozenset
-    body: "PtcExpr"
+class PtcInf(ra.Node):
+    __slots__ = ("bound", "body")
+    _kids = ("body",)
 
 
 PtcExpr = Atom | PtcBinary | PtcNabla | PtcDelta | PtcSup | PtcInf

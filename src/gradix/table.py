@@ -37,10 +37,6 @@ Scheme = frozenset
 EMPTY_SCHEME: Scheme = frozenset()
 
 
-def scheme_of_names(*names: str) -> Scheme:
-    return frozenset(names)
-
-
 # -- attribute-name tuples and index plans -----------------------------------
 #
 # A tuple stores its values in sorted-attribute order next to an interned

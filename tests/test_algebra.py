@@ -20,6 +20,8 @@ from gradix import (
     Tuple,
     UnboundSymbolError,
 )
+from gradix import parsing
+from gradix import ptc as pc
 from gradix.algebra import Nabla, Union, constants_of, walk
 from gradix.harness import gen
 
@@ -256,3 +258,70 @@ def test_scheme_of_infers_each_child_once(monkeypatch, kind):
     calls = count_rule(monkeypatch, algebra, "_scheme_rule")
     assert algebra.scheme_of(expr) == want
     assert len(calls) == nodes == 61
+
+
+# -- the node contract: frozen-dataclass semantics ------------------------------
+
+
+def test_nodes_compare_and_hash_by_class_and_fields():
+    r = RelSym("R")
+    assert Singleton("A", 1) == Singleton("A", 1.0)
+    assert hash(Singleton("A", 1)) == hash(Singleton("A", 1.0))
+    assert Union(Singleton("A", 1), r) == Union(Singleton("A", 1.0), r)
+    assert hash(Union(Singleton("A", 1), r)) == hash(Union(Singleton("A", 1.0), r))
+    assert Singleton("A", 1) != Singleton("A", 2) and Union(r, r) != Union(r, RelSym("S"))
+    # another class with equal fields is another node
+    assert parsing.EvalStmt(r, 1) != parsing.CompileStmt(r, 1)
+    assert Union(r, r) != Intersection(r, r) and RelSym("R") != pc.TupleVar("R", None)
+    assert (Union(r, r) == (r, r)) is False
+    # a node without children hashes as the tuple of its fields, as a dataclass does
+    assert hash(RelSym("R", sch("A"))) == hash(("R", sch("A")))
+    assert hash(pc.TupleVar("a", sch("A", "B"))) == hash(("a", sch("A", "B")))
+
+
+def test_nodes_are_frozen_and_take_their_fields_like_a_dataclass():
+    r = RelSym("R")
+    node = Projection(scheme=sch("A"), child=r)
+    assert node == Projection(sch("A"), r) and node.child is r
+    for target in (node, r, pc.TupleVar("a", sch("A"))):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            target.scheme = sch("B")
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            del target.scheme
+        with pytest.raises(AttributeError):
+            target.extra = 1
+    assert RelSym("A").scheme is None
+    assert EadomExpr(sch("A")).constants == frozenset()
+    assert EadomExpr(scheme=sch("A")) == EadomExpr(sch("A"), frozenset())
+    for make in (lambda: Union(r), lambda: Union(r, r, r), lambda: RelSym(),
+                 lambda: Singleton("A", 1, 2), lambda: Nabla(r, child=r),
+                 lambda: Nabla(node=r), lambda: DeeConst()):
+        with pytest.raises(TypeError):
+            make()
+    for bad in ("R", Union("R", r)):  # not a node, or a node over a non-node
+        with pytest.raises(TypeError, match="not an expression node: str"):
+            gx.scheme_of(bad)
+    with pytest.raises(gx.PtcError, match="unknown connective 'xor'"):
+        pc.PtcBinary("xor", pc.embed_ra(RelSym("P", sch("P"))), pc.embed_ra(RelSym("P", sch("P"))))
+    match node:
+        case Projection(scheme, child):
+            assert (scheme, child) == (sch("A"), r)
+
+
+def test_node_repr_is_the_dataclass_text():
+    s = pc.TupleVar("s", sch("P"))
+    expr = gx.parse_ptc("ALL s . (P(s) => NABLA(Q)(s) * [P: 2](s))", {"s": sch("P")})
+    var = repr(frozenset({s}))
+    assert var == "frozenset({TupleVar(name='s', scheme=frozenset({'P'}))})"
+    assert repr(expr) == (
+        f"PtcInf(bound={var}, body=PtcBinary(op='residuum', left=Atom(expr=RelSym("
+        f"name='P', scheme=None), vars={var}), right=PtcBinary(op='otimes', left=Atom("
+        f"expr=Nabla(child=RelSym(name='Q', scheme=None)), vars={var}), right=Atom("
+        f"expr=Singleton(attribute='P', value=2), vars={var}))))")
+    assert repr(gx.parse_ra('PROJECT[S](DIV(SP BY [P: "p1"] OVER EADOM[S])) UNION DEE(0.5)')) == (
+        "Union(left=Projection(scheme=frozenset({'S'}), child=DivRanged(dividend=RelSym("
+        "name='SP', scheme=None), divisor=Singleton(attribute='P', value='p1'), rng=EadomExpr("
+        "scheme=frozenset({'S'}), constants=frozenset()))), right=DeeConst(degree=0.5))")
+    assert repr(parsing.parse_script('LOAD SP FROM "sp.csv" SCHEME S:text\nEVAL SP\n')) == (
+        "[LoadStmt(name='SP', path='sp.csv', types=(('S', 'text'),), line=1), "
+        "EvalStmt(expr=RelSym(name='SP', scheme=None), line=2)]")

@@ -270,6 +270,17 @@ def test_make_lattice_and_selection_strings():
         FiniteChain(1)
 
 
+@pytest.mark.parametrize("kind, params, missing", [
+    ("chain", {}, "'n'"),
+    ("finite_chain", {}, "'n'"),
+    ("table", {}, "'carrier', 'order', 'otimes'"),
+    ("finite_table", {"carrier": ["0", "1"], "order": []}, "'otimes'"),
+])
+def test_make_lattice_names_a_missing_parameter(kind, params, missing):
+    with pytest.raises(LatticeError, match=f"lattice kind '{kind}' needs {missing}$"):
+        make_lattice(kind, **params)
+
+
 def test_lattice_file_round_trip(tmp_path):
     text = "\n".join(
         ["# tiny chain", "carrier 0 m 1", "order 0 m", "order m 1",

@@ -8,6 +8,9 @@ suites) and the harness itself may import `gradix.harness`.
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gradix
@@ -74,6 +77,18 @@ def test_engine_does_not_import_the_harness():
         offenders += [(module, m) for m in sorted(imports) if is_harness(m)]
     assert {"gradix", "gradix.division", "gradix.algebra", "gradix.table"} <= set(checked)
     assert offenders == []
+
+
+def test_the_command_line_imports_the_harness_only_to_check():
+    """`gradix eval` runs in a fresh process each time, so importing
+    `gradix.cli` loads neither the harness nor `dataclasses`."""
+    probe = ("import sys, gradix.cli; "
+             "print(sorted(m for m in sys.modules if m == 'dataclasses' or m.startswith('"
+             + HARNESS + "')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_alternative_formulations_live_in_the_harness():

@@ -1,7 +1,6 @@
 """Grammar coverage, parse errors with positions, print/parse round trips,
 and script parsing."""
 
-import dataclasses
 import re
 import time
 from typing import get_args
@@ -94,17 +93,17 @@ def nested(opener, inner, depth):
 
 
 def test_nesting_depth_limit_on_algebra():
-    # a flat chain of n + 1 terms is n operator levels deep
-    at_limit = parse_ra(" UNION ".join(["D2"] * (MAX_DEPTH + 1)), SYMS)
-    assert gx.eval_ra(at_limit, gx.DatabaseInstance(gx.GoedelLattice(), {
-        "D2": gx.RankedDataTable(sch("B"), gx.GoedelLattice(), {gx.Tuple({"B": 1}): 0.5}),
-    })).rows == {gx.Tuple({"B": 1}): 0.5}
+    # only brackets nest the parser; an infix chain of any length is read
+    # in a loop, and the AST it builds is as deep as the chain is long
+    d2 = gx.RankedDataTable(sch("B"), gx.GoedelLattice(), {gx.Tuple({"B": 1}): 0.5})
+    inst = gx.DatabaseInstance(gx.GoedelLattice(), {"D2": d2})
+    for op, n in (("UNION", MAX_DEPTH + 1), ("UNION", MAX_DEPTH + 2), ("JOIN", 1000)):
+        chain = parse_ra(f" {op} ".join(["D2"] * n), SYMS)
+        assert gx.eval_ra(chain, inst) == d2
     parse_ra(nested("NABLA(", "D2", MAX_DEPTH), SYMS)
     parse_ra(nested("(", "D2", MAX_DEPTH), SYMS)
     parse_ra(nested("PROJECT[B](", "D2", MAX_DEPTH), SYMS)
     too_deep = [
-        " UNION ".join(["D2"] * (MAX_DEPTH + 2)),
-        " JOIN ".join(["D2"] * 1000),
         nested("NABLA(", "D2", MAX_DEPTH + 1),
         nested("NABLA(", "D2", 330),
         nested("(", "D2", MAX_DEPTH + 1),
@@ -116,17 +115,20 @@ def test_nesting_depth_limit_on_algebra():
 
 
 def test_nesting_depth_limit_on_calculus_and_scripts():
-    # an atom is one level above its algebra expression
     parse_ptc(" => ".join(["P(s)"] * MAX_DEPTH), VARS, SYMS)
     parse_ptc(nested("NABLA(", "P(s)", MAX_DEPTH - 1), VARS, SYMS)
-    for text in (" => ".join(["P(s)"] * (MAX_DEPTH + 1)),
-                 " & ".join(["P(s)"] * 1000),
-                 nested("DELTA(", "P(s)", MAX_DEPTH)):
-        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
-            parse_ptc(text, VARS, SYMS)
+    for text in (" => ".join(["P(s)"] * (MAX_DEPTH + 1)), " & ".join(["P(s)"] * 1000)):
+        assert gx.ptc_to_text(parse_ptc(text, VARS, SYMS)).count("P(s)") == text.count("P(s)")
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_ptc(nested("DELTA(", "P(s)", MAX_DEPTH), VARS, SYMS)
     chain = " UNION ".join(["P"] * (MAX_DEPTH + 2))
-    for stmt in (f"LET X = {chain}", f"EVAL {chain}", f"EVALPTC ({chain})(s)",
-                 f"COMPILE ({chain})(s)"):
+    for stmt, want in ((f"LET X = {chain}", parse_ra(chain)), (f"EVAL {chain}", parse_ra(chain)),
+                       (f"EVALPTC ({chain})(s)", parse_ptc(f"({chain})(s)", VARS)),
+                       (f"COMPILE ({chain})(s)", parse_ptc(f"({chain})(s)", VARS))):
+        script = parse_script(f'LOAD P FROM "p.csv"\nVAR s : {{P}}\n{stmt}\n')
+        assert script[2].expr == want
+    for stmt in (f"EVAL {nested('(', 'P', MAX_DEPTH + 1)}",
+                 f"EVALPTC {nested('NABLA(', 'P(s)', MAX_DEPTH)}"):
         with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels") as exc:
             parse_script(f'LOAD P FROM "p.csv"\nVAR s : {{P}}\n{stmt}\n')
         assert exc.value.line == 3
@@ -194,9 +196,15 @@ def test_ra_round_trip_spec_forms():
         assert ast1 == ast2
 
 
+def levels(expr) -> int:
+    """Operator levels on the longest path from `expr` down to a leaf; an
+    atom's algebra expression counts one level below the atom."""
+    return alg.fold(expr, lambda node, *below: 1 + max(below, default=-1))[id(expr)]
+
+
 def operator_instance(cls):
     """An operator node over distinct relation symbols, one per child."""
-    return cls(*[alg.RelSym(f"R{i}") for i in range(len(dataclasses.fields(cls)))])
+    return cls(*[alg.RelSym(f"R{i}") for i in range(len(cls._kids))])
 
 
 def test_every_operator_round_trips():
@@ -252,6 +260,14 @@ def test_nested_calculus_groups_are_read_once(monkeypatch, opener):
         calls.clear()
         with pytest.raises(ParseError, match="expected a calculus expression, found 'BY'"):
             parse_ptc(nested(opener, "BY", n), VARS, SYMS)
+        assert len(calls) == 1
+        # each level here reads as algebra, so no failure is remembered, and
+        # only the lookahead keeps every level from being read again (about
+        # n²/2 calls without it)
+        calls.clear()
+        with pytest.raises(ParseError, match="expected '\\(', found '\\)'") as exc:
+            parse_ptc(nested(opener, "P", n), VARS, SYMS)
+        assert (exc.value.line, exc.value.column) == (1, len(opener) * n + 2)
         assert len(calls) == 1
     # a nest that is an atom's algebra expression is read once, as algebra
     # (not at full depth: the counting wrapper adds a stack frame per level)
@@ -439,11 +455,11 @@ def test_generated_expressions_cover_every_node_type():
 @example(alg.DeeConst(0.1234567891))
 @example(alg.EadomExpr(sch("A", "B"), frozenset({("B", "z"), ("A", 1), ("A", 2.5)})))
 def test_printed_algebra_parses_back_to_the_same_expression(expr):
-    assert parsing._depth(expr) <= MAX_DEPTH
+    assert levels(expr) <= MAX_DEPTH
     text = gx.ra_to_text(expr)
     assert parse_ra(text) == expr
-    # each node owns a token, which lets the parser skip the depth fold on short input
-    assert parsing._depth(expr) < len(parsing.tokenize(text)) - 1
+    # each node owns at least one token of the text
+    assert levels(expr) < len(parsing.tokenize(text)) - 1
 
 
 def test_float_literals_keep_nine_digits_where_they_read_back():
@@ -636,8 +652,8 @@ def test_printed_calculus_parses_back_to_the_same_expression(lattice, seed, dept
     cfg = gen.GenConfig(seed=seed, lattice=lattice_from_spec(lattice))
     symbols = {"D1": sch("A", "B"), "D2": sch("B", "C"), "D3": sch("C"), "D0": sch()}
     expr = gen.gen_ptc_expr(cfg, symbols, max_depth=depth, salt="round-trip")
-    assert parsing._depth(expr) <= MAX_DEPTH
+    assert levels(expr) <= MAX_DEPTH
     var_schemes = {v.name: v.scheme for v in all_vars(expr)}
     text = gx.ptc_to_text(expr)
     assert parse_ptc(text, var_schemes, symbols) == expr
-    assert parsing._depth(expr) < len(parsing.tokenize(text)) - 1
+    assert levels(expr) < len(parsing.tokenize(text)) - 1

@@ -2,14 +2,17 @@
 traversal: shared subtrees are folded once, equal subtrees are evaluated
 once, and expressions built through the API work at any depth."""
 
+import copy
+import pickle
+import sys
 import tracemalloc
 
 import pytest
 
 import gradix as gx
-from gradix import DatabaseInstance, RelSym, parse_ra
+from gradix import DatabaseInstance, RelSym, parse_ra, parse_script
 from gradix import algebra as alg
-from gradix import cli, parsing
+from gradix import cli
 from gradix import ptc as pc
 from gradix.table import AttributeRegistry
 
@@ -57,12 +60,26 @@ def test_parsed_equal_subtrees_are_evaluated_once(monkeypatch, inst):
     assert len(joins) == 1
 
 
-def test_each_algebra_traversal_takes_a_long_chain(inst):
-    d = RelSym("D")
+def algebra_chain():
     raw = alg.Singleton("B", 1)
     for i in range(CHAIN):
         raw = alg.Union(raw, alg.Singleton("B", i % 3)) if i % 2 else alg.Nabla(raw)
-    raw = alg.NaturalJoin(raw, d)
+    return alg.NaturalJoin(raw, RelSym("D"))
+
+
+def assert_node_dunders_hold(expr, twin):
+    """`==`, `hash` and `repr` of `expr` against `twin`, an equal expression
+    built separately, and round trips through pickle and deepcopy.  A round
+    trip may rebuild a frozenset field in another order, so it is compared
+    by `==` and `hash`, not by `repr`."""
+    assert expr is not twin and expr == twin and not expr != twin
+    assert hash(expr) == hash(twin) and repr(expr) == repr(twin)
+    for back in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+        assert back is not expr and back == expr and hash(back) == hash(expr)
+
+
+def test_each_algebra_traversal_takes_a_long_chain(inst):
+    raw = algebra_chain()
     expr = gx.resolve_schemes(raw, {"D": sch("A", "B")})
     assert expr.right.scheme == sch("A", "B") and expr.left is raw.left
     assert gx.scheme_of(expr) == sch("A", "B")
@@ -71,14 +88,13 @@ def test_each_algebra_traversal_takes_a_long_chain(inst):
     assert text.count("NABLA(") == CHAIN // 2 and text.endswith(" UNION [B: 0]) JOIN D)")
     assert len(alg.walk(expr)) == 3 + CHAIN + CHAIN // 2
     assert alg.constants_of(expr) == frozenset({("B", 0), ("B", 1), ("B", 2)})
-    assert parsing._depth(expr) == CHAIN + 1
+    assert_node_dunders_hold(expr, gx.resolve_schemes(algebra_chain(), {"D": sch("A", "B")}))
     registry = AttributeRegistry()
     registry.declare("B", "int")
     cli._check_value_types(expr, registry)
 
 
-@pytest.mark.parametrize("shape", ["nabla", "otimes"])
-def test_each_calculus_traversal_takes_a_long_chain(inst, shape):
+def calculus_chain(shape):
     a, b = pc.TupleVar("a", sch("A")), pc.TupleVar("b", sch("B"))
     raw = pc.Atom(RelSym("D"), frozenset({a, b}))
     for i in range(CHAIN):
@@ -86,7 +102,13 @@ def test_each_calculus_traversal_takes_a_long_chain(inst, shape):
             raw = pc.PtcNabla(raw)
         else:
             raw = pc.PtcBinary(pc.OTIMES, raw, pc.Atom(alg.Singleton("B", i % 2), frozenset({b})))
-    expr = gx.resolve_schemes(raw, {"D": sch("A", "B")})
+    return raw
+
+
+@pytest.mark.parametrize("shape", ["nabla", "otimes"])
+def test_each_calculus_traversal_takes_a_long_chain(inst, shape):
+    a, b = pc.TupleVar("a", sch("A")), pc.TupleVar("b", sch("B"))
+    expr = gx.resolve_schemes(calculus_chain(shape), {"D": sch("A", "B")})
     assert pc.free_vars(expr) == pc.all_vars(expr) == frozenset({a, b})
     assert pc.ptc_scheme(expr) == sch("A", "B")
     assert len(pc.atoms_of(expr)) == (1 if shape == "nabla" else CHAIN + 1)
@@ -97,7 +119,7 @@ def test_each_calculus_traversal_takes_a_long_chain(inst, shape):
     d = inst.table("D")
     assert want == (gx.nabla(d) if shape == "nabla" else gx.empty(d.lattice, d.scheme))
     assert gx.eval_ra(gx.compile_ptc_to_ra(expr), inst) == want
-    assert parsing._depth(expr) == CHAIN + 1
+    assert_node_dunders_hold(expr, gx.resolve_schemes(calculus_chain(shape), {"D": sch("A", "B")}))
     text = gx.ptc_to_text(expr)
     assert text.count("D(a, b)") == 1
     a2 = pc.TupleVar("a2", sch("A"))
@@ -116,6 +138,42 @@ def test_shared_calculus_subtrees_are_folded_once(inst):
     assert nodes == 402 and free == frozenset({b})
     assert got == compiled == gx.delta(inst.table("E"))
 
+
+
+def test_deep_nodes_compare_hash_print_pickle_and_copy_without_recursing():
+    leaf = "RelSym(name='R', scheme=None)"
+    var = "frozenset({TupleVar(name='s', scheme=frozenset({'R'}))})"
+
+    def deltas():
+        e = pc.Atom(RelSym("R"), frozenset({pc.TupleVar("s", sch("R"))}))
+        for _ in range(CHAIN):
+            e = pc.PtcDelta(e)
+        return e
+
+    builds = [
+        (nablas, "Nabla(child=" * CHAIN + leaf + ")" * CHAIN),
+        (deltas, "PtcDelta(body=" * CHAIN + f"Atom(expr={leaf}, vars={var})" + ")" * CHAIN),
+        (lambda: parse_script('LOAD R FROM "r.csv"\nEVAL ' + " UNION ".join(["R"] * CHAIN))[1],
+         "EvalStmt(expr=" + "Union(left=" * (CHAIN - 1) + leaf
+         + f", right={leaf})" * (CHAIN - 1) + ", line=2)"),
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default
+    try:
+        for build, text in builds:
+            expr = build()
+            assert_node_dunders_hold(expr, build())
+            for copied in (expr, pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+                assert repr(copied) == text
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def nablas():
+    e = RelSym("R")
+    for _ in range(CHAIN):
+        e = alg.Nabla(e)
+    return e
 
 
 def chain_text(first, op, term, n):
