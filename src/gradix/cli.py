@@ -7,14 +7,18 @@ Two subcommands:
 Scripts are sequences of LOAD/VAR/LET/EVAL/EVALPTC/COMPILE/SAVE statements;
 outputs are written deterministically (sorted rows, 9-significant-digit
 ranks), so identical inputs and seeds give byte-identical output.  The
-GRADIX_SEED environment variable is the seed fallback; flags win.
+GRADIX_SEED environment variable is the seed fallback; flags win.  `check`
+prints its report on stdout and one `TIMING <id> elapsed_s=… instances_per_s=…`
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import algebra as ra
@@ -203,8 +207,13 @@ def _cmd_check(args) -> int:
             return code
     seed = args.seed if args.seed is not None else _default_seed()
     config = GenConfig(seed=seed, lattice=lattice)
+    start = time.perf_counter()
     report = run_theorem_suite(args.suite, config, args.n)
+    elapsed = time.perf_counter() - start
     print(report.summary())
+    # throughput is a diagnostic, so stdout stays byte-deterministic
+    print(f"TIMING {report.theorem_id} elapsed_s={elapsed:.6f} "
+          f"instances_per_s={report.instances / elapsed:.1f}", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_QUERY
 
 
@@ -216,7 +225,9 @@ def count(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gradix",
         description="rank-aware relational algebra engine and theorem harness",

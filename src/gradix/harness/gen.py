@@ -4,6 +4,15 @@ Generation is deterministic per seed across processes (sub-seeds derive
 from a keyed blake2 digest, never from Python's randomized hashing), and
 desk-scale by construction: few attributes, few values, few rows, so naive
 universe enumeration stays well under a second per instance.
+
+Draw contract: tables are drawn from `Random.getrandbits` exactly as
+`randint` and `choice` draw (CPython's `_randbelow_with_getrandbits`: take
+`n.bit_length()` bits, again while the result is at least `n`), so a seed
+gives the same tables on every supported Python and across gradix versions.
+Each row's values are drawn in sorted-attribute order, then its score.
+Scores are carrier members by construction; a unit-interval grid is checked
+once per table, at its step and its top point, and tables are built by the
+trusted `table._table` with rows keyed by value tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from typing import Mapping
 from .. import algebra as ra
 from .. import ptc as pc
 from ..lattice import BooleanLattice, FiniteChain, FiniteTableLattice, ResiduatedLattice
-from ..table import DatabaseInstance, RankedDataTable, Scheme, Tuple
+from ..table import _SCHEME_OF, DatabaseInstance, RankedDataTable, Scheme, _table, attrs_of
 
 ATTR_POOL = ("A", "B", "C", "D", "E", "F")
 
@@ -42,30 +51,64 @@ def sub_rng(*key) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def gen_score(rng: random.Random, lat: ResiduatedLattice, step: float):
-    """A nonzero degree on the configured granularity grid."""
+def _drawer(rng: random.Random, n: int):
+    """A function drawing ints in [0, n) from `rng`, the same values and
+    bits as `rng.randrange(n)`: `randint(a, b)` is `a + draw()` for
+    n = b - a + 1 and `choice(seq)` is `seq[draw()]` for n = len(seq)."""
+    if n < 1:
+        raise ValueError(f"empty range to draw from: {n}")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+
+    def draw():
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return draw
+
+
+def _score_drawer(rng: random.Random, lat: ResiduatedLattice, step: float):
+    """A function drawing nonzero degrees on the granularity grid."""
     if isinstance(lat, BooleanLattice):
-        return 1
+        return lambda: 1
     if isinstance(lat, FiniteChain):
-        return rng.randint(1, lat.n - 1)
+        below = _drawer(rng, lat.n - 1)
+        return lambda: 1 + below()
     if isinstance(lat, FiniteTableLattice):
-        choices = [e for e in lat.elements() if e != lat.bottom]
-        return rng.choice(choices)
+        nonzero = [e for e in lat.elements() if e != lat.bottom]
+        below = _drawer(rng, len(nonzero))
+        return lambda: nonzero[below()]
     levels = round(1.0 / step)
-    return rng.randint(1, levels) * step
+    below = _drawer(rng, levels)
+    step = lat.check(step)
+    lat.check(levels * step)  # the top grid point, e.g. 3 × 0.35 > 1
+    return lambda: (1 + below()) * step
+
+
+def _draw_table(rng: random.Random, names: tuple, lat: ResiduatedLattice, step: float,
+                max_rows: int, low: int, count: int) -> RankedDataTable:
+    """1..max_rows rows on the interned `names`, values low..low+count-1,
+    scores from `_score_drawer`; a repeated row keeps its last score."""
+    row_count = _drawer(rng, max_rows)
+    value = _drawer(rng, count)
+    score = _score_drawer(rng, lat, step)
+    width = range(len(names))
+    rows = {}
+    for _ in range(1 + row_count()):
+        values = tuple([low + value() for _ in width])
+        rows[values] = score()
+    return _table(_SCHEME_OF[names], lat, rows)
 
 
 def gen_rdt(config: GenConfig, scheme: Scheme, salt: str = "") -> RankedDataTable:
     """Deterministic random table on the scheme: 1..max_rows distinct rows,
     integer values 1..max_values, scores from the granularity grid."""
-    lat = config.lattice
-    rng = sub_rng(config.seed, "rdt", salt, ",".join(sorted(scheme)))
-    attrs = sorted(scheme)
-    rows = {}
-    for _ in range(rng.randint(1, config.max_rows)):
-        t = Tuple({a: rng.randint(1, config.max_values) for a in attrs})
-        rows[t] = gen_score(rng, lat, config.score_step)
-    return RankedDataTable(frozenset(scheme), lat, rows)
+    names = attrs_of(scheme)
+    rng = sub_rng(config.seed, "rdt", salt, ",".join(names))
+    return _draw_table(rng, names, config.lattice, config.score_step,
+                       config.max_rows, 1, config.max_values)
 
 
 def gen_instance(config: GenConfig, symbol_schemes: Mapping[str, Scheme]) -> DatabaseInstance:

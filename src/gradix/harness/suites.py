@@ -160,16 +160,10 @@ def _widening_table(config: gen.GenConfig, rng, used_attrs) -> RankedDataTable:
     """An extra table injecting unseen values into (some of) the used
     attributes, so a widened instance genuinely enlarges the active domains."""
     attrs = sorted(used_attrs) or ["A"]
-    scheme = frozenset(rng.sample(attrs, min(len(attrs), rng.randint(1, 2))))
-    lat = config.lattice
-    rows = {}
-    for k in range(rng.randint(1, 3)):
-        t = Tuple({
-            a: rng.randint(config.max_values + 1, config.max_values + 3)
-            for a in sorted(scheme)
-        })
-        rows[t] = gen.gen_score(rng, lat, config.score_step)
-    return RankedDataTable(scheme, lat, rows)
+    size = min(len(attrs), 1 + gen._drawer(rng, 2)())
+    names = tb.attrs_of(rng.sample(attrs, size))
+    return gen._draw_table(rng, names, config.lattice, config.score_step,
+                           3, config.max_values + 1, 3)
 
 
 # -- individual suites -------------------------------------------------------

@@ -12,6 +12,7 @@ import gradix as gx
 from gradix import division as dv
 from gradix import table as tb
 from gradix.harness import composed, gen
+from gradix.harness.suites import _widening_table
 from gradix.lattice import UnitIntervalLattice
 
 from conftest import rdt, sch
@@ -124,10 +125,10 @@ def test_operator_pipeline_never_calls_check(monkeypatch, godel):
     assert len(calls) == 2
 
 
-def test_operator_pipeline_builds_no_tuple(monkeypatch, godel):
-    """LOAD, JOIN, PROJECT, every division and write_csv run on value
-    tuples: no `Tuple` is constructed, by its constructor or the trusted
-    `_make_tuple`."""
+@pytest.fixture
+def tuples_made(monkeypatch):
+    """A list that grows by one per `Tuple` constructed, by its constructor
+    or the trusted `_make_tuple`."""
     made = []
     init, make = tb.Tuple.__init__, tb._make_tuple
 
@@ -141,6 +142,13 @@ def test_operator_pipeline_builds_no_tuple(monkeypatch, godel):
 
     monkeypatch.setattr(tb.Tuple, "__init__", counting_init)
     monkeypatch.setattr(tb, "_make_tuple", counting_make)
+    return made
+
+
+def test_operator_pipeline_builds_no_tuple(tuples_made, godel):
+    """LOAD, JOIN, PROJECT, every division and write_csv run on value
+    tuples: no `Tuple` is constructed, by its constructor or the trusted
+    `_make_tuple`."""
     reg = gx.AttributeRegistry()
 
     def load(text):
@@ -163,9 +171,32 @@ def test_operator_pipeline_builds_no_tuple(monkeypatch, godel):
         dv.div_gddo(s, c, sp, pc),
     ]
     texts = [tb.table_to_csv(out) for out in results]
-    assert made == []
+    assert tuples_made == []
     assert all(len(out) for out in results)
     assert texts[2] == "S,rank\ns1,0.8\ns2,0.4\n"
+
+
+def generated_tables(lat):
+    for seed in range(20):
+        config = gen.GenConfig(seed=seed, lattice=lat, max_rows=1 + seed % 8)
+        for attrs in ("", "A", "AB", "ABC"):
+            yield gen.gen_rdt(config, sch(*attrs), str(seed))
+        inst = gen.gen_instance(config, {"X": sch("A", "C"), "Y": sch("B")})
+        yield from map(inst.table, inst.symbols())
+        yield _widening_table(config, gen.sub_rng(seed, "widen"), sch("A", "B", "C"))
+
+
+def test_generation_builds_no_tuple(tuples_made):
+    """The generators key rows by value tuples from the start."""
+    tables = [t for lat in LATTICES.values() for t in generated_tables(lat)]
+    assert tuples_made == []
+    assert all(len(t) for t in tables)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_generated_tables_keep_table_invariants(name):
+    for out in generated_tables(LATTICES[name]):
+        assert_trusted_invariant(out)
 
 
 def test_validating_entry_points_still_reject(godel):

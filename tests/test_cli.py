@@ -3,6 +3,7 @@ and byte-level determinism."""
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -135,6 +136,27 @@ def test_check_pass_and_output(capsys):
     assert code == EXIT_OK
     assert "THEOREM T1 instances=25" in out
     assert "status=PASS" in out
+
+
+def test_check_reports_throughput_on_stderr(capsys):
+    from gradix.harness import GenConfig, run_theorem_suite
+
+    code = main(["check", "--suite", "T1", "--lattice", "godel", "--seed", "7", "--n", "25"])
+    out, err = capsys.readouterr()
+    report = run_theorem_suite("T1", GenConfig(seed=7, lattice=lattice_from_spec("godel")), 25)
+    assert code == EXIT_OK
+    assert out == report.summary() + "\n"
+    assert re.fullmatch(r"TIMING T1 elapsed_s=\d+\.\d{6} instances_per_s=\d+\.\d\n", err)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+    # a reused parser carries nothing over from an earlier call
+    parser = cli.build_parser()
+    first = parser.parse_args(["check", "--suite", "T1", "--seed", "5", "--n", "3"])
+    second = parser.parse_args(["check", "--suite", "L-semidiff"])
+    assert (first.seed, first.n) == (5, 3)
+    assert (second.suite, second.seed, second.n, second.lattice) == ("L-semidiff", None, None, None)
 
 
 def test_check_boolean_suites_ignore_lattice():

@@ -1,10 +1,14 @@
 """Generators, oracles, the finite-lattice search, and suite plumbing."""
 
 import ast
+import hashlib
 import inspect
+import random
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import gradix as gx
 from gradix import Tuple
@@ -17,8 +21,8 @@ from gradix.harness import (
     run_theorem_suite,
     search_distributivity_counterexample,
 )
-from gradix.harness import latsearch, oracle
-from gradix.harness.suites import THEOREM_IDS
+from gradix.harness import gen, latsearch, oracle
+from gradix.harness.suites import THEOREM_IDS, _widening_table
 
 from conftest import rdt, sch
 
@@ -45,6 +49,82 @@ def test_gen_score_granularity(godel):
     cfg = GenConfig(seed=9, lattice=godel)
     for _t, d in gen_rdt(cfg, sch("A", "B")):
         assert abs(d / 0.05 - round(d / 0.05)) < 1e-9
+
+
+DIAMOND = gx.FiniteTableLattice(
+    ["0", "a", "b", "1"],
+    [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
+    [("a", "a", "a"), ("b", "b", "b"), ("a", "b", "0")],
+)
+
+#: sha256 of `generated_digest()`, computed with the generator that drew
+#: through `randint` and `choice`: a seed must keep giving the same tables.
+GENERATED_DIGEST = "506d9611ce879b2ba9d1a0efc1c98536efe1e027b7607517bba2e3f2ae7cdc73"
+
+
+def generated_digest():
+    h = hashlib.sha256()
+    lattices = (gx.BooleanLattice(), gx.GoedelLattice(), gx.FiniteChain(5), DIAMOND,
+                gx.LukasiewiczLattice())
+    for lat in lattices:
+        for seed in range(150):
+            cfg = GenConfig(seed=seed, lattice=lat, max_rows=1 + seed % 9,
+                            max_values=1 + seed % 6, score_step=(0.05, 0.1, 0.3, 1.0)[seed % 4])
+            for scheme in (sch(), sch("A"), sch("A", "B"), sch("A", "B", "C")):
+                t = gen_rdt(cfg, scheme, salt=str(seed % 3))
+                h.update(repr((sorted(t.scheme), list(t._rows.items()))).encode())
+                # the widening table must leave the caller's rng where it did
+                rng = gen.sub_rng(seed, "widen", len(scheme))
+                w = _widening_table(cfg, rng, scheme)
+                h.update(repr((sorted(w.scheme), list(w._rows.items()), rng.random())).encode())
+    return h.hexdigest()
+
+
+def test_generated_tables_keep_their_draws():
+    assert generated_digest() == GENERATED_DIGEST
+
+
+@given(st.integers(1, 10_000), st.integers(0, 2**32))
+def test_drawer_draws_as_randrange(n, seed):
+    rng, twin = random.Random(seed), random.Random(seed)
+    draw = gen._drawer(rng, n)
+    assert [draw() for _ in range(20)] == [twin.randrange(n) for _ in range(20)]
+    assert rng.getstate() == twin.getstate()
+
+
+def outcome_within(fn, seconds=10.0):
+    """The exception `fn()` raises, or None; fails if it is still running
+    after `seconds`."""
+    outcome = []
+
+    def run():
+        try:
+            fn()
+        except Exception as exc:
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert outcome, f"still running after {seconds} s"
+    return outcome[0]
+
+
+def test_gen_rejects_a_grid_beyond_top(godel):
+    # 3 × 0.35 = 1.05: the top grid point is no degree, whatever the seed
+    for seed in range(5):
+        cfg = GenConfig(seed=seed, lattice=godel, score_step=0.35)
+        assert isinstance(outcome_within(lambda: gen_rdt(cfg, sch("A"))), gx.DegreeError)
+
+
+@pytest.mark.parametrize("bound", ["max_rows", "max_values"])
+def test_gen_rejects_empty_ranges(godel, chain5, bound):
+    for lat in (godel, chain5):
+        cfg = GenConfig(seed=1, lattice=lat, **{bound: 0})
+        for scheme in (sch(), sch("A", "B")):
+            assert isinstance(outcome_within(lambda: gen_rdt(cfg, scheme)), ValueError)
 
 
 def test_gen_instance_shares_lattice(godel):
