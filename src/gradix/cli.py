@@ -40,9 +40,6 @@ EXIT_QUERY = 1
 EXIT_IO = 2
 EXIT_UNKNOWN_SUITE = 3
 
-_PYTYPE = {"integer": int, "text": str, "decimal": float}
-
-
 class Session:
     """One lattice, one attribute-type registry, the loaded tables."""
 
@@ -66,7 +63,7 @@ def _check_value_types(expr, registry: AttributeRegistry) -> None:
     for node in ra.walk(expr):
         if isinstance(node, ra.Singleton):
             declared = registry.type_of(node.attribute)
-            if declared and not isinstance(node.value, _PYTYPE[declared]):
+            if declared and not isinstance(node.value, registry._PARSERS[declared]):
                 raise TypeRegistryError(
                     f"singleton value {node.value!r} does not match declared "
                     f"type {declared} of {node.attribute!r}"
@@ -208,7 +205,11 @@ def _cmd_check(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     config = GenConfig(seed=seed, lattice=lattice)
     start = time.perf_counter()
-    report = run_theorem_suite(args.suite, config, args.n)
+    try:
+        report = run_theorem_suite(args.suite, config, args.n)
+    except GradixError as exc:
+        print(f"gradix: {exc}", file=sys.stderr)
+        return EXIT_QUERY
     elapsed = time.perf_counter() - start
     print(report.summary())
     # throughput is a diagnostic, so stdout stays byte-deterministic

@@ -24,6 +24,7 @@ from typing import Mapping
 
 from .. import algebra as ra
 from .. import ptc as pc
+from ..errors import LatticeError
 from ..lattice import BooleanLattice, FiniteChain, FiniteTableLattice, ResiduatedLattice
 from ..table import _SCHEME_OF, DatabaseInstance, RankedDataTable, Scheme, _table, attrs_of
 
@@ -78,6 +79,8 @@ def _score_drawer(rng: random.Random, lat: ResiduatedLattice, step: float):
         return lambda: 1 + below()
     if isinstance(lat, FiniteTableLattice):
         nonzero = [e for e in lat.elements() if e != lat.bottom]
+        if not nonzero:
+            raise LatticeError("a one-element lattice has no nonzero degree to draw")
         below = _drawer(rng, len(nonzero))
         return lambda: nonzero[below()]
     levels = round(1.0 / step)

@@ -165,6 +165,19 @@ def test_check_boolean_suites_ignore_lattice():
     assert "status=PASS" in out
 
 
+def test_check_on_a_one_element_lattice_is_a_query_error(workdir, capsys):
+    # a one-element lattice has no nonzero degree for the generator to draw
+    lat_file = workdir / "one.lat"
+    lat_file.write_text("carrier 0\n")
+    code = main(["check", "--suite", "T1", "--lattice", f"table:{lat_file}", "--n", "2"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_QUERY
+    assert out == "" and err.startswith("gradix: ") and "Traceback" not in err
+    # a Boolean suite does not read the lattice it is given
+    code = main(["check", "--suite", "L-semidiff", "--lattice", f"table:{lat_file}", "--n", "2"])
+    assert code == EXIT_OK
+
+
 def test_check_unknown_suite():
     code, _ = run_main(["check", "--suite", "bogus"])
     assert code == EXIT_UNKNOWN_SUITE

@@ -22,7 +22,12 @@ from gradix.harness import (
     search_distributivity_counterexample,
 )
 from gradix.harness import gen, latsearch, oracle
-from gradix.harness.suites import THEOREM_IDS, _widening_table
+from gradix.harness.suites import (
+    BOOLEAN_SUITES,
+    DEFAULT_INSTANCES,
+    THEOREM_IDS,
+    _widening_table,
+)
 
 from conftest import rdt, sch
 
@@ -125,6 +130,12 @@ def test_gen_rejects_empty_ranges(godel, chain5, bound):
         cfg = GenConfig(seed=1, lattice=lat, **{bound: 0})
         for scheme in (sch(), sch("A", "B")):
             assert isinstance(outcome_within(lambda: gen_rdt(cfg, scheme)), ValueError)
+
+
+def test_gen_rejects_a_lattice_without_nonzero_degrees():
+    one = gx.FiniteTableLattice(["0"], [], [])
+    with pytest.raises(gx.LatticeError, match="no nonzero degree"):
+        gen_rdt(GenConfig(seed=1, lattice=one), sch("A"))
 
 
 def test_gen_instance_shares_lattice(godel):
@@ -270,6 +281,44 @@ def test_counterexample_reporting(godel):
     assert rep.counterexample.index == 4
     assert "A,rank" in rep.counterexample.instance_csv
     assert "0.5" in str(rep.counterexample)
+
+
+#: sha256 of `suite_reports_digest()`, computed before the suites shared one
+#: instance loop: every suite must keep its draws, labels and report bytes.
+SUITE_REPORTS_DIGEST = "fb59932b13d2e9b1276c5da272edfb30b684baaedf94968a50463496dea0f2cd"
+
+
+def suite_reports_digest():
+    witness, *_ = search_distributivity_counterexample(6)
+    h = hashlib.sha256()
+    for lat in (gx.GoedelLattice(), gx.FiniteChain(5), witness):
+        for theorem_id in THEOREM_IDS:
+            rep = run_theorem_suite(theorem_id, GenConfig(seed=3, lattice=lat), 12)
+            h.update(rep.summary().encode())
+    return h.hexdigest()
+
+
+def test_suite_reports_keep_their_bytes():
+    # seed 3 makes T1 fail on the witness at instance 9, so a counterexample's
+    # replay CSV is among the pinned bytes
+    witness, *_ = search_distributivity_counterexample(6)
+    rep = run_theorem_suite("T1", GenConfig(seed=3, lattice=witness), 12)
+    assert rep.counterexample.index == 9
+    assert suite_reports_digest() == SUITE_REPORTS_DIGEST
+
+
+def test_suite_registry():
+    """The benchmark and the command line read these three names."""
+    assert THEOREM_IDS == (
+        "T1", "C-gsdo-ggdo", "T-ggdo-gddo", "C-gsdo-gddo", "T-gddo-variants",
+        "T-rdiv-via-gsdo", "T-gsdo-via-rdiv", "T-gddo-via-rdiv", "L-semidiff",
+        "T-darwen-set", "boolean-collapse", "ptc-compiler",
+    )
+    assert BOOLEAN_SUITES == ("L-semidiff", "T-darwen-set", "boolean-collapse")
+    assert DEFAULT_INSTANCES == {
+        theorem_id: {"T1": 500, "ptc-compiler": 300}.get(theorem_id, 200)
+        for theorem_id in THEOREM_IDS
+    }
 
 
 def test_all_theorem_ids_run_briefly(godel):

@@ -378,6 +378,33 @@ def test_universal_quantifier_is_bit_exact(divisions, text, by_antecedent):
             assert got.max_deviation(compiled) <= tolerance, (name, seed)
 
 
+#: `=>` where it is not the body of a qualifying ALL: a residuum over the
+#: whole EADOM, top off the antecedent's support
+IMPLICATION_SHAPES = [
+    "ANY b . (Q(b) => R(a, b))",
+    "Q(b) => R(a, b)",
+    # an empty antecedent: top on every tuple of the domain
+    "ANY b . (E(b) => R(a, b))",
+]
+
+
+@pytest.mark.parametrize("text", IMPLICATION_SHAPES)
+def test_implication_outside_all_is_pointwise(text):
+    expr = parse_ptc(text, VARS, SYMBOLS)
+    for name, lat in ptc_lattices():
+        tolerance = suite_tolerance(lat)
+        for seed in range(4):
+            tables = dict(gen.gen_instance(
+                gen.GenConfig(seed=seed, lattice=lat, score_step=0.001),
+                {k: s for k, s in SYMBOLS.items() if k != "E"}).tables())
+            inst = DatabaseInstance(lat, {**tables, "E": gx.empty(lat, sch("B"))})
+            got = gx.eval_ptc(expr, inst)
+            assert got.scheme == ptc_scheme(expr)
+            assert dict(got.rows) == reference(expr, inst), (name, seed)
+            compiled = gx.eval_ra(gx.compile_ptc_to_ra(expr), inst)
+            assert got.max_deviation(compiled) <= tolerance, (name, seed)
+
+
 def test_universal_quantifier_touches_only_the_antecedent(monkeypatch, godel):
     """`ALL b . (Q(b) => R(a, b))` with 200 values of A and of B builds the
     EADOM over the free scheme {A} only, never the product over {A, B}."""
