@@ -107,9 +107,6 @@ from .table import (
     residuum_with_range,
     semijoin,
     table_to_csv,
-    tuple_join,
-    tuple_joinable,
-    tuple_project,
     union,
     write_csv,
 )

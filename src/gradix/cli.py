@@ -58,16 +58,31 @@ class Session:
         return DatabaseInstance(self.lattice, self.tables)
 
 
-def _check_value_types(expr, registry: AttributeRegistry) -> None:
-    """Singleton values in an algebra or calculus expression have their declared types."""
-    for node in ra.walk(expr):
-        if isinstance(node, ra.Singleton):
-            declared = registry.type_of(node.attribute)
-            if declared and not isinstance(node.value, registry._PARSERS[declared]):
-                raise TypeRegistryError(
-                    f"singleton value {node.value!r} does not match declared "
-                    f"type {declared} of {node.attribute!r}"
-                )
+def _check_value_types(expr, registry: AttributeRegistry):
+    """`expr`, an algebra or calculus expression, once its singleton values
+    are checked against their declared types.  An `int` on a `decimal`
+    attribute becomes the equal float, the value the CSV reader gives the
+    same text, so one column does not mix the two; any other mismatch, a
+    bool, a string or an int beyond the floats there among them, is a
+    `TypeRegistryError`."""
+
+    def rule(node, *below):
+        if type(node) is not ra.Singleton:
+            return ra._with_children(node, below)
+        declared = registry.type_of(node.attribute)
+        if declared == "decimal" and type(node.value) is int:
+            try:
+                return ra.Singleton(node.attribute, float(node.value))
+            except OverflowError:
+                pass
+        if declared and not isinstance(node.value, registry._PARSERS[declared]):
+            raise TypeRegistryError(
+                f"singleton value {node.value!r} does not match declared "
+                f"type {declared} of {node.attribute!r}"
+            )
+        return node
+
+    return ra.fold(expr, rule)[id(expr)]
 
 
 def _unreadable(path, exc: OSError | UnicodeDecodeError) -> str:
@@ -114,15 +129,15 @@ def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
                     pass
                 case parsing.LetStmt(name, expr, _line):
                     expr = ra.resolve_schemes(expr, session.schemes())
-                    _check_value_types(expr, session.registry)
+                    expr = _check_value_types(expr, session.registry)
                     session.bind(name, ra.eval_ra(expr, session.instance()))
                 case parsing.EvalStmt(expr, line):
                     expr = ra.resolve_schemes(expr, session.schemes())
-                    _check_value_types(expr, session.registry)
+                    expr = _check_value_types(expr, session.registry)
                     emit_table("EVAL", line, ra.eval_ra(expr, session.instance()))
                 case parsing.EvalPtcStmt(expr, line):
                     expr = ra.resolve_schemes(expr, session.schemes())
-                    _check_value_types(expr, session.registry)
+                    expr = _check_value_types(expr, session.registry)
                     emit_table("EVALPTC", line, pc.eval_ptc(expr, session.instance()))
                 case parsing.CompileStmt(expr, line):
                     expr = ra.resolve_schemes(expr, session.schemes())

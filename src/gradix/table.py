@@ -20,10 +20,12 @@ import csv
 import io
 import math
 from collections.abc import ItemsView, Mapping
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable
 
 from .errors import (
+    GradixError,
     LatticeMismatchError,
     NotJoinableError,
     SchemeError,
@@ -219,18 +221,6 @@ def _make_tuple(names: tuple, values: tuple) -> Tuple:
 
 
 EMPTY_TUPLE = Tuple()
-
-
-def tuple_project(r: Tuple, scheme: Scheme) -> Tuple:
-    return r.project(scheme)
-
-
-def tuple_joinable(r1: Tuple, r2: Tuple) -> bool:
-    return r1.joinable(r2)
-
-
-def tuple_join(r1: Tuple, r2: Tuple) -> Tuple:
-    return r1.join(r2)
 
 
 class RowsView(Mapping):
@@ -666,15 +656,10 @@ def _column_types(columns: list) -> list:
     return [set(map(type, col)) for col in columns]
 
 
-def _runs(d: RankedDataTable, column_types: list) -> list:
-    """The rows of `d` in `sorted_rows` order, as (degree, value tuples) runs.
-
-    Rows are grouped by degree; the groups are ordered by a rank key
-    computed once per distinct degree, and each group is sorted by values
-    alone, so no row needs a nested (rank, values) key.  This is the order
-    of the (rank, values) key because `sort_key` gives distinct degrees
-    distinct keys.
-    """
+def _groups(d: RankedDataTable) -> list:
+    """The rows of `d` as (degree, value tuples) groups, one per distinct
+    degree, by descending rank; a rank key is computed once per degree, and
+    a group's value tuples are in no particular order."""
     groups: dict = {}
     for v, a in d._rows.items():
         group = groups.get(a)
@@ -682,12 +667,22 @@ def _runs(d: RankedDataTable, column_types: list) -> list:
             groups[a] = [v]
         else:
             group.append(v)
+    sort_key = d.lattice.sort_key
+    return sorted(groups.items(), key=lambda run: -float(sort_key(run[0])))
+
+
+def _runs(d: RankedDataTable, column_types: list) -> list:
+    """The rows of `d` in `sorted_rows` order, as (degree, value tuples) runs.
+
+    Each of the `_groups` is sorted by values alone, so no row needs a
+    nested (rank, values) key.  This is the order of the (rank, values) key
+    because `sort_key` gives distinct degrees distinct keys.
+    """
+    runs = _groups(d)
     by_values = None  # value tuples of one type per column sort as they are
     if any(len(types) > 1 for types in column_types):
         def by_values(values):
             return tuple([(type(v).__name__, v) for v in values])
-    sort_key = d.lattice.sort_key
-    runs = sorted(groups.items(), key=lambda run: -float(sort_key(run[0])))
     for _a, values in runs:
         values.sort(key=by_values)
     return runs
@@ -705,12 +700,35 @@ def sorted_rows(d: RankedDataTable):
             for a, values in _runs(d, _column_types(_columns(d))) for v in values]
 
 
-def _holds_cr(texts: list, columns: list, column_types: list) -> bool:
-    """Whether one of `texts` or a text value of `columns` holds a "\r"."""
-    return "\r" in "".join(texts) or any(
-        "\r" in "".join(col if types == {str} else map(str, col))
-        for col, types in zip(columns, column_types) if str in types
-    )
+def _plain_text(d: RankedDataTable) -> str | None:
+    """The CSV text of `d` built by `str.join`, or None when a value is not
+    a `str` or a cell needs quoting.
+
+    A row's line joins its values and its rank by "\\0", and the lines of
+    one degree are sorted as strings.  "\\0" sorts below every other
+    character, so while no value holds one this is tuple order, a prefix
+    first.  The assembled text is checked before it is returned: a "\\0" or
+    a line feed in a value, an attribute name or a rank text shows in the
+    counts of those characters, and a comma, a quote or a carriage return
+    anywhere would need quoting.  The "\\0"s then become commas.
+    """
+    names = attrs_of(d.scheme)
+    fmt = d.lattice.format_degree
+    parts = ["\0".join(names + ("rank",)), "\n"]
+    for a, values in _groups(d):
+        try:
+            lines = list(map("\0".join, values))
+        except TypeError:  # a value that is not a str
+            return None
+        lines.sort()
+        end = "\0" + fmt(a) + "\n"
+        parts += (end.join(lines), end)
+    text = "".join(parts)
+    rows = len(d._rows)
+    if (text.count("\0") != (rows + 1) * len(names) or text.count("\n") != rows + 1
+            or "," in text or '"' in text or "\r" in text):
+        return None
+    return text.replace("\0", ",")
 
 
 class _LfLines:
@@ -730,12 +748,22 @@ class _LfLines:
 def write_csv(d: RankedDataTable, out) -> None:
     """Serialize: header of sorted attribute names plus a final rank column.
 
-    Rows come in `sorted_rows` order.  Each distinct degree is formatted
-    once; cells of columns holding only `str` and `int` values go to the
-    csv writer as they are, other columns through `_value_to_text` (floats
-    to 9 significant digits).  A cell is quoted when it holds a comma, a
-    quote, a line feed or a carriage return.
+    Rows come in `sorted_rows` order and each distinct degree is formatted
+    once.  Two paths write the same bytes.  When every value is a `str` and
+    no value, attribute name or rank text holds a comma, a quote, a line
+    feed, a carriage return or "\\0", `_plain_text` builds the whole text
+    and it is written at once.  Every other table goes through the csv
+    module: cells of columns holding only `str` and `int` values as they
+    are, other columns through `_value_to_text` (floats to 9 significant
+    digits), and a cell is quoted when it holds a comma, a quote, a line
+    feed or a carriage return.  The csv writer quotes a carriage return only
+    as a character of its line terminator, so it writes "\\r\\n" and
+    `_LfLines` ends each line in "\\n".
     """
+    text = _plain_text(d)
+    if text is not None:
+        out.write(text)
+        return
     columns = _columns(d)
     column_types = _column_types(columns)
     converted = [i for i, types in enumerate(column_types) if not types <= _PLAIN_TYPES]
@@ -747,19 +775,10 @@ def write_csv(d: RankedDataTable, out) -> None:
         return line
 
     fmt = d.lattice.format_degree
-    runs = [((fmt(a),), values) for a, values in _runs(d, column_types)]
-    header = list(attrs_of(d.scheme)) + ["rank"]
-    # A csv writer quotes a cell only for the characters of its line
-    # terminator, and a "\r" left unquoted does not read back.  Text holding
-    # one takes the "\r\n" writer through `_LfLines`; all other text takes
-    # the plain writer, which writes the same bytes for it and spends about a
-    # third less time (query-bulk, traced `table.write_csv.s`).
-    if _holds_cr(header + [rank for (rank,), _values in runs], columns, column_types):
-        writer = csv.writer(_LfLines(out), lineterminator="\r\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for rank, values in runs:
+    writer = csv.writer(_LfLines(out), lineterminator="\r\n")
+    writer.writerow(list(attrs_of(d.scheme)) + ["rank"])
+    for a, values in _runs(d, column_types):
+        rank = (fmt(a),)
         lines = (v + rank for v in values)
         writer.writerows(map(to_text, lines) if converted else lines)
 
@@ -796,14 +815,28 @@ def read_csv(
     the degree (default: top).  `types` declares attribute types, enforced
     through the session registry.  Every cell goes through its column's
     `registry.parser`, picked once per column, and every distinct rank text
-    through `lattice.parse_degree`, once per call.  Two rows with the same
-    tuple are a `SchemeError` naming the line of the second, and so is a
-    record the csv module cannot parse, naming its line.
+    through `lattice.parse_degree`, once per call.
+
+    The csv module reads the header.  The rows take one of two paths that
+    give the same table.  `_plain_rows` splits text that needs no csv
+    parsing with `str.split` and parses it a column at a time; its
+    docstring gives the conditions.  All other text, and plain text in
+    which a cell or a rank does not parse or a tuple repeats, goes through
+    the csv module row by row, which raises every error: the first bad cell
+    or rank in row order, and a `SchemeError` for a row that does not match
+    the header, for two rows with the same tuple, naming the line of the
+    second, and for a record the csv module cannot parse, naming its line.
+    A `str` is split into lines at line feeds, a file or other iterable of
+    lines as its iteration splits it (a file opened with `newline=""` at a
+    bare carriage return too).
     """
     if isinstance(text_or_file, str):
-        text_or_file = io.StringIO(text_or_file)
-    # kept so that a repeated row can be found again, after the fact
-    lines = list(text_or_file)
+        text, file_lines = text_or_file, None
+        lines = io.StringIO(text)
+    else:
+        # kept so that a repeated row can be found again, after the fact
+        lines = file_lines = list(text_or_file)
+        text = "".join(lines)
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -819,12 +852,17 @@ def read_csv(
     for a, ty in (types or {}).items():
         registry.declare(a, ty)
     names = attrs_of(frozenset(attrs))
-    to_sorted = _picker(tuple(attrs.index(a) for a in names))
+    order = tuple(attrs.index(a) for a in names)
     parsers = [_cell_parser(registry.parser(a)) for a in attrs]
     parse_degree = lattice.parse_degree
     rank = lattice.top  # every row's rank when there is no rank column
-    ranks: dict = {}
     width = len(header)
+    rows = _plain_rows(text, file_lines, width, [(i, parsers[i]) for i in order],
+                       parse_degree if has_rank else None, rank)
+    if rows is not None:
+        return _table(_SCHEME_OF[names], lattice, rows)
+    to_sorted = _picker(order)
+    ranks: dict = {}
     rows = {}
     count = blank = 0
     try:
@@ -836,16 +874,60 @@ def read_csv(
                 raise SchemeError(f"CSV row {row} does not match header {header}")
             values = to_sorted([parse(cell) for parse, cell in zip(parsers, row)])
             if has_rank:
-                text = row[-1]
-                rank = ranks.get(text)
+                label = row[-1]
+                rank = ranks.get(label)
                 if rank is None:
-                    rank = ranks[text] = parse_degree(text.strip())
+                    rank = ranks[label] = parse_degree(label.strip())
             rows[values] = rank
     except csv.Error as exc:
         raise _malformed(reader, exc) from None
     if count - blank != len(rows):
-        raise _repeated_row(lines, parsers, to_sorted)
+        raise _repeated_row(io.StringIO(text) if file_lines is None else file_lines,
+                           parsers, to_sorted)
     return _table(_SCHEME_OF[names], lattice, rows)
+
+
+def _plain_rows(text: str, file_lines, width: int, columns: list, parse_degree,
+                top) -> dict | None:
+    """The rows of `text` after its header line, split with `str.split`, or
+    None when the csv module must read them.
+
+    The text must hold no quote, carriage return or "\\0" (which the csv
+    module of Python 3.10 refuses), and its rows no blank line, no line
+    longer than `csv.field_size_limit()` and `width` − 1 commas on every
+    line; the lines of a file or other iterable (`file_lines`) must end at
+    the text's line feeds.  The csv module then reads the same records.  It
+    must also read them, to raise the error, when a cell or a rank does not
+    parse or two rows have the same tuple.  `columns` holds (header
+    position, cell parser) in sorted-attribute order; `parse_degree` is None
+    without a rank column, and every row then has the degree `top`.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    body = text.split("\n")
+    del body[0]
+    if body and not body[-1]:  # the text ends in a line feed
+        body.pop()
+    if file_lines is not None and len(body) != len(file_lines) - 1:
+        return None
+    if not body:
+        return {}
+    if ("" in body or set(map(str.count, body, repeat(","))) != {width - 1}
+            or max(map(len, body)) > csv.field_size_limit()):
+        return None
+    cells = ",".join(body).split(",")
+    try:
+        keys = (zip(*[list(map(parse, cells[i::width])) for i, parse in columns])
+                if columns else [()] * len(body))
+        if parse_degree is None:
+            rows = dict.fromkeys(keys, top)
+        else:
+            texts = cells[width - 1::width]
+            degree_of = {t: parse_degree(t.strip()) for t in set(texts)}
+            rows = dict(zip(keys, map(degree_of.__getitem__, texts)))
+    except GradixError:
+        return None
+    return rows if len(rows) == len(body) else None
 
 
 def _malformed(reader, exc: csv.Error) -> SchemeError:

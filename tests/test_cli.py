@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from gradix import cli, parsing
+from gradix import algebra as ra, cli, parsing
 from gradix.cli import EXIT_IO, EXIT_OK, EXIT_QUERY, EXIT_UNKNOWN_SUITE, Session, main
 from gradix.lattice import lattice_from_spec
 
@@ -122,6 +122,53 @@ def test_eval_singleton_type_check(workdir):
     )
     code, _ = run_main(["eval", "--lattice", "boolean", "--script", script])
     assert code == EXIT_QUERY
+
+
+def _run_on_decimal_table(workdir, stmts):
+    """(exit code, stdout, session) of LOAD D, a decimal column A, then `stmts`."""
+    (workdir / "d.csv").write_text("A,rank\n1,0.5\n2.5,1\n1.5,0.25\n")
+    load = f'LOAD D FROM "{workdir}/d.csv" SCHEME A:decimal\n'
+    if isinstance(stmts, str):
+        stmts = parsing.parse_script(load + stmts)
+    else:
+        stmts = parsing.parse_script(load) + stmts
+    session, out = Session(lattice_from_spec("godel")), io.StringIO()
+    return cli.run_script(stmts, session, stdout=out), out.getvalue(), session
+
+
+@pytest.mark.parametrize("template", ["EVAL D JOIN [A: {}]", "EVAL ([A: {}] UNION D)",
+                                      "LET E = [A: {}]\nEVAL (E UNION D)"])
+def test_int_literal_on_decimal_is_the_equal_float(workdir, template):
+    texts = []
+    for literal in ("2", "2.0", "1", "1.0"):
+        code, out, session = _run_on_decimal_table(workdir, template.format(literal) + "\n")
+        assert code == EXIT_OK
+        assert {type(v) for t in session.tables.values() for (v,) in t._rows} == {float}
+        texts.append(out)
+    assert texts[0] == texts[1] and texts[2] == texts[3]
+    if "UNION" in template:  # an int 2 would sort after the floats 1.5 and 2.5
+        assert texts[0].endswith("A,rank\n2,1\n2.5,1\n1,0.5\n1.5,0.25\n\n")
+
+
+@pytest.mark.parametrize("value", [True, "1", 10 ** 400], ids=["bool", "str", "huge-int"])
+def test_bool_string_or_huge_int_on_decimal_is_refused(workdir, value, capsys):
+    stmt = parsing.EvalStmt(ra.NaturalJoin(ra.RelSym("D"), ra.Singleton("A", value)), 7)
+    code, out, _session = _run_on_decimal_table(workdir, [stmt])
+    assert code == EXIT_QUERY and out == ""
+    assert capsys.readouterr().err == (
+        f"gradix: error at line 7: singleton value {value!r} does not match "
+        "declared type decimal of 'A'\n")
+
+
+def test_string_literal_on_decimal_exits_one(workdir, capsys):
+    (workdir / "d.csv").write_text("A,rank\n1,0.5\n")
+    script = write_script(workdir, f'LOAD D FROM "{workdir}/d.csv" SCHEME A:decimal\n'
+                                   'EVAL D JOIN [A: "1"]\n')
+    code, out = run_main(["eval", "--lattice", "godel", "--script", script])
+    assert code == EXIT_QUERY and out == ""
+    assert capsys.readouterr().err == (
+        "gradix: error at line 2: singleton value '1' does not match declared type "
+        "decimal of 'A'\n")
 
 
 def test_empty_script_exits_zero(workdir):

@@ -1,8 +1,14 @@
 """The CSV boundary: output order and bytes against a reference writer,
-per-column parsers and rank memos, and the repeated-row error."""
+per-column parsers and rank memos, the repeated-row error, and the bulk
+paths against the csv module."""
+
+import csv
+import hashlib
+import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gradix as gx
 from gradix import AttributeRegistry, SchemeError, Tuple, TypeRegistryError
@@ -275,3 +281,140 @@ def test_saved_carriage_return_loads_again(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "gradix: error at line 1: CSV row ['Z'] does not match header ['A', 'rank']\n"
+
+
+# -- the bulk paths against the csv module ----------------------------------------
+#
+# `write_csv` and `read_csv` build and split plain text with `str.join` and
+# `str.split` and leave everything else to the csv module.  The writer must
+# give the reference bytes on tables whose values sort around "\0" and ",";
+# the reader must give what the csv module's row loop gives, table or error.
+
+# characters below "," (and "\0" itself), and values that are prefixes of
+# each other
+LOW_TEXT = st.one_of(
+    st.sampled_from(["a", "a b", "a,", "a\0", "a\0b", "ab", "a+", "a\t", ""]),
+    st.text(alphabet=st.sampled_from(["a", "b", " ", "\t", "+", "!", "*", "\0", "\x01", ","]),
+            max_size=4),
+)
+
+
+@st.composite
+def text_tables(draw):
+    lat, degrees = draw(st.sampled_from(LATTICES))
+    attrs = [f"A{i}" for i in range(draw(st.integers(1, 3)))]
+    row = st.tuples(*[LOW_TEXT] * len(attrs))
+    rows = draw(st.lists(st.tuples(row, degrees), max_size=12))
+    return gx.RankedDataTable(
+        frozenset(attrs), lat, {Tuple(zip(attrs, values)): d for values, d in rows}
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(text_tables())
+def test_write_csv_of_text_tables_matches_reference(d):
+    assert gx.table_to_csv(d) == _reference_write_csv(d)
+
+
+def _plain_text_table(lat):
+    """20,000 rows of three text columns whose values share prefixes and
+    hold spaces, tabs, "+", "!", "-" and "." but need no quoting."""
+    rng = random.Random(20000)
+    cores = ["s", "p", "a", "ab", "a b"]
+    tails = ["", "+", "!", " x", "\ty", "-", "+1", "."]
+    rows = {}
+    while len(rows) < 20000:
+        values = tuple(rng.choice(cores) + str(rng.randrange(60)) + rng.choice(tails)
+                       for _ in range(3))
+        rows[values] = rng.randint(1, 20) / 20
+    return gx.RankedDataTable(frozenset("ABC"), lat,
+                              {Tuple(zip("ABC", v)): a for v, a in rows.items()})
+
+
+def test_large_plain_text_table_keeps_its_bytes(godel):
+    d = _plain_text_table(godel)
+    text = gx.table_to_csv(d)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e0daa7fe864a2ef753119f64807b3361f837e9df26e99acb971c4e4520dca5f2")
+    again = gx.read_csv(text, godel, AttributeRegistry())
+    assert again == d
+    assert hashlib.sha256(repr(sorted(again._rows.items())).encode()).hexdigest() == (
+        "172e8e8e70e4b2af55acfeaebfe9766ce5d3f2322167d0a03a35f94fef92d943")
+
+
+HEADERS = ["A,B,rank", "A,rank", "B,A,rank", "A,B", "A", "rank", "A,A,rank", " A , B ,rank"]
+#: characters the csv module treats specially; a text holds digits and
+#: spaces and at most one of these, so each one meets otherwise plain text
+SPECIAL = ["", ",", '"', "\r", "\n", "\0"]
+
+
+@st.composite
+def csv_texts(draw):
+    if draw(st.integers(0, 9)) == 0:  # anything at all, header included
+        return draw(st.text(alphabet=st.sampled_from(list('012 ,"\r\n\0A')), max_size=30))
+    header = draw(st.sampled_from(HEADERS))
+    width = header.count(",") + 1
+    alphabet = ["0", "1", "2", " "] + list(draw(st.sampled_from(SPECIAL)))
+    cell = st.text(alphabet=st.sampled_from(alphabet), max_size=3)
+    line = st.one_of(
+        st.lists(cell, min_size=width, max_size=width),
+        st.integers(max(width - 1, 1), width + 1).flatmap(
+            lambda n: st.lists(cell, min_size=n, max_size=n)),
+        st.just([]),
+    ).map(",".join)
+    lines = draw(st.lists(line, max_size=8))
+    return header + "\n" + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(read):
+    """What a call of `read` gives: the table's scheme and rows, value types
+    shown, or the type and message of its error."""
+    try:
+        table = read()
+    except gx.GradixError as exc:
+        return type(exc), str(exc)
+    return sorted(table.scheme), repr(list(table._rows.items()))
+
+
+def _agrees_with_the_csv_module(read):
+    got = _outcome(read)
+    with mock.patch("gradix.table._plain_rows", return_value=None):
+        assert got == _outcome(read)
+    return got
+
+
+@settings(max_examples=800, deadline=None)
+@given(csv_texts(), st.sampled_from([{}, {"A": "int"}, {"A": "decimal", "B": "text"}]),
+       st.sampled_from([lat for lat, _ in LATTICES[:3]]))
+@example("A,B,rank\n1,2,1,0\n1,1\n", {}, gx.BooleanLattice())
+@example('A,rank\n"1,1\n', {}, gx.BooleanLattice())
+def test_read_csv_agrees_with_the_csv_module(tmp_path_factory, text, types, lat):
+    path = tmp_path_factory.getbasetemp() / "agree.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _agrees_with_the_csv_module(lambda: gx.read_csv(text, lat, AttributeRegistry(), types))
+
+    def from_file():
+        with open(path, encoding="utf-8", newline="") as fh:
+            return gx.read_csv(fh, lat, AttributeRegistry(), types)
+
+    _agrees_with_the_csv_module(from_file)
+
+
+def test_long_fields_and_other_line_splits_go_to_the_csv_module(tmp_path, godel):
+    limit = csv.field_size_limit(8)
+    try:
+        got = _agrees_with_the_csv_module(
+            lambda: gx.read_csv("A,rank\nabcdefghi,1\n", godel, AttributeRegistry()))
+        assert got == (SchemeError, "CSV line 2 is malformed: field larger than field limit (8)")
+        # a line longer than the limit whose fields are not
+        got = _agrees_with_the_csv_module(
+            lambda: gx.read_csv("A,B,rank\nabcd,efgh,1\n", godel, AttributeRegistry()))
+        assert got == (["A", "B"], "[(('abcd', 'efgh'), 1.0)]")
+    finally:
+        csv.field_size_limit(limit)
+    # lines that do not end at the text's line feeds: the csv module reads
+    # the second as a record cut short
+    lines = ["A,rank\n", "x,1\ny,1\n"]
+    kind, message = _agrees_with_the_csv_module(
+        lambda: gx.read_csv(iter(lines), godel, AttributeRegistry()))
+    assert kind is SchemeError and message.startswith("CSV line 2 is malformed")
