@@ -30,7 +30,6 @@ from .algebra import (
     Union,
     adom,
     eadom,
-    eadom_ra_expr,
     eval_ra,
     ra_to_text,
     resolve_schemes,

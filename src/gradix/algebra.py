@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import division as dv
 from . import table as tb
@@ -431,46 +431,6 @@ def eadom(instance: DatabaseInstance, scheme: Scheme, extra_values=()) -> Ranked
     lat = instance.lattice
     columns = [eadom_values(instance, a, extra_values) for a in tb.attrs_of(scheme)]
     return tb._table(frozenset(scheme), lat, dict.fromkeys(itertools.product(*columns), lat.top))
-
-
-def eadom_ra_expr(
-    scheme: Scheme,
-    symbols: Mapping[str, Scheme],
-    constants: Iterable = (),
-    witness_values: Mapping[str, object] | None = None,
-) -> RaExpr:
-    """An explicit π/∇/∪/⋈ expression whose value is the extended active
-    domain over `scheme` in any instance binding the given symbols.
-
-    Attributes covered by no symbol and no constant have an empty domain;
-    they are rendered as a self-difference of a placeholder singleton (the
-    witness value never survives into the result).
-    """
-    attrs = sorted(scheme)
-    if not attrs:
-        return DeeConst(1)
-    consts = sorted(set(constants), key=lambda c: (c[0], str(c[1])))
-    per_attr = []
-    for a in attrs:
-        parts: list[RaExpr] = [
-            Projection(frozenset({a}), Nabla(RelSym(name, frozenset(s))))
-            for name, s in sorted(symbols.items())
-            if a in s
-        ]
-        parts.extend(Singleton(a, v) for attr, v in consts if attr == a)
-        if not parts:
-            witness = (witness_values or {}).get(a, 0)
-            ghost = Singleton(a, witness)
-            expr: RaExpr = GradedDifference(ghost, ghost)
-        else:
-            expr = parts[0]
-            for p in parts[1:]:
-                expr = Union(expr, p)
-        per_attr.append(expr)
-    out = per_attr[0]
-    for e in per_attr[1:]:
-        out = NaturalJoin(out, e)
-    return out
 
 
 # -- evaluation ------------------------------------------------------------

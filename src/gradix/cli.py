@@ -63,8 +63,9 @@ def _check_value_types(expr, registry: AttributeRegistry):
     are checked against their declared types.  An `int` on a `decimal`
     attribute becomes the equal float, the value the CSV reader gives the
     same text, so one column does not mix the two; any other mismatch, a
-    bool, a string or an int beyond the floats there among them, is a
-    `TypeRegistryError`."""
+    string or an int beyond the floats there among them, is a
+    `TypeRegistryError`, and so is a bool on any declared type (Python
+    counts a bool as an int, the CSV reader does not)."""
 
     def rule(node, *below):
         if type(node) is not ra.Singleton:
@@ -75,7 +76,8 @@ def _check_value_types(expr, registry: AttributeRegistry):
                 return ra.Singleton(node.attribute, float(node.value))
             except OverflowError:
                 pass
-        if declared and not isinstance(node.value, registry._PARSERS[declared]):
+        if declared and (type(node.value) is bool
+                         or not isinstance(node.value, registry._PARSERS[declared])):
             raise TypeRegistryError(
                 f"singleton value {node.value!r} does not match declared "
                 f"type {declared} of {node.attribute!r}"

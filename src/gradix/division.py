@@ -7,7 +7,13 @@ join), in how the divisor is grouped (one group, or one group per value of
 the attributes r pins), and in one ⊗ factor.  `_residuum_infimum`
 evaluates that shape for all of them in the manner of Graefe's
 hash-division: D' is indexed by value tuples and probed once per divisor
-row of the outer row's group.
+row of the outer row's group, and, as hash-division drops a quotient
+candidate at its first missing divisor tuple, an outer row is dropped at
+its first term equal to bottom.  That is exact: bottom absorbs ∧, and
+w ⊗ ⊥ = ⊥ in every residuated lattice by adjointness, so the row would
+score bottom and not be stored.  On Boolean, Gödel and Goguen degrees
+b → ⊥ = ⊥ for every b > ⊥, so there a row ends at its first missing
+probe; on Łukasiewicz and finite chains b → ⊥ is bottom only at b = 1.
 
 The infimum formally runs over the (conceptually unbounded) tuple universe
 of the divisor scheme.  Tuples outside the divisor's support contribute
@@ -59,15 +65,6 @@ def _pickers(d: RankedDataTable, *schemes: Scheme) -> list:
     return [_project_plan(names, attrs_of(s)) for s in schemes]
 
 
-def _grouped(d: RankedDataTable, key: Scheme, rest: Scheme) -> dict:
-    """The rows of `d` as {values on `key`: [(values on `rest`, degree)]}."""
-    to_key, to_rest = _pickers(d, key, rest)
-    groups: dict = {}
-    for v, b in d._rows.items():
-        groups.setdefault(to_key(v), []).append((to_rest(v), b))
-    return groups
-
-
 def _merger(left: Scheme, right: Scheme):
     """Values on `left` plus values on the disjoint `right` → values on the
     union, in sorted-attribute order."""
@@ -75,7 +72,8 @@ def _merger(left: Scheme, right: Scheme):
 
 
 def _one_group(values) -> tuple:
-    """`to_key` of a divisor that is one group, keyed ()."""
+    """`to_key` and `divisor_key` of a division whose divisor is one group,
+    keyed ()."""
     return ()
 
 
@@ -98,24 +96,45 @@ def _times_inf(lat, w, residua):
     return lat.kotimes(w, lat.kinf(residua))
 
 
-def _residuum_infimum(outer: RankedDataTable, groups: dict, to_key, to_prefix, assemble,
-                      score, combine) -> dict:
+def _residuum_infimum(outer: RankedDataTable, to_key, to_prefix, divisor: dict, divisor_key,
+                      divisor_rest, assemble, score, combine) -> dict:
     """The residuum infimum shared by every graded division.
 
-    For each row t of `outer` with weight w and values v, the divisor group
-    `groups[to_key(v)]` holds (values sv, degree b) pairs, and the result
-    row is combine(lattice, w, [b → score(assemble(to_prefix(v) + sv)) for
-    each pair]); `score` is a dict lookup giving bottom for an absent probe.
-    A missing group is empty: every term of the infimum is then the tail
-    0 → · = 1.
+    The rows of `divisor` are grouped by `divisor_key` of their values, in
+    one pass that keeps each row as a triple (values sv = `divisor_rest` of
+    its values, degree b, b → ⊥).  For each row t of `outer` with weight w
+    and values v, the group `to_key(v)` gives the terms b → D'(p) of the
+    infimum, one per triple, where p = assemble(to_prefix(v) + sv) and D'
+    is `score`, a dict's `get` that returns None for an absent probe.  A
+    miss is the stored b → ⊥, with no residuum computed.  The result row is
+    combine(lattice, w, terms).  A missing group is empty: every term of
+    the infimum is then the tail 0 → · = 1.
+
+    The loop over a group stops at the first term equal to bottom and the
+    outer row is dropped, as `_table` would drop it.  Only a miss can give
+    that term, since b → a ≥ a > ⊥ for a stored probe a.  Bottom absorbs
+    ∧, and w ⊗ ⊥ = ⊥ by adjointness (w ⊗ ⊥ ≤ ⊥ iff w ≤ ⊥ → ⊥ = 1), which
+    `FiniteTableLattice` validates and the built-in lattices satisfy.  So
+    every combine gives bottom once a term is bottom, and the stored rows
+    and their order are the same as without the cut-off.
     """
     lat = outer.lattice
     kresiduum, bottom = lat.kresiduum, lat.bottom
+    groups: dict = {}
+    for u, b in divisor.items():
+        groups.setdefault(divisor_key(u), []).append((divisor_rest(u), b, kresiduum(b, bottom)))
     rows = {}
     for v, w in outer._rows.items():
         head = to_prefix(v)
-        rows[v] = combine(lat, w, [kresiduum(b, score(assemble(head + sv), bottom))
-                                   for sv, b in groups.get(to_key(v), ())])
+        residua = []
+        for sv, b, miss in groups.get(to_key(v), ()):
+            a = score(assemble(head + sv))
+            x = miss if a is None else kresiduum(b, a)
+            if x == bottom:
+                break
+            residua.append(x)
+        else:
+            rows[v] = combine(lat, w, residua)
     return rows
 
 
@@ -181,7 +200,7 @@ def div_ranged(
     lat = _same_lattice(dividend, divisor, rng)
     r_scheme = ranged_scheme(dividend.scheme, divisor.scheme, rng.scheme)
     rows = _residuum_infimum(
-        rng, {(): divisor._rows.items()}, _one_group, _itself,
+        rng, _one_group, _itself, divisor._rows, _one_group, _itself,
         _merger(r_scheme, divisor.scheme), dividend._rows.get, _inside_inf,
     )
     return _table(r_scheme, lat, rows)
@@ -198,7 +217,7 @@ def div_gsdo(
     lat = _same_lattice(d1, d2, d3)
     r_scheme = gsdo_scheme(d1.scheme, d2.scheme, d3.scheme)
     rows = _residuum_infimum(
-        d1, {(): d2._rows.items()}, _one_group, _itself,
+        d1, _one_group, _itself, d2._rows, _one_group, _itself,
         _merger(r_scheme, d2.scheme), d3._rows.get, _times_inf,
     )
     return _table(r_scheme, lat, rows)
@@ -230,9 +249,9 @@ def div_gsd(
     """
     lat = _same_lattice(d1, d2, d3)
     r_scheme, s_scheme, _t, _u, _v = gsd_roles(d1.scheme, d2.scheme, d3.scheme)
-    divisor = list(_sup_index(d2, attrs_of(s_scheme)).items())
     rows = _residuum_infimum(
-        d1, {(): divisor}, _one_group, *_pickers(d1, r_scheme), _merger(r_scheme, s_scheme),
+        d1, _one_group, *_pickers(d1, r_scheme),
+        _sup_index(d2, attrs_of(s_scheme)), _one_group, _itself, _merger(r_scheme, s_scheme),
         _sup_index(d3, attrs_of(r_scheme | s_scheme)).get, _times_inf,
     )
     return _table(d1.scheme, lat, rows)
@@ -252,7 +271,7 @@ def div_gcodd(
     _require_non_ranked(universe, "div_gcodd")
     r_scheme = gcodd_scheme(d1.scheme, d2.scheme, universe.scheme)
     rows = _residuum_infimum(
-        universe, {(): d2._rows.items()}, _one_group, _itself,
+        universe, _one_group, _itself, d2._rows, _one_group, _itself,
         _merger(r_scheme, d2.scheme), d1._rows.get, _times_inf,
     )
     return _table(r_scheme, lat, rows)
@@ -271,7 +290,8 @@ def div_gtodd(
     _require_non_ranked(universe, "div_gtodd")
     r_scheme, s_scheme, t_scheme = gtodd_roles(d1.scheme, d2.scheme, universe.scheme)
     rows = _residuum_infimum(
-        universe, _grouped(d2, t_scheme, s_scheme), *_pickers(universe, t_scheme, r_scheme),
+        universe, *_pickers(universe, t_scheme, r_scheme),
+        d2._rows, *_pickers(d2, t_scheme, s_scheme),
         _merger(r_scheme, s_scheme), d1._rows.get, _times_inf,
     )
     return _table(universe.scheme, lat, rows)
@@ -294,7 +314,7 @@ def div_ggdo(
     r_scheme, s_scheme, t_scheme = ggdo_roles(d1.scheme, d2.scheme, d3.scheme, d4.scheme)
     u = natural_join(d1, d2)
     rows = _residuum_infimum(
-        u, _grouped(d4, t_scheme, s_scheme), *_pickers(u, t_scheme, r_scheme),
+        u, *_pickers(u, t_scheme, r_scheme), d4._rows, *_pickers(d4, t_scheme, s_scheme),
         _merger(r_scheme, s_scheme), d3._rows.get, _times_inf,
     )
     return _table(u.scheme, lat, rows)
@@ -324,7 +344,7 @@ def div_gddo(
     prefix = d1.scheme | pinned
     reached = d3.scheme & (d1.scheme | d4.scheme)
     rows = _residuum_infimum(
-        u, _grouped(d4, pinned, quantified), *_pickers(u, pinned, prefix),
+        u, *_pickers(u, pinned, prefix), d4._rows, *_pickers(d4, pinned, quantified),
         # prefix + fragment spans d1 ∪ d4, which holds every reached attribute
         _project_plan(attrs_of(prefix) + attrs_of(quantified), attrs_of(reached)),
         _sup_index(d3, attrs_of(reached)).get, _times_inf,

@@ -7,15 +7,33 @@ they evaluate through the engine's table operators on purpose: the
 `T-darwen-set` and `boolean-collapse` suites check that these compositions
 and the engine's graded divisions collapse to the same set-notation
 divisions.
+
+`eadom_ra_expr` composes the extended active domain the same way, as an
+algebra expression over π, ∇, ∪ and ⋈, which the tests evaluate against
+the engine's own `algebra.eadom`.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping
+
+from ..algebra import (
+    DeeConst,
+    GradedDifference,
+    Nabla,
+    NaturalJoin,
+    Projection,
+    RaExpr,
+    RelSym,
+    Singleton,
+    Union,
+)
 from ..division import (
     _require, _require_boolean, ggdo_roles, gsd_roles, gsdo_scheme, semidifference,
 )
 from ..table import (
     RankedDataTable,
+    Scheme,
     _same_lattice,
     difference_graded,
     natural_join,
@@ -87,3 +105,41 @@ def div_darwen_composed(
     return semidifference(
         natural_join(d1, d2), semidifference(natural_join(d1, d4), d3)
     )
+
+
+def eadom_ra_expr(
+    scheme: Scheme,
+    symbols: Mapping[str, Scheme],
+    constants: Iterable = (),
+) -> RaExpr:
+    """An explicit π/∇/∪/⋈ expression whose value is the extended active
+    domain over `scheme` in any instance binding the given symbols.
+
+    Attributes covered by no symbol and no constant have an empty domain;
+    they are rendered as a self-difference of a placeholder singleton (its
+    value never survives into the result).
+    """
+    attrs = sorted(scheme)
+    if not attrs:
+        return DeeConst(1)
+    consts = sorted(set(constants), key=lambda c: (c[0], str(c[1])))
+    per_attr = []
+    for a in attrs:
+        parts: list[RaExpr] = [
+            Projection(frozenset({a}), Nabla(RelSym(name, frozenset(s))))
+            for name, s in sorted(symbols.items())
+            if a in s
+        ]
+        parts.extend(Singleton(a, v) for attr, v in consts if attr == a)
+        if not parts:
+            ghost = Singleton(a, 0)
+            expr: RaExpr = GradedDifference(ghost, ghost)
+        else:
+            expr = parts[0]
+            for p in parts[1:]:
+                expr = Union(expr, p)
+        per_attr.append(expr)
+    out = per_attr[0]
+    for e in per_attr[1:]:
+        out = NaturalJoin(out, e)
+    return out

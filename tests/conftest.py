@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from gradix import (
@@ -9,6 +11,7 @@ from gradix import (
     RankedDataTable,
     Tuple,
 )
+from gradix.harness.latsearch import search_distributivity_counterexample
 
 
 def sch(*names):
@@ -74,16 +77,27 @@ def chain5():
     return FiniteChain(5)
 
 
-@pytest.fixture(params=["boolean", "godel", "lukasiewicz", "goguen", "chain3", "chain5"])
+#: the lattices of `any_lattice`, by fixture id
+LATTICES = {
+    "boolean": BooleanLattice,
+    "godel": GoedelLattice,
+    "lukasiewicz": LukasiewiczLattice,
+    "goguen": GoguenLattice,
+    "chain3": lambda: FiniteChain(3),
+    "chain5": lambda: FiniteChain(5),
+}
+
+
+@functools.cache
+def witness_lattice():
+    """The carrier-6 table lattice on which ⊗ fails to distribute over ∧."""
+    lat, *_ = search_distributivity_counterexample(6)
+    return lat
+
+
+@pytest.fixture(params=list(LATTICES))
 def any_lattice(request):
-    return {
-        "boolean": BooleanLattice(),
-        "godel": GoedelLattice(),
-        "lukasiewicz": LukasiewiczLattice(),
-        "goguen": GoguenLattice(),
-        "chain3": FiniteChain(3),
-        "chain5": FiniteChain(5),
-    }[request.param]
+    return LATTICES[request.param]()
 
 
 @pytest.fixture(params=["godel", "lukasiewicz", "goguen"])

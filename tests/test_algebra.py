@@ -1,5 +1,5 @@
 """Algebra expressions: scheme inference, evaluation, active domains, the
-explicit active-domain expression, and printing."""
+explicit active-domain expression of the harness, and printing."""
 
 import pytest
 
@@ -23,7 +23,7 @@ from gradix import (
 from gradix import parsing
 from gradix import ptc as pc
 from gradix.algebra import Nabla, Union, constants_of, walk
-from gradix.harness import gen
+from gradix.harness import composed, gen
 
 from conftest import count_rule, rdt, sch, scores
 
@@ -136,9 +136,9 @@ def test_eadom_empty_attribute(godel):
 def test_eadom_ra_expr_matches_eadom(inst):
     symbols = {"D": sch("A", "B"), "E": sch("B")}
     for scheme in (frozenset(), sch("A"), sch("B"), sch("A", "B")):
-        expr = gx.eadom_ra_expr(scheme, symbols)
+        expr = composed.eadom_ra_expr(scheme, symbols)
         assert gx.eval_ra(expr, inst) == gx.eadom(inst, scheme)
-    expr = gx.eadom_ra_expr(sch("A"), symbols, constants=[("A", 42)])
+    expr = composed.eadom_ra_expr(sch("A"), symbols, constants=[("A", 42)])
     got = gx.eval_ra(expr, inst)
     assert got == gx.eadom(inst, sch("A"), [("A", 42)])
 
@@ -148,17 +148,17 @@ def test_eadom_ra_expr_on_random_instances(godel):
     for i in range(15):
         inst = gen.gen_instance(gen.GenConfig(seed=100 + i, lattice=godel), symbols)
         for scheme in (sch("A"), sch("B", "C"), sch("A", "C")):
-            expr = gx.eadom_ra_expr(scheme, symbols)
+            expr = composed.eadom_ra_expr(scheme, symbols)
             assert gx.eval_ra(expr, inst) == gx.eadom(inst, scheme)
 
 
 def test_eadom_ra_expr_single_symbol_shape():
-    expr = gx.eadom_ra_expr(sch("A"), {"D": sch("A")})
+    expr = composed.eadom_ra_expr(sch("A"), {"D": sch("A")})
     assert expr == Projection(sch("A"), Nabla(RelSym("D", sch("A"))))
 
 
 def test_eadom_ra_expr_uncovered_attribute(inst):
-    expr = gx.eadom_ra_expr(sch("Z"), {"D": sch("A", "B")})
+    expr = composed.eadom_ra_expr(sch("Z"), {"D": sch("A", "B")})
     assert len(gx.eval_ra(expr, inst)) == 0
 
 

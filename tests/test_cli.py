@@ -160,6 +160,19 @@ def test_bool_string_or_huge_int_on_decimal_is_refused(workdir, value, capsys):
         "declared type decimal of 'A'\n")
 
 
+@pytest.mark.parametrize("declared", ["integer", "text"])
+def test_bool_literal_is_refused_on_every_declared_type(declared, capsys):
+    # the parser makes no bool; a library caller can, and Python counts it an int
+    session, out = Session(lattice_from_spec("godel")), io.StringIO()
+    session.registry.declare("A", declared)
+    stmt = parsing.EvalStmt(ra.Singleton("A", True), 1)
+    assert cli.run_script([stmt], session, stdout=out) == EXIT_QUERY
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "gradix: error at line 1: singleton value True does not match declared type "
+        f"{declared} of 'A'\n")
+
+
 def test_string_literal_on_decimal_exits_one(workdir, capsys):
     (workdir / "d.csv").write_text("A,rank\n1,0.5\n")
     script = write_script(workdir, f'LOAD D FROM "{workdir}/d.csv" SCHEME A:decimal\n'

@@ -1,13 +1,15 @@
 """Division operations: worked examples, finite-reduction correctness
 against the naive enumeration oracles, algebraic invariants, error modes."""
 
+import hashlib
+
 import pytest
 
 import gradix as gx
 from gradix import SchemeError, Tuple, UnsupportedLatticeError
 from gradix.harness import composed, gen, oracle
 
-from conftest import rdt, sch, scores
+from conftest import LATTICES, count_rule, rdt, sch, scores, witness_lattice
 
 
 def booleans(*dicts):
@@ -308,8 +310,24 @@ def _small_cfg(lat, seed):
     return gen.GenConfig(seed=seed, lattice=lat, max_attrs=2, max_values=3, max_rows=5)
 
 
-def test_div_ranged_matches_naive_oracle(any_lattice):
-    cfg = _small_cfg(any_lattice, 53)
+@pytest.fixture(params=[*LATTICES, "witness"])
+def division_lattice(request):
+    """`any_lattice` and the carrier-6 witness, a table lattice that is no
+    chain and on which ⊗ does not distribute over ∧."""
+    return witness_lattice() if request.param == "witness" else LATTICES[request.param]()
+
+
+def assert_matches(got, want):
+    """`==` where ⊗ and → are exact; within the degree tolerance on
+    Łukasiewicz and Goguen, whose float ⊗ and → round."""
+    if isinstance(got.lattice, (gx.LukasiewiczLattice, gx.GoguenLattice)):
+        assert got.approx_equals(want)
+    else:
+        assert got == want
+
+
+def test_div_ranged_matches_naive_oracle(division_lattice):
+    cfg = _small_cfg(division_lattice, 53)
     for i in range(20):
         rng = gen.sub_rng(53, "naive-ranged", i)
         r, s = gen.split_pool(rng, [rng.randint(0, 2), rng.randint(0, 2)])
@@ -317,13 +335,12 @@ def test_div_ranged_matches_naive_oracle(any_lattice):
         d2 = gen.gen_rdt(cfg.with_seed(i), s, "d2")
         d3 = gen.gen_rdt(cfg.with_seed(i), r, "d3")
         universe = gen.fresh_universe(cfg, [r, s])
-        want = oracle.naive_div_ranged(any_lattice, r, s, d1.rows, d2.rows, d3.rows, universe)
-        got = gx.div_ranged(d1, d2, d3)
-        assert got.approx_equals(gx.RankedDataTable(r, any_lattice, want))
+        want = oracle.naive_div_ranged(division_lattice, r, s, d1.rows, d2.rows, d3.rows, universe)
+        assert_matches(gx.div_ranged(d1, d2, d3), gx.RankedDataTable(r, division_lattice, want))
 
 
-def test_div_gsdo_matches_naive_oracle(any_lattice):
-    cfg = _small_cfg(any_lattice, 59)
+def test_div_gsdo_matches_naive_oracle(division_lattice):
+    cfg = _small_cfg(division_lattice, 59)
     for i in range(20):
         rng = gen.sub_rng(59, "naive-gsdo", i)
         r, s = gen.split_pool(rng, [rng.randint(0, 2), rng.randint(0, 2)])
@@ -331,12 +348,12 @@ def test_div_gsdo_matches_naive_oracle(any_lattice):
         d2 = gen.gen_rdt(cfg.with_seed(i), s, "d2")
         d3 = gen.gen_rdt(cfg.with_seed(i), r | s, "d3")
         universe = gen.fresh_universe(cfg, [r, s])
-        want = oracle.naive_div_gsdo(any_lattice, r, s, d1.rows, d2.rows, d3.rows, universe)
-        assert gx.div_gsdo(d1, d2, d3).approx_equals(gx.RankedDataTable(r, any_lattice, want))
+        want = oracle.naive_div_gsdo(division_lattice, r, s, d1.rows, d2.rows, d3.rows, universe)
+        assert_matches(gx.div_gsdo(d1, d2, d3), gx.RankedDataTable(r, division_lattice, want))
 
 
-def test_div_gsd_matches_naive_oracle(unit_lattice):
-    cfg = _small_cfg(unit_lattice, 61)
+def test_div_gsd_matches_naive_oracle(division_lattice):
+    cfg = _small_cfg(division_lattice, 61)
     for i in range(15):
         rng = gen.sub_rng(61, "naive-gsd", i)
         r, s, t, u, v = gen.split_pool(rng, [1, 1, 1, 1, 1])
@@ -345,15 +362,13 @@ def test_div_gsd_matches_naive_oracle(unit_lattice):
         d3 = gen.gen_rdt(cfg.with_seed(i), r | s | v, "d3")
         universe = gen.fresh_universe(cfg, [r | t, s | u, r | s | v])
         want = oracle.naive_div_gsd(
-            unit_lattice, r, s, r | t, d1.rows, d2.rows, d3.rows, universe
+            division_lattice, r, s, r | t, d1.rows, d2.rows, d3.rows, universe
         )
-        assert gx.div_gsd(d1, d2, d3).approx_equals(
-            gx.RankedDataTable(r | t, unit_lattice, want)
-        )
+        assert_matches(gx.div_gsd(d1, d2, d3), gx.RankedDataTable(r | t, division_lattice, want))
 
 
-def test_div_gcodd_gtodd_match_naive_oracle(unit_lattice):
-    cfg = _small_cfg(unit_lattice, 67)
+def test_div_gcodd_gtodd_match_naive_oracle(division_lattice):
+    cfg = _small_cfg(division_lattice, 67)
     for i in range(15):
         rng = gen.sub_rng(67, "naive-dd", i)
         r, s, t = gen.split_pool(rng, [1, 1, 1])
@@ -362,23 +377,20 @@ def test_div_gcodd_gtodd_match_naive_oracle(unit_lattice):
         universe = gen.fresh_universe(cfg, [r, s, t])
         univ_r = gx.nabla(gen.gen_rdt(cfg.with_seed(i), r, "u"))
         want = oracle.naive_div_gcodd(
-            unit_lattice, s, d1.rows, d2.rows, univ_r.rows.keys(), universe
+            division_lattice, s, d1.rows, d2.rows, univ_r.rows.keys(), universe
         )
-        assert gx.div_gcodd(d1, d2, univ_r).approx_equals(
-            gx.RankedDataTable(r, unit_lattice, want)
-        )
+        assert_matches(gx.div_gcodd(d1, d2, univ_r), gx.RankedDataTable(r, division_lattice, want))
         d2t = gen.gen_rdt(cfg.with_seed(i), s | t, "d2t")
         univ_rt = gx.nabla(gen.gen_rdt(cfg.with_seed(i), r | t, "urt"))
         want = oracle.naive_div_gtodd(
-            unit_lattice, r, s, t, d1.rows, d2t.rows, univ_rt.rows.keys(), universe
+            division_lattice, r, s, t, d1.rows, d2t.rows, univ_rt.rows.keys(), universe
         )
-        assert gx.div_gtodd(d1, d2t, univ_rt).approx_equals(
-            gx.RankedDataTable(r | t, unit_lattice, want)
-        )
+        assert_matches(gx.div_gtodd(d1, d2t, univ_rt),
+                       gx.RankedDataTable(r | t, division_lattice, want))
 
 
-def test_div_ggdo_gddo_match_naive_oracle(unit_lattice):
-    cfg = _small_cfg(unit_lattice, 71)
+def test_div_ggdo_gddo_match_naive_oracle(division_lattice):
+    cfg = _small_cfg(division_lattice, 71)
     for i in range(10):
         rng = gen.sub_rng(71, "naive-great", i)
         r, s, t = gen.split_pool(rng, [1, 1, 1])
@@ -388,11 +400,10 @@ def test_div_ggdo_gddo_match_naive_oracle(unit_lattice):
         d4 = gen.gen_rdt(cfg.with_seed(i), s | t, "d4")
         universe = gen.fresh_universe(cfg, [r, s, t])
         want = oracle.naive_div_ggdo(
-            unit_lattice, r, s, t, d1.rows, d2.rows, d3.rows, d4.rows, universe
+            division_lattice, r, s, t, d1.rows, d2.rows, d3.rows, d4.rows, universe
         )
-        assert gx.div_ggdo(d1, d2, d3, d4).approx_equals(
-            gx.RankedDataTable(r | t, unit_lattice, want)
-        )
+        assert_matches(gx.div_ggdo(d1, d2, d3, d4),
+                       gx.RankedDataTable(r | t, division_lattice, want))
     for i in range(8):
         rng = gen.sub_rng(71, "naive-darwen", i)
         schemes = [gen.gen_scheme(rng, rng.randint(0, 2), pool=("A", "B", "C"))
@@ -401,12 +412,99 @@ def test_div_ggdo_gddo_match_naive_oracle(unit_lattice):
                   for k, sc in enumerate(schemes)]
         universe = gen.fresh_universe(cfg, schemes)
         want = oracle.naive_div_gddo(
-            unit_lattice, *schemes, *(d.rows for d in tables), universe
+            division_lattice, *schemes, *(d.rows for d in tables), universe
         )
-        want = gx.RankedDataTable(schemes[0] | schemes[1], unit_lattice, want)
-        assert gx.div_gddo(*tables).approx_equals(want)
+        want = gx.RankedDataTable(schemes[0] | schemes[1], division_lattice, want)
+        assert_matches(gx.div_gddo(*tables), want)
         for other in gddo_formulations(*tables):
-            assert other.approx_equals(want)
+            assert_matches(other, want)
+
+
+# -- the kernel's cut-off at a bottom term ------------------------------------
+
+
+class CountingRows(dict):
+    """A table's rows that count the probes made through `get`."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def counted(table):
+    table._rows = CountingRows(table._rows)
+    return table._rows
+
+
+def test_a_row_ends_at_its_first_bottom_term(godel, monkeypatch):
+    # b → ⊥ = ⊥ on Gödel for b > 0: a2 misses at its first divisor row,
+    # so it costs one probe; a1 hits all three
+    d1 = rdt(godel, {"A", "B"}, {("a1", "b1"): 0.9, ("a1", "b2"): 0.8, ("a1", "b3"): 0.6,
+                                  ("a2", "b2"): 0.9, ("a2", "b3"): 0.9})
+    d2 = rdt(godel, {"B"}, {"b1": 0.5, "b2": 0.7, "b3": 0.9})
+    universe = rdt(godel, {"A"}, {"a1": 1.0, "a2": 1.0})
+    rows = counted(d1)
+    residua = count_rule(monkeypatch, godel, "kresiduum")
+    assert scores(gx.div_gcodd(d1, d2, universe)) == {(("A", "a1"),): 0.6}
+    assert rows.probes == 3 + 1
+    assert len(residua) == 3 + 3  # b → ⊥ of each divisor row, then a1's hits
+
+
+def test_a_row_without_bottom_terms_probes_its_whole_group(lukasiewicz, monkeypatch):
+    # b → ⊥ = 1 - b > 0 on Łukasiewicz for b < 1: every probe of a1 and a3
+    # misses, none is bottom, and each miss takes the stored b → ⊥
+    d1 = rdt(lukasiewicz, {"A", "B"}, {("a2", "b1"): 0.5})
+    d2 = rdt(lukasiewicz, {"B"}, {"b1": 0.5, "b2": 0.75, "b3": 0.25})
+    universe = rdt(lukasiewicz, {"A"}, {"a1": 1.0, "a3": 1.0})
+    rows = counted(d1)
+    residua = count_rule(monkeypatch, lukasiewicz, "kresiduum")
+    out = gx.div_gcodd(d1, d2, universe)
+    assert scores(out) == {(("A", "a1"),): 0.25, (("A", "a3"),): 0.25}
+    assert rows.probes == 3 + 3
+    assert len(residua) == 3
+
+
+#: sha256 of `division_digest()`, computed before the residuum-infimum
+#: kernel dropped a row at its first bottom term: each division must keep
+#: its rows, their order and their degrees.
+DIVISION_DIGEST = "995407ece647ed3165093b2e9d7ec20f9c29fcfaf79bd8f1fc01b89450ba5bef"
+
+
+def division_digest():
+    h = hashlib.sha256()
+    lattices = (gx.BooleanLattice(), gx.GoedelLattice(), gx.GoguenLattice(),
+                gx.LukasiewiczLattice(), gx.FiniteChain(5), witness_lattice())
+    for lat in lattices:
+        for seed in range(60):
+            cfg = gen.GenConfig(seed=seed, lattice=lat, max_rows=2 + seed % 7,
+                                max_values=1 + seed % 3, score_step=(0.05, 0.25, 0.5)[seed % 3])
+            rng = gen.sub_rng(seed, "division-digest")
+            r, s, t = gen.split_pool(rng, [rng.randint(0, 2) for _ in range(3)])
+
+            def draw(scheme, salt):
+                return gen.gen_rdt(cfg, scheme, salt)
+
+            outs = [
+                gx.div_ranged(draw(r | s, "rs"), draw(s, "s"), draw(r, "r")),
+                gx.div_gsdo(draw(r, "r"), draw(s, "s"), draw(r | s, "rs")),
+                gx.div_gsd(draw(r | t, "rt"), draw(s, "s"), draw(r | s, "rs")),
+                gx.div_gcodd(draw(r | s, "rs"), draw(s, "s"), gx.nabla(draw(r, "u"))),
+                gx.div_gtodd(draw(r | s, "rs"), draw(s | t, "st"), gx.nabla(draw(r | t, "u"))),
+                gx.div_ggdo(draw(r, "r"), draw(t, "t"), draw(r | s, "rs"), draw(s | t, "st")),
+                gx.div_gddo(draw(r, "r"), draw(t, "t"), draw(r | s, "rs"), draw(s | t, "st")),
+                gx.div_gddo(draw(r | s, "rs"), draw(t, "t"), draw(r, "r"), draw(s | t, "st")),
+            ]
+            if isinstance(lat, gx.BooleanLattice):
+                outs.append(gx.semidifference(draw(r | s, "rs"), draw(s | t, "st")))
+            for out in outs:
+                h.update(repr((sorted(out.scheme), list(out._rows.items()))).encode())
+    return h.hexdigest()
+
+
+def test_divisions_keep_their_bytes():
+    assert division_digest() == DIVISION_DIGEST
 
 
 # -- invariants ----------------------------------------------------------------
