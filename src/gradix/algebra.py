@@ -318,6 +318,14 @@ def scheme_of(expr: RaExpr) -> Scheme:
     return fold(expr, _scheme_rule)[id(expr)]
 
 
+#: Each division's scheme contract in the division module: the one check of
+#: its operand schemes, giving its result scheme.
+_DIVISION_SCHEMES = {
+    DivRanged: dv.ranged_scheme, GSDO: dv.gsdo_scheme, GSD: dv.gsd_scheme,
+    GGDO: dv.ggdo_scheme, GCodd: dv.gcodd_scheme, GTodd: dv.gtodd_scheme,
+}
+
+
 def _scheme_rule(expr, *s) -> Scheme:
     """The scheme of one node, from its children's schemes `s`."""
     match expr:
@@ -347,31 +355,13 @@ def _scheme_rule(expr, *s) -> Scheme:
             if not (s[0] == s[1] == s[2]):
                 _fail(expr, "the two sides and the range must share one scheme")
             return s[0]
-        case DivRanged():
-            return _division(expr, dv.ranged_scheme, s)
         case GradedDifference():
             if s[0] != s[1]:
                 _fail(expr, "difference needs equal schemes")
             return s[0]
-        case GSDO():
-            return _division(expr, dv.gsdo_scheme, s)
-        case GSD():
-            _division(expr, dv.gsd_roles, s)
-            return s[0]
-        case GGDO():
-            r, _, t = _division(expr, dv.ggdo_roles, s)
-            return r | t
-        case GCodd():
-            return _division(expr, dv.gcodd_scheme, s)
-        case GTodd():
-            _division(expr, dv.gtodd_roles, s)
-            return s[2]
-    raise TypeError(f"not an RA expression: {type(expr).__name__}")
-
-
-def _division(expr, contract, s: tuple):
-    """`contract(*s)`, a division's scheme check from the division module,
-    on the schemes `s` of `expr`'s children; its error names `expr`'s class."""
+    contract = _DIVISION_SCHEMES.get(type(expr))
+    if contract is None:
+        raise TypeError(f"not an RA expression: {type(expr).__name__}")
     try:
         return contract(*s)
     except SchemeError as exc:

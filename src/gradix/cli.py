@@ -123,7 +123,8 @@ def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
         try:
             match stmt:
                 case parsing.LoadStmt(name, path, types, _line):
-                    with open(path, encoding="utf-8", newline="") as fh:
+                    # utf-8-sig: a byte-order mark is not part of the first attribute
+                    with open(path, encoding="utf-8-sig", newline="") as fh:
                         table = read_csv(fh, session.lattice, session.registry,
                                          dict(types))
                     session.bind(name, table)
@@ -147,13 +148,14 @@ def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
                     stdout.write(f"-- COMPILE (line {line})\n")
                     stdout.write(ra.ra_to_text(compiled) + "\n")
                 case parsing.SaveStmt(name, path, _line):
+                    # the whole text first: a failed write_csv leaves no partial
+                    # file, and an unbound name no directory
+                    text = table_to_csv(session.instance().table(name))
                     target = Path(path)
                     if out_base is not None and not target.is_absolute():
                         target = out_base / target
                     target.parent.mkdir(parents=True, exist_ok=True)
-                    # the whole text first: a failed write_csv leaves no partial file
-                    target.write_text(table_to_csv(session.tables[name]),
-                                      encoding="utf-8")
+                    target.write_text(text, encoding="utf-8")
         except OSError as exc:
             print(f"gradix: i/o error at line {stmt.line}: {exc}", file=sys.stderr)
             return EXIT_IO

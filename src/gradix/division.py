@@ -1,10 +1,13 @@
 """Division operations over ranked data tables.
 
 Every graded division has one shape, a universally quantified residuum:
-result(r) = combine(w(r), ⋀_s (D(s) → D'(rs))).  The forms differ only in
-their outer rows r and weights w (a range, a dividend, a universe or a
-join), in how the divisor is grouped (one group, or one group per value of
-the attributes r pins), and in one ⊗ factor.  `_residuum_infimum`
+result(r) = combine(w(r), ⋀_s (D(s) → D'(rs))).  A division names only
+the parts of that shape: its outer rows r with weights w (a range, a
+dividend, a universe or a join), its divisor D and consequent D', each
+with its scheme, and `combine`, where w meets the infimum.
+`_residuum_infimum` derives the rest from the schemes: the divisor is
+grouped by the attributes it shares with r (one group when there are
+none), and each probe rs is laid out from r's and s's values.  It
 evaluates that shape for all of them in the manner of Graefe's
 hash-division: D' is indexed by value tuples and probed once per divisor
 row of the outer row's group, and, as hash-division drops a quotient
@@ -31,7 +34,6 @@ from .lattice import BooleanLattice
 from .table import (
     RankedDataTable,
     Scheme,
-    _join_plan,
     _project_plan,
     _same_lattice,
     _sup_index,
@@ -58,29 +60,6 @@ def _require_boolean(table: RankedDataTable, op: str) -> None:
         raise UnsupportedLatticeError(f"{op} is a two-valued operation")
 
 
-def _pickers(d: RankedDataTable, *schemes: Scheme) -> list:
-    """Functions from the value tuples of `d`'s rows to their values on
-    each of `schemes`."""
-    names = attrs_of(d.scheme)
-    return [_project_plan(names, attrs_of(s)) for s in schemes]
-
-
-def _merger(left: Scheme, right: Scheme):
-    """Values on `left` plus values on the disjoint `right` → values on the
-    union, in sorted-attribute order."""
-    return _join_plan(attrs_of(left), attrs_of(right)).merge
-
-
-def _one_group(values) -> tuple:
-    """`to_key` and `divisor_key` of a division whose divisor is one group,
-    keyed ()."""
-    return ()
-
-
-def _itself(values) -> tuple:
-    return values
-
-
 # -- `combine`: how an outer row's weight meets the infimum of its residua ----
 
 
@@ -96,19 +75,24 @@ def _times_inf(lat, w, residua):
     return lat.kotimes(w, lat.kinf(residua))
 
 
-def _residuum_infimum(outer: RankedDataTable, to_key, to_prefix, divisor: dict, divisor_key,
-                      divisor_rest, assemble, score, combine) -> dict:
-    """The residuum infimum shared by every graded division.
+def _residuum_infimum(outer: RankedDataTable, divisor: dict, divisor_scheme: Scheme,
+                      consequent: dict, consequent_scheme: Scheme, combine) -> RankedDataTable:
+    """The residuum infimum shared by every graded division: the table on
+    `outer`'s scheme with result(r) = combine(w(r), ⋀_s (D(s) → D'(rs))).
 
-    The rows of `divisor` are grouped by `divisor_key` of their values, in
-    one pass that keeps each row as a triple (values sv = `divisor_rest` of
-    its values, degree b, b → ⊥).  For each row t of `outer` with weight w
-    and values v, the group `to_key(v)` gives the terms b → D'(p) of the
-    infimum, one per triple, where p = assemble(to_prefix(v) + sv) and D'
-    is `score`, a dict's `get` that returns None for an absent probe.  A
-    miss is the stored b → ⊥, with no residuum computed.  The result row is
-    combine(lattice, w, terms).  A missing group is empty: every term of
-    the infimum is then the tail 0 → · = 1.
+    `outer` gives the rows r and their weights w; `divisor` maps value
+    tuples on `divisor_scheme` to D, and `consequent` those on
+    `consequent_scheme` to D'.  The consequent scheme must lie within
+    `outer.scheme ∪ divisor_scheme`.  The row layout follows from the
+    schemes: the divisor rows of r are the group whose values on
+    outer ∩ divisor equal r's, each row s quantified over its values on
+    the rest, divisor − outer, and rs is probed in `consequent` on r's
+    values on consequent ∩ outer followed by s's rest.
+
+    The rows of `divisor` are grouped in one pass that keeps each row as a
+    triple (rest values, degree b, b → ⊥).  A probe that misses takes the
+    stored b → ⊥, with no residuum computed.  A missing group is empty:
+    every term of the infimum is then the tail 0 → · = 1.
 
     The loop over a group stops at the first term equal to bottom and the
     outer row is dropped, as `_table` would drop it.  Only a miss can give
@@ -120,6 +104,16 @@ def _residuum_infimum(outer: RankedDataTable, to_key, to_prefix, divisor: dict, 
     """
     lat = outer.lattice
     kresiduum, bottom = lat.kresiduum, lat.bottom
+    outer_names, divisor_names = attrs_of(outer.scheme), attrs_of(divisor_scheme)
+    key = attrs_of(outer.scheme & divisor_scheme)
+    rest = attrs_of(divisor_scheme - outer.scheme)
+    prefix = attrs_of(consequent_scheme & outer.scheme)
+    to_key = _project_plan(outer_names, key)
+    to_prefix = _project_plan(outer_names, prefix)
+    divisor_key = _project_plan(divisor_names, key)
+    divisor_rest = _project_plan(divisor_names, rest)
+    probe = _project_plan(prefix + rest, attrs_of(consequent_scheme))
+    score = consequent.get
     groups: dict = {}
     for u, b in divisor.items():
         groups.setdefault(divisor_key(u), []).append((divisor_rest(u), b, kresiduum(b, bottom)))
@@ -128,14 +122,14 @@ def _residuum_infimum(outer: RankedDataTable, to_key, to_prefix, divisor: dict, 
         head = to_prefix(v)
         residua = []
         for sv, b, miss in groups.get(to_key(v), ()):
-            a = score(assemble(head + sv))
+            a = score(probe(head + sv))
             x = miss if a is None else kresiduum(b, a)
             if x == bottom:
                 break
             residua.append(x)
         else:
             rows[v] = combine(lat, w, residua)
-    return rows
+    return _table(outer.scheme, lat, rows)
 
 
 # -- scheme contracts: the one check of each division's operand schemes,
@@ -158,14 +152,14 @@ def gsdo_scheme(r: Scheme, s: Scheme, mediator: Scheme) -> Scheme:
     return r
 
 
-def ggdo_roles(r: Scheme, t: Scheme, m1: Scheme, m2: Scheme) -> tuple:
-    """(R, S, T), for a dividend on R, a divisor on T and mediators on R∪S
-    and S∪T, R, S and T pairwise disjoint."""
+def ggdo_scheme(r: Scheme, t: Scheme, m1: Scheme, m2: Scheme) -> Scheme:
+    """R∪T, for a dividend on R, a divisor on T and mediators on R∪S and
+    S∪T, R, S and T pairwise disjoint."""
     s = m1 - r  # so R∩S = ∅
     _require(not ((r | s) & t), "Great Divide schemes R, S, T must be pairwise disjoint")
     _require(m1 == r | s, "first mediator must be on R∪S")
     _require(m2 == s | t, "second mediator must be on S∪T")
-    return r, s, t
+    return r | t
 
 
 def gcodd_scheme(dividend: Scheme, divisor: Scheme, universe: Scheme) -> Scheme:
@@ -176,13 +170,26 @@ def gcodd_scheme(dividend: Scheme, divisor: Scheme, universe: Scheme) -> Scheme:
     return universe
 
 
-def gtodd_roles(d1: Scheme, d2: Scheme, universe: Scheme) -> tuple:
-    """(R, S, T), for d1 on R∪S and d2 on S∪T, S their shared part, and a
+def gtodd_scheme(d1: Scheme, d2: Scheme, universe: Scheme) -> Scheme:
+    """R∪T, for d1 on R∪S and d2 on S∪T, S their shared part, and a
     universe on R∪T."""
-    s = d1 & d2
-    r, t = d1 - s, d2 - s
-    _require(universe == r | t, "universe must live on the union of the non-shared scheme parts")
-    return r, s, t
+    _require(universe == d1 ^ d2,  # S = d1 ∩ d2, so R∪T = d1 △ d2
+             "universe must live on the union of the non-shared scheme parts")
+    return universe
+
+
+def gsd_scheme(s1: Scheme, s2: Scheme, s3: Scheme) -> Scheme:
+    """R∪T, for general Small Divide schemes d1:R∪T, d2:S∪U, d3:R∪S∪V.
+
+    R/S/T/U/V must be pairwise disjoint, which forces s1 ∩ s2 = ∅; any
+    overlap makes the decomposition impossible and is a scheme error.
+    """
+    if s1 & s2:
+        raise SchemeError(
+            "general Small Divide needs disjoint dividend/divisor schemes; "
+            f"shared attributes {sorted(s1 & s2)} make the role split ambiguous"
+        )
+    return s1
 
 
 def div_ranged(
@@ -197,13 +204,10 @@ def div_ranged(
     empty divisor.  The result is pointwise ≤ rng, so only rng's support is
     enumerated.
     """
-    lat = _same_lattice(dividend, divisor, rng)
-    r_scheme = ranged_scheme(dividend.scheme, divisor.scheme, rng.scheme)
-    rows = _residuum_infimum(
-        rng, _one_group, _itself, divisor._rows, _one_group, _itself,
-        _merger(r_scheme, divisor.scheme), dividend._rows.get, _inside_inf,
-    )
-    return _table(r_scheme, lat, rows)
+    _same_lattice(dividend, divisor, rng)
+    ranged_scheme(dividend.scheme, divisor.scheme, rng.scheme)
+    return _residuum_infimum(rng, divisor._rows, divisor.scheme,
+                             dividend._rows, dividend.scheme, _inside_inf)
 
 
 def div_gsdo(
@@ -214,29 +218,9 @@ def div_gsdo(
     d1 on R (dividend), d2 on S (divisor), d3 on R∪S (mediator);
     result(r) = d1(r) ⊗ ⋀_s (d2(s) → d3(rs)), tail 1 off support.
     """
-    lat = _same_lattice(d1, d2, d3)
-    r_scheme = gsdo_scheme(d1.scheme, d2.scheme, d3.scheme)
-    rows = _residuum_infimum(
-        d1, _one_group, _itself, d2._rows, _one_group, _itself,
-        _merger(r_scheme, d2.scheme), d3._rows.get, _times_inf,
-    )
-    return _table(r_scheme, lat, rows)
-
-
-def gsd_roles(s1: Scheme, s2: Scheme, s3: Scheme):
-    """Decompose general Small Divide schemes d1:R∪T, d2:S∪U, d3:R∪S∪V.
-
-    R/S/T/U/V must be pairwise disjoint, which forces s1 ∩ s2 = ∅; any
-    overlap makes the decomposition impossible and is a scheme error.
-    """
-    if s1 & s2:
-        raise SchemeError(
-            "general Small Divide needs disjoint dividend/divisor schemes; "
-            f"shared attributes {sorted(s1 & s2)} make the role split ambiguous"
-        )
-    r = s1 & s3
-    s = s2 & s3
-    return r, s, s1 - s3, s2 - s3, s3 - (s1 | s2)
+    _same_lattice(d1, d2, d3)
+    gsdo_scheme(d1.scheme, d2.scheme, d3.scheme)
+    return _residuum_infimum(d1, d2._rows, d2.scheme, d3._rows, d3.scheme, _times_inf)
 
 
 def div_gsd(
@@ -247,14 +231,11 @@ def div_gsd(
     result(rt) = d1(rt) ⊗ ⋀_s (π_S(d2)(s) → π_{R∪S}(d3)(rs)); with the
     extra scheme parts empty it coincides with div_gsdo.
     """
-    lat = _same_lattice(d1, d2, d3)
-    r_scheme, s_scheme, _t, _u, _v = gsd_roles(d1.scheme, d2.scheme, d3.scheme)
-    rows = _residuum_infimum(
-        d1, _one_group, *_pickers(d1, r_scheme),
-        _sup_index(d2, attrs_of(s_scheme)), _one_group, _itself, _merger(r_scheme, s_scheme),
-        _sup_index(d3, attrs_of(r_scheme | s_scheme)).get, _times_inf,
-    )
-    return _table(d1.scheme, lat, rows)
+    _same_lattice(d1, d2, d3)
+    gsd_scheme(d1.scheme, d2.scheme, d3.scheme)
+    r, s = d1.scheme & d3.scheme, d2.scheme & d3.scheme
+    return _residuum_infimum(d1, _sup_index(d2, attrs_of(s)), s,
+                             _sup_index(d3, attrs_of(r | s)), r | s, _times_inf)
 
 
 def div_gcodd(
@@ -267,14 +248,10 @@ def div_gcodd(
     infinite (every r with a vacuously true body would score 1), which is
     why the universe argument is mandatory and must be non-ranked.
     """
-    lat = _same_lattice(d1, d2, universe)
+    _same_lattice(d1, d2, universe)
     _require_non_ranked(universe, "div_gcodd")
-    r_scheme = gcodd_scheme(d1.scheme, d2.scheme, universe.scheme)
-    rows = _residuum_infimum(
-        universe, _one_group, _itself, d2._rows, _one_group, _itself,
-        _merger(r_scheme, d2.scheme), d1._rows.get, _times_inf,
-    )
-    return _table(r_scheme, lat, rows)
+    gcodd_scheme(d1.scheme, d2.scheme, universe.scheme)
+    return _residuum_infimum(universe, d2._rows, d2.scheme, d1._rows, d1.scheme, _times_inf)
 
 
 def div_gtodd(
@@ -286,15 +263,10 @@ def div_gtodd(
     the non-ranked universe on R∪T.  Only s fragments from d2 rows matching
     t can have nonzero antecedent; the rest give tail 1.
     """
-    lat = _same_lattice(d1, d2, universe)
+    _same_lattice(d1, d2, universe)
     _require_non_ranked(universe, "div_gtodd")
-    r_scheme, s_scheme, t_scheme = gtodd_roles(d1.scheme, d2.scheme, universe.scheme)
-    rows = _residuum_infimum(
-        universe, *_pickers(universe, t_scheme, r_scheme),
-        d2._rows, *_pickers(d2, t_scheme, s_scheme),
-        _merger(r_scheme, s_scheme), d1._rows.get, _times_inf,
-    )
-    return _table(universe.scheme, lat, rows)
+    gtodd_scheme(d1.scheme, d2.scheme, universe.scheme)
+    return _residuum_infimum(universe, d2._rows, d2.scheme, d1._rows, d1.scheme, _times_inf)
 
 
 def div_ggdo(
@@ -310,14 +282,10 @@ def div_ggdo(
     cousin of the superproduct whose range is the join of dividend and
     divisor.
     """
-    lat = _same_lattice(d1, d2, d3, d4)
-    r_scheme, s_scheme, t_scheme = ggdo_roles(d1.scheme, d2.scheme, d3.scheme, d4.scheme)
-    u = natural_join(d1, d2)
-    rows = _residuum_infimum(
-        u, *_pickers(u, t_scheme, r_scheme), d4._rows, *_pickers(d4, t_scheme, s_scheme),
-        _merger(r_scheme, s_scheme), d3._rows.get, _times_inf,
-    )
-    return _table(u.scheme, lat, rows)
+    _same_lattice(d1, d2, d3, d4)
+    ggdo_scheme(d1.scheme, d2.scheme, d3.scheme, d4.scheme)
+    return _residuum_infimum(natural_join(d1, d2), d4._rows, d4.scheme,
+                             d3._rows, d3.scheme, _times_inf)
 
 
 def div_gddo(
@@ -334,22 +302,14 @@ def div_gddo(
     by the d4 row.  Each d4 row splits into the fragment the result tuple
     pins and the quantified remainder, so the rows joinable with r₁r₂ are
     one group keyed by the pinned fragment; the supremum is a lookup in the
-    projection of d3 onto the attributes a probe reaches.  The harness
-    checks this against two other formulations, `gddo_joinable` and
-    `gddo_nocond` of `gradix.harness.oracle`.
+    projection of d3 onto the attributes a probe reaches, all within
+    d1 ∪ d4.  The harness checks this against two other formulations,
+    `gddo_joinable` and `gddo_nocond` of `gradix.harness.oracle`.
     """
-    lat = _same_lattice(d1, d2, d3, d4)
-    u = natural_join(d1, d2)
-    pinned, quantified = d4.scheme & u.scheme, d4.scheme - u.scheme
-    prefix = d1.scheme | pinned
+    _same_lattice(d1, d2, d3, d4)
     reached = d3.scheme & (d1.scheme | d4.scheme)
-    rows = _residuum_infimum(
-        u, *_pickers(u, pinned, prefix), d4._rows, *_pickers(d4, pinned, quantified),
-        # prefix + fragment spans d1 ∪ d4, which holds every reached attribute
-        _project_plan(attrs_of(prefix) + attrs_of(quantified), attrs_of(reached)),
-        _sup_index(d3, attrs_of(reached)).get, _times_inf,
-    )
-    return _table(u.scheme, lat, rows)
+    return _residuum_infimum(natural_join(d1, d2), d4._rows, d4.scheme,
+                             _sup_index(d3, attrs_of(reached)), reached, _times_inf)
 
 
 def semidifference(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:

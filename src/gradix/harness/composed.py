@@ -29,7 +29,7 @@ from ..algebra import (
     Union,
 )
 from ..division import (
-    _require, _require_boolean, ggdo_roles, gsd_roles, gsdo_scheme, semidifference,
+    _require, _require_boolean, ggdo_scheme, gsd_scheme, gsdo_scheme, semidifference,
 )
 from ..table import (
     RankedDataTable,
@@ -71,9 +71,10 @@ def div_small_general_composed(
     """General Small Divide: D1 ⋉̄ ((π_R(D1) ⋈ π_S(D2)) ⋉̄ D3) (two-valued)."""
     _require_boolean(d1, "div_small_general_composed")
     _same_lattice(d1, d2, d3)
-    r_scheme, s_scheme, _t, _u, _v = gsd_roles(d1.scheme, d2.scheme, d3.scheme)
+    gsd_scheme(d1.scheme, d2.scheme, d3.scheme)
     inner = semidifference(
-        natural_join(projection(d1, r_scheme), projection(d2, s_scheme)), d3
+        natural_join(projection(d1, d1.scheme & d3.scheme),
+                     projection(d2, d2.scheme & d3.scheme)), d3
     )
     return semidifference(d1, inner)
 
@@ -87,7 +88,7 @@ def div_great_composed(
     """Original Great Divide: (D1⋈D2) ⋉̄ ((D1⋈D4) ⋉̄ D3) (two-valued)."""
     _require_boolean(d1, "div_great_composed")
     _same_lattice(d1, d2, d3, d4)
-    ggdo_roles(d1.scheme, d2.scheme, d3.scheme, d4.scheme)
+    ggdo_scheme(d1.scheme, d2.scheme, d3.scheme, d4.scheme)
     return semidifference(
         natural_join(d1, d2), semidifference(natural_join(d1, d4), d3)
     )

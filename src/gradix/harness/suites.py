@@ -88,8 +88,6 @@ def instance_csv(tables: dict) -> str:
     return "\n".join(parts)
 
 
-
-
 class _Run:
     """Accumulates deviations and the first counterexample of a suite run
     from `seed`."""

@@ -30,6 +30,7 @@ from .errors import (
     NotJoinableError,
     SchemeError,
     TypeRegistryError,
+    UnboundSymbolError,
 )
 from .lattice import ResiduatedLattice
 
@@ -92,12 +93,19 @@ def _picker(positions: tuple):
     return pick
 
 
+def _itself(values: tuple) -> tuple:
+    return values
+
+
 def _project_plan(src: tuple, dst: tuple):
-    """Picker from values on `src` names to values on the sub-names `dst`."""
+    """Picker from values on `src` names to values on the sub-names `dst`;
+    the identity where the two name tuples are equal."""
     key = (src, dst)
     pick = _PROJECT_PLANS.get(key)
     if pick is None:
-        pick = _PROJECT_PLANS[key] = _picker(tuple(src.index(a) for a in dst))
+        pick = _PROJECT_PLANS[key] = (
+            _itself if src == dst else _picker(tuple(src.index(a) for a in dst))
+        )
     return pick
 
 
@@ -560,8 +568,6 @@ class DatabaseInstance:
         self._tables[name] = tab
 
     def table(self, name: str) -> RankedDataTable:
-        from .errors import UnboundSymbolError
-
         try:
             return self._tables[name]
         except KeyError:

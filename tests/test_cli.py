@@ -338,6 +338,27 @@ def test_run_script_direct_api(workdir):
     assert len(session.tables["R"]) == 2
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_attribute(tmp_path):
+    (tmp_path / "sp.csv").write_bytes(b"\xef\xbb\xbfS,P,rank\ns1,p1,1\n")
+    session, out = Session(lattice_from_spec("boolean")), io.StringIO()
+    stmts = parsing.parse_script(f'LOAD SP FROM "{tmp_path}/sp.csv"\nEVAL SP\n'
+                                 'EVAL PROJECT[S](SP)\n')
+    assert cli.run_script(stmts, session, stdout=out) == EXIT_OK
+    assert session.tables["SP"].scheme == frozenset({"S", "P"})
+    assert out.getvalue() == ("-- EVAL (line 2)\nP,S,rank\np1,s1,1\n\n"
+                              "-- EVAL (line 3)\nS,rank\ns1,1\n\n")
+
+
+def test_save_of_an_unbound_symbol_is_a_query_error(tmp_path, capsys):
+    # the parser refuses it in a script; a library caller can still build it
+    session = Session(lattice_from_spec("boolean"))
+    stmt = parsing.SaveStmt("X", "x.csv", 1)
+    assert cli.run_script([stmt], session, out_dir=tmp_path / "out") == EXIT_QUERY
+    assert capsys.readouterr().err == (
+        "gradix: error at line 1: relation symbol 'X' is not bound\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_rejects_nan_decimal_values(tmp_path, capsys):
     (tmp_path / "x.csv").write_text("X,rank\nnan,0.5\nnan,0.7\n")
     script = write_script(tmp_path, f'LOAD T FROM "{tmp_path}/x.csv" SCHEME X:decimal\nEVAL T\n')

@@ -80,6 +80,22 @@ def test_a_division_checks_its_schemes_alike_statically_and_at_run_time(godel, n
     assert str(static.value) == f"{node.__name__}: {at_run_time.value}"
 
 
+@pytest.mark.parametrize("node, op, schemes, want", [
+    (gx.DivRanged, gx.div_ranged, [("A", "B"), ("B",), ("A",)], ("A",)),
+    (gx.GSDO, gx.div_gsdo, [("A",), ("B",), ("A", "B")], ("A",)),
+    (gx.GSD, gx.div_gsd, [("A", "T"), ("S", "U"), ("A", "S", "V")], ("A", "T")),
+    (gx.GGDO, gx.div_ggdo, [("A",), ("C",), ("A", "B"), ("B", "C")], ("A", "C")),
+    (gx.GDDO, gx.div_gddo, [("A", "B"), ("B", "C"), ("A", "D"), ("C", "D", "E")],
+     ("A", "B", "C")),
+    (gx.GCodd, gx.div_gcodd, [("A", "B"), ("B",), ("A",)], ("A",)),
+    (gx.GTodd, gx.div_gtodd, [("A", "B"), ("B", "C"), ("A", "C")], ("A", "C")),
+], ids=lambda v: v.__name__ if hasattr(v, "__name__") else "")
+def test_a_division_infers_the_scheme_it_computes(godel, node, op, schemes, want):
+    at_run_time = op(*[gx.empty(godel, sch(*s)) for s in schemes]).scheme
+    static = gx.scheme_of(node(*[gx.RelSym(f"T{i}", sch(*s)) for i, s in enumerate(schemes)]))
+    assert static == at_run_time == sch(*want)
+
+
 # -- div_gsdo / div_gsd -------------------------------------------------------
 
 

@@ -92,7 +92,8 @@ def test_the_command_line_imports_the_harness_only_to_check():
 
 
 def test_alternative_formulations_live_in_the_harness():
-    """The engine has one GDDO path and one residuum-infimum loop; the other
+    """The engine has one GDDO path and one residuum-infimum loop, the only
+    code of the division module that knows the row layout; the other
     formulations are harness code with no engine re-export."""
     assert list(inspect.signature(division.div_gddo).parameters) == ["d1", "d2", "d3", "d4"]
     for name in ("div_codd_composed", "div_small_composed", "div_small_general_composed",
@@ -106,6 +107,13 @@ def test_alternative_formulations_live_in_the_harness():
         and any(isinstance(n, ast.Attribute) and n.attr == "kresiduum" for n in ast.walk(f))
     }
     assert residuum_users == {"_residuum_infimum"}
+    plans = {"_project_plan", "_join_plan"}
+    plan_users = {
+        f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id in plans
+                or isinstance(n, ast.Attribute) and n.attr in plans for n in ast.walk(f))
+    }
+    assert plan_users == {"_residuum_infimum"}
 
 
 def test_calculus_infimum_runs_through_the_division_kernel():
