@@ -184,7 +184,7 @@ def _cmd_eval(args) -> int:
             print(f"gradix: {exc}", file=sys.stderr)
             return EXIT_QUERY
     try:
-        text = Path(args.script).read_text(encoding="utf-8")
+        text = Path(args.script).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"gradix: cannot read script: {_unreadable(args.script, exc)}", file=sys.stderr)
         return EXIT_IO

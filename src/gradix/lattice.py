@@ -595,7 +595,7 @@ def load_lattice_file(path) -> FiniteTableLattice:
     carrier = None
     order = []
     otimes = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -349,6 +349,16 @@ def test_a_byte_order_mark_is_not_part_of_the_first_attribute(tmp_path):
                               "-- EVAL (line 3)\nS,rank\ns1,1\n\n")
 
 
+def test_a_script_may_start_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.gx", tmp_path / "marked.gx"
+    plain.write_bytes(b"EVAL DEE(1)\n")
+    marked.write_bytes(b"\xef\xbb\xbfEVAL DEE(1)\n")
+    outputs = [run_main(["eval", "--lattice", "godel", "--script", str(path)])
+               for path in (plain, marked)]
+    assert outputs[0][0] == outputs[1][0] == EXIT_OK
+    assert outputs[1][1] == outputs[0][1] != ""
+
+
 def test_save_of_an_unbound_symbol_is_a_query_error(tmp_path, capsys):
     # the parser refuses it in a script; a library caller can still build it
     session = Session(lattice_from_spec("boolean"))

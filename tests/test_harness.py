@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import inspect
+import itertools
 import random
 import threading
 from pathlib import Path
@@ -29,7 +30,7 @@ from gradix.harness.suites import (
     _widening_table,
 )
 
-from conftest import rdt, sch
+from conftest import count_rule, rdt, sch
 
 
 def test_gen_rdt_deterministic_and_bounded(any_lattice):
@@ -199,6 +200,72 @@ def test_enumeration_counts_small_sizes():
     assert counts[2] == 1
     assert counts[3] == 2
     assert counts[4] == 7
+
+
+# sha256 over the repr of each (n, leq, meet, join, otimes) tuple in turn
+ENUMERATION_DIGEST = "854c083b18b86f3d9d20ab150e3ecafb3c4674b849bc8ada7ce21ea0c851bf1f"
+
+
+def test_enumeration_keeps_its_sequence():
+    digest = hashlib.sha256()
+    counts, orders = {}, {}
+    for structure in enumerate_residuated_lattices(6):
+        digest.update(repr(structure).encode())
+        n, leq = structure[:2]
+        counts[n] = counts.get(n, 0) + 1
+        orders.setdefault(n, set()).add(leq)
+    assert digest.hexdigest() == ENUMERATION_DIGEST
+    assert counts == {2: 1, 3: 2, 4: 7, 5: 27, 6: 142}
+    # only some lattices carry a residuated multiplication
+    assert {n: len(leqs) for n, leqs in orders.items()} == {2: 1, 3: 1, 4: 2, 5: 3, 6: 7}
+
+
+def test_bounded_lattices_match_the_known_counts():
+    # lattices on 2..6 elements up to isomorphism (Heitzig & Reinhold 2002)
+    counts = {n: len(list(latsearch.enumerate_bounded_lattices(n))) for n in range(2, 7)}
+    assert counts == {2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+
+
+def test_isomorphism_is_decided_before_bounds(monkeypatch):
+    # the 219 labelled orders on the four middles fall into 16 classes
+    calls = count_rule(monkeypatch, latsearch, "_bound_tables")
+    list(latsearch.enumerate_bounded_lattices(6))
+    assert len(calls) == 16
+
+
+def brute_force_multiplications(leq, meet, n):
+    """Every residuated multiplication on the lattice, tried table by table:
+    commutative, top the unit, bottom absorbing, a⊗b ≤ a∧b on the middles,
+    then kept when monotone, associative and residuated."""
+    elems = range(n)
+    middles = [(a, b) for a in range(1, n - 1) for b in range(a, n - 1)]
+    choices = [[v for v in elems if leq[v][meet[a][b]]] for a, b in middles]
+    found = set()
+    for values in itertools.product(*choices):
+        t = [[0] * n for _ in elems]
+        for x in elems:
+            t[x][n - 1] = t[n - 1][x] = x
+        for (a, b), v in zip(middles, values):
+            t[a][b] = t[b][a] = v
+        monotone = all(leq[t[a][c]][t[b][c]]
+                       for a in elems for b in elems if leq[a][b] for c in elems)
+        associative = all(t[t[a][b]][c] == t[a][t[b][c]]
+                          for a in elems for b in elems for c in elems)
+        # a⊗c ≤ b has a greatest solution c for every a and b
+        residuated = all(
+            any(all(leq[t[a][c]][b] == leq[c][r] for c in elems) for r in elems)
+            for a in elems for b in elems)
+        if monotone and associative and residuated:
+            found.add(tuple(map(tuple, t)))
+    return found
+
+
+def test_multiplications_match_a_brute_force():
+    for n in range(2, 6):
+        for leq, meet, join in latsearch.enumerate_bounded_lattices(n):
+            tables = list(latsearch.enumerate_multiplications(leq, meet, join, n))
+            assert len(tables) == len(set(tables))
+            assert set(tables) == brute_force_multiplications(leq, meet, n)
 
 
 def test_enumerated_structures_pass_full_validation():

@@ -3,6 +3,7 @@ finite-table validation, selection strings."""
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -294,6 +295,13 @@ def test_lattice_file_round_trip(tmp_path):
     assert lat.format_degree(1) == "m"
     assert lat.parse_degree("m") == 1
     assert lattice_from_spec(f"table:{path}") == lat
+
+
+def test_a_lattice_file_may_start_with_a_byte_order_mark(tmp_path):
+    source = Path(__file__).parents[1] / "bench" / "witness6.lat"
+    marked = tmp_path / "witness6.lat"
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    assert load_lattice_file(marked) == load_lattice_file(source)
 
 
 def test_degree_formatting(godel, chain5, boolean):
