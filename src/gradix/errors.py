@@ -59,10 +59,6 @@ class PtcError(GradixError):
     quantifier scheme overlap, atom/variable scheme mismatch)."""
 
 
-class QueryError(GradixError):
-    """Script-level failure while running a statement."""
-
-
 class ParseError(GradixError):
     """Syntax error with source position."""
 

@@ -10,6 +10,9 @@ Draw contract: tables are drawn from `Random.getrandbits` exactly as
 `n.bit_length()` bits, again while the result is at least `n`), so a seed
 gives the same tables on every supported Python and across gradix versions.
 Each row's values are drawn in sorted-attribute order, then its score.
+`_draw_table` writes every one of those draws out in a single loop over
+`getrandbits`, with the rejection step inline, so it takes the same bits
+in the same order as one `_drawer` per bound and a call per value.
 Scores are carrier members by construction; a unit-interval grid is checked
 once per table, at its step and its top point, and tables are built by the
 trusted `table._table` with rows keyed by value tuples.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .. import algebra as ra
@@ -43,7 +46,8 @@ class GenConfig:
     score_step: float = 0.05
 
     def with_seed(self, seed: int) -> "GenConfig":
-        return replace(self, seed=seed)
+        return GenConfig(seed, self.lattice, self.max_attrs, self.max_values,
+                         self.max_rows, self.score_step)
 
 
 def sub_rng(*key) -> random.Random:
@@ -52,14 +56,19 @@ def sub_rng(*key) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
+def _bits(n: int) -> int:
+    """The bits one draw from [0, n) takes; an empty range is an error."""
+    if n < 1:
+        raise ValueError(f"empty range to draw from: {n}")
+    return n.bit_length()
+
+
 def _drawer(rng: random.Random, n: int):
     """A function drawing ints in [0, n) from `rng`, the same values and
     bits as `rng.randrange(n)`: `randint(a, b)` is `a + draw()` for
     n = b - a + 1 and `choice(seq)` is `seq[draw()]` for n = len(seq)."""
-    if n < 1:
-        raise ValueError(f"empty range to draw from: {n}")
     getrandbits = rng.getrandbits
-    k = n.bit_length()
+    k = _bits(n)
 
     def draw():
         r = getrandbits(k)
@@ -70,38 +79,62 @@ def _drawer(rng: random.Random, n: int):
     return draw
 
 
-def _score_drawer(rng: random.Random, lat: ResiduatedLattice, step: float):
-    """A function drawing nonzero degrees on the granularity grid."""
+#: the table lattice last drawn from and its grid, reused while tables keep
+#: being drawn on that lattice
+_last_grid: tuple = (None, None)
+
+
+def _score_grid(lat: ResiduatedLattice, step: float):
+    """The nonzero degrees on the granularity grid, as a function from a
+    draw in [0, n) to its degree, with n and the bits one draw takes.  The
+    one nonzero Boolean degree takes no bits: `getrandbits(0)` draws none."""
+    global _last_grid
     if isinstance(lat, BooleanLattice):
-        return lambda: 1
+        return (1,).__getitem__, 1, 0
     if isinstance(lat, FiniteChain):
-        below = _drawer(rng, lat.n - 1)
-        return lambda: 1 + below()
+        return range(1, lat.n).__getitem__, lat.n - 1, _bits(lat.n - 1)
     if isinstance(lat, FiniteTableLattice):
-        nonzero = [e for e in lat.elements() if e != lat.bottom]
-        if not nonzero:
-            raise LatticeError("a one-element lattice has no nonzero degree to draw")
-        below = _drawer(rng, len(nonzero))
-        return lambda: nonzero[below()]
+        last, grid = _last_grid
+        if last is not lat:
+            nonzero = tuple(e for e in lat.elements() if e != lat.bottom)
+            if not nonzero:
+                raise LatticeError("a one-element lattice has no nonzero degree to draw")
+            grid = nonzero.__getitem__, len(nonzero), _bits(len(nonzero))
+            _last_grid = (lat, grid)
+        return grid
+    if not step > 0:
+        raise ValueError(f"score_step must be positive, got {step!r}")
     levels = round(1.0 / step)
-    below = _drawer(rng, levels)
+    k = _bits(levels)
     step = lat.check(step)
     lat.check(levels * step)  # the top grid point, e.g. 3 × 0.35 > 1
-    return lambda: (1 + below()) * step
+    return lambda r: (1 + r) * step, levels, k
 
 
 def _draw_table(rng: random.Random, names: tuple, lat: ResiduatedLattice, step: float,
                 max_rows: int, low: int, count: int) -> RankedDataTable:
     """1..max_rows rows on the interned `names`, values low..low+count-1,
-    scores from `_score_drawer`; a repeated row keeps its last score."""
-    row_count = _drawer(rng, max_rows)
-    value = _drawer(rng, count)
-    score = _score_drawer(rng, lat, step)
+    scores from `_score_grid`; a repeated row keeps its last score.  Every
+    draw is `_drawer`'s, written out in one loop."""
+    k_rows, k_value = _bits(max_rows), _bits(count)
+    degree, levels, k_score = _score_grid(lat, step)
+    getrandbits = rng.getrandbits
+    r = getrandbits(k_rows)
+    while r >= max_rows:
+        r = getrandbits(k_rows)
     width = range(len(names))
     rows = {}
-    for _ in range(1 + row_count()):
-        values = tuple([low + value() for _ in width])
-        rows[values] = score()
+    for _ in range(1 + r):
+        values = []
+        for _ in width:
+            v = getrandbits(k_value)
+            while v >= count:
+                v = getrandbits(k_value)
+            values.append(low + v)
+        s = getrandbits(k_score)
+        while s >= levels:
+            s = getrandbits(k_score)
+        rows[tuple(values)] = degree(s)
     return _table(_SCHEME_OF[names], lat, rows)
 
 

@@ -134,7 +134,9 @@ class _Run:
 
 
 def _sizes(rng, count, low=0, high=2):
-    return [rng.randint(low, high) for _ in range(count)]
+    """`count` draws of `rng.randint(low, high)`."""
+    draw = gen._drawer(rng, high - low + 1)
+    return [low + draw() for _ in range(count)]
 
 
 def _draw(cfg: gen.GenConfig, *schemes) -> dict:
@@ -473,6 +475,8 @@ def run_theorem_suite(theorem_id: str, config: gen.GenConfig, n: int | None = No
         raise GradixError(f"unknown theorem id {theorem_id!r}") from None
     if n is None:
         n = suite.instances
+    elif isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise GradixError(f"instance count must be a whole number of at least 1, not {n!r}")
     if suite.boolean and not isinstance(config.lattice, BooleanLattice):
         config = replace(config, lattice=BooleanLattice())
     run = _Run(theorem_id, suite_tolerance(config.lattice), config.seed)

@@ -510,6 +510,12 @@ class FiniteTableLattice(ResiduatedLattice):
     def kresiduum(self, a, b):
         return self._residuum[a][b]
 
+    def kinf(self, values):
+        out, meet = self.top, self._meet
+        for v in values:
+            out = meet[out][v]
+        return out
+
     def leq(self, a, b):
         return self._leq[self.check(a)][self.check(b)]
 

@@ -412,7 +412,7 @@ def _sup_index(d: RankedDataTable, names: tuple) -> dict:
 def _same_lattice(*tables: RankedDataTable) -> ResiduatedLattice:
     lat = tables[0].lattice
     for t in tables[1:]:
-        if t.lattice != lat:
+        if t.lattice is not lat and t.lattice != lat:
             raise LatticeMismatchError(
                 f"operands over {t.lattice!r} and {lat!r} cannot be combined"
             )

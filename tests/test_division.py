@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 import gradix as gx
-from gradix import SchemeError, Tuple, UnsupportedLatticeError
+from gradix import SchemeError, Tuple, UnsupportedLatticeError, division
 from gradix.harness import composed, gen, oracle
 
 from conftest import LATTICES, count_rule, rdt, sch, scores, witness_lattice
@@ -587,3 +587,25 @@ def test_subsethood_special_case(unit_lattice):
             lat.residuum(v, d1.score(t)) for t, v in d2.rows.items()
         )
         assert abs(out.score(gx.EMPTY_TUPLE) - want) <= 1e-9
+
+
+def test_the_layout_memo_drops_its_oldest_triple_first(godel, monkeypatch):
+    """The kernel remembers at most `_LAYOUT_BOUND` scheme triples; past
+    that it forgets the triple it met first, and a forgotten or remembered
+    layout gives the same table."""
+    monkeypatch.setattr(division, "_LAYOUTS", {})
+    bound = division._LAYOUT_BOUND
+    triples = []
+    for k in range(bound + 2):
+        r, s = sch(f"R{k}"), sch(f"S{k}")
+        d1 = rdt(godel, r, {1: 0.8, 2: 0.5})
+        d2 = rdt(godel, s, {1: 1.0, 2: 0.6})
+        d3 = rdt(godel, r | s, {(1, 1): 0.9, (1, 2): 0.4, (2, 1): 1.0, (2, 2): 0.7})
+        triples.append(((d1, d2, d3), (r, s, r | s)))
+        assert scores(gx.div_gsdo(d1, d2, d3)) == {((f"R{k}", 1),): 0.4, ((f"R{k}", 2),): 0.5}
+    assert len(division._LAYOUTS) == bound
+    assert list(division._LAYOUTS) == [schemes for _t, schemes in triples[2:]]
+    (d1, d2, d3), first = triples[0]
+    once = gx.div_gsdo(d1, d2, d3)  # forgotten, so derived again
+    assert list(division._LAYOUTS)[-1] == first
+    assert gx.div_gsdo(d1, d2, d3) == once

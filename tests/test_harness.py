@@ -1,8 +1,11 @@
 """Generators, oracles, the finite-lattice search, and suite plumbing."""
 
 import ast
+import contextlib
+import dataclasses
 import hashlib
 import inspect
+import io
 import itertools
 import random
 import threading
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gradix as gx
-from gradix import Tuple
+from gradix import Tuple, cli, division
 from gradix.harness import (
     GenConfig,
     enumerate_residuated_lattices,
@@ -118,6 +121,15 @@ def outcome_within(fn, seconds=10.0):
     return outcome[0]
 
 
+def test_with_seed_keeps_every_other_field():
+    """`with_seed` names the fields itself; one it left out would fall back
+    to its default."""
+    values = {f.name: object() for f in dataclasses.fields(GenConfig)}
+    moved = GenConfig(**values).with_seed(9)
+    assert moved.seed == 9
+    assert all(getattr(moved, name) is value for name, value in values.items() if name != "seed")
+
+
 def test_gen_rejects_a_grid_beyond_top(godel):
     # 3 × 0.35 = 1.05: the top grid point is no degree, whatever the seed
     for seed in range(5):
@@ -131,6 +143,14 @@ def test_gen_rejects_empty_ranges(godel, chain5, bound):
         cfg = GenConfig(seed=1, lattice=lat, **{bound: 0})
         for scheme in (sch(), sch("A", "B")):
             assert isinstance(outcome_within(lambda: gen_rdt(cfg, scheme)), ValueError)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, float("nan")])
+def test_gen_rejects_a_score_step_that_is_not_positive(godel, lukasiewicz, step):
+    for lat in (godel, lukasiewicz):
+        cfg = GenConfig(seed=1, lattice=lat, score_step=step)
+        with pytest.raises(ValueError, match="score_step"):
+            gen_rdt(cfg, sch("A"))
 
 
 def test_gen_rejects_a_lattice_without_nonzero_degrees():
@@ -371,6 +391,55 @@ def test_suite_reports_keep_their_bytes():
     witness, *_ = search_distributivity_counterexample(6)
     rep = run_theorem_suite("T1", GenConfig(seed=3, lattice=witness), 12)
     assert rep.counterexample.index == 9
+    assert suite_reports_digest() == SUITE_REPORTS_DIGEST
+
+
+@pytest.mark.parametrize("n", [0, -3, True, False, 2.5])
+def test_a_suite_runs_at_least_one_instance(godel, n):
+    with pytest.raises(gx.GradixError, match="at least 1"):
+        run_theorem_suite("T1", GenConfig(seed=1, lattice=godel), n)
+
+
+WITNESS_FILE = Path(__file__).resolve().parents[1] / "bench" / "witness6.lat"
+
+#: sha256 prefixes of the stdout of `gradix check --seed 1`, the suites in
+#: `THEOREM_IDS` order, per lattice, as printed before the division kernel
+#: remembered layouts
+CHECK_DIGESTS = {
+    "godel": "c9a79354aaace810",
+    "lukasiewicz": "c9a79354aaace810",
+    "goguen": "c9a79354aaace810",
+    "chain:5": "e6053bd79138743f",
+    f"table:{WITNESS_FILE}": "13ee62010f7f63cb",
+}
+
+
+def test_the_layout_memo_is_bounded_and_changes_no_report():
+    """Kept warm over every suite on five lattices, the division kernel's
+    layout memo fills to its bound and no further, and the reports keep
+    the bytes printed without it."""
+    for spec, digest in CHECK_DIGESTS.items():
+        h = hashlib.sha256()
+        for theorem_id in THEOREM_IDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(["check", "--suite", theorem_id, "--lattice", spec, "--seed", "1"])
+            h.update(out.getvalue().encode())
+            assert len(division._LAYOUTS) <= division._LAYOUT_BOUND
+        assert h.hexdigest()[:16] == digest, spec
+    assert len(division._LAYOUTS) == division._LAYOUT_BOUND
+
+
+def test_suite_reports_do_not_depend_on_remembered_layouts(monkeypatch):
+    """With the layout memo cleared before each suite, the reports keep
+    their pinned bytes too."""
+    run = run_theorem_suite
+
+    def cold(*args):
+        division._LAYOUTS.clear()
+        return run(*args)
+
+    monkeypatch.setitem(globals(), "run_theorem_suite", cold)
     assert suite_reports_digest() == SUITE_REPORTS_DIGEST
 
 
