@@ -28,7 +28,6 @@ from .algebra import (
     Semijoin,
     Singleton,
     Union,
-    adom,
     eadom,
     eval_ra,
     ra_to_text,
@@ -82,11 +81,8 @@ from .ptc import (
     PtcSup,
     TupleVar,
     compile_ptc_to_ra,
-    embed_ra,
     eval_ptc,
     ptc_to_text,
-    split_variable,
-    valuation,
 )
 from .table import (
     DatabaseInstance,

@@ -397,13 +397,6 @@ def resolve_schemes(expr, schemes: Mapping[str, Scheme]):
 # -- active domains --------------------------------------------------------
 
 
-def adom(attr: str, d: RankedDataTable) -> RankedDataTable:
-    """Active domain π_{y}(∇D): the attribute's values at score 1."""
-    if attr not in d.scheme:
-        raise SchemeError(f"attribute {attr!r} not in scheme {sorted(d.scheme)}")
-    return tb.projection(tb.nabla(d), frozenset({attr}))
-
-
 def eadom_values(instance: DatabaseInstance, attr: str, extra_values=()) -> list:
     """Sorted distinct values the instance (plus constants) provides for attr."""
     vals = {v for a, v in extra_values if a == attr}
@@ -435,13 +428,6 @@ class _Evaluator(_Numbering):
         super().__init__()
         self.instance = instance
         self.tables: list = []  # number → table, for the numbers evaluated so far
-        self._eadom_cache: dict = {}
-
-    def eadom_table(self, scheme: Scheme, constants: frozenset) -> RankedDataTable:
-        key = (scheme, constants)
-        if key not in self._eadom_cache:
-            self._eadom_cache[key] = eadom(self.instance, scheme, constants)
-        return self._eadom_cache[key]
 
     def table(self, n: int) -> RankedDataTable:
         """The table of number n, evaluating first every smaller number not
@@ -465,7 +451,7 @@ class _Evaluator(_Numbering):
             case Singleton(attr, value):
                 return tb._table(frozenset({attr}), lat, {(value,): lat.top})
             case EadomExpr(scheme, constants):
-                return self.eadom_table(scheme, constants)
+                return eadom(self.instance, scheme, constants)
             case Projection(scheme):
                 return tb.projection(*t, scheme)
         op = _OPERATORS.get(type(expr))

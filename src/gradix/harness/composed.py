@@ -11,12 +11,21 @@ divisions.
 `eadom_ra_expr` composes the extended active domain the same way, as an
 algebra expression over π, ∇, ∪ and ⋈, which the tests evaluate against
 the engine's own `algebra.eadom`.
+
+`compile_ptc_literal` is the paper's literal translation of the pseudo
+tuple calculus into the algebra, in its two forms: every ∧ and → extends
+both sides to the full scheme, and every ⋀ divides its body by the bound
+scheme's active domain.  The engine compiles and evaluates the calculus
+through the cheaper `ptc.compile_ptc_to_ra`; the `ptc-compiler` suite
+checks it against both forms of this one.  `split_variable` is the
+paper's variable-splitting lemma, which the tests check on the engine.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from .. import algebra as ra
 from ..algebra import (
     DeeConst,
     GradedDifference,
@@ -30,6 +39,11 @@ from ..algebra import (
 )
 from ..division import (
     _require, _require_boolean, ggdo_scheme, gsd_scheme, gsdo_scheme, semidifference,
+)
+from ..errors import PtcError
+from ..ptc import (
+    MEET, OTIMES, Atom, PtcBinary, PtcDelta, PtcExpr, PtcInf, PtcNabla, PtcSup, TupleVar,
+    _calculus_children, _check, scheme_of_vars, validate_ptc,
 )
 from ..table import (
     RankedDataTable,
@@ -143,4 +157,87 @@ def eadom_ra_expr(
     out = per_attr[0]
     for e in per_attr[1:]:
         out = NaturalJoin(out, e)
+    return out
+
+
+# -- the calculus -------------------------------------------------------------
+
+DIV_FORM = "div"
+GSDO_FORM = "gsdo"
+
+
+def compile_ptc_literal(expr: PtcExpr, inf_form: str = DIV_FORM):
+    """The paper's structural translation into relational algebra.
+
+    Atoms pass through; ⊗ becomes a natural join; ∧ intersects the two
+    sides after extending each to the full scheme with an active-domain
+    join; → becomes the residuum ranged over the full scheme's active
+    domain; ∇/Δ map to their table forms; ⋁ projects the bound scheme away;
+    ⋀ becomes the ranged division of the body by the bound scheme's active
+    domain over the free scheme's, or equivalently (inf_form="gsdo") the
+    graded Small Divide with the body as mediator.  The compiled expression
+    evaluates identically to the source in every instance, on all tuples.
+    """
+    if inf_form not in (DIV_FORM, GSDO_FORM):
+        raise PtcError(f"unknown Inf compilation form {inf_form!r}")
+    free, consts = _check(expr)
+
+    def free_scheme(node) -> Scheme:
+        return scheme_of_vars(free[id(node)])
+
+    def ead(scheme: Scheme):
+        scheme = frozenset(scheme)
+        return ra.EadomExpr(scheme, frozenset(c for c in consts if c[0] in scheme))
+
+    def rule(node, *f):
+        match node:
+            case Atom(e, _):
+                return e
+            case PtcBinary(op, l, r):
+                if op == OTIMES:
+                    return ra.NaturalJoin(*f)
+                left = ra.NaturalJoin(f[0], ead(free_scheme(r)))
+                right = ra.NaturalJoin(f[1], ead(free_scheme(l)))
+                if op == MEET:
+                    return ra.Intersection(left, right)
+                return ra.ResiduumRange(left, right, ead(free_scheme(l) | free_scheme(r)))
+            case PtcNabla():
+                return ra.Nabla(*f)
+            case PtcDelta():
+                return ra.Delta(*f)
+            case PtcSup():
+                return ra.Projection(free_scheme(node), *f)
+            case PtcInf(bound, _):
+                bound_scheme, out_scheme = scheme_of_vars(bound), free_scheme(node)
+                if inf_form == DIV_FORM:
+                    return ra.DivRanged(*f, ead(bound_scheme), ead(out_scheme))
+                return ra.GSDO(ead(out_scheme), ead(bound_scheme), *f)
+        raise TypeError(f"not a PTC expression: {type(node).__name__}")
+
+    return ra.fold(expr, rule, _calculus_children)[id(expr)]
+
+
+def split_variable(expr: PtcExpr, var: TupleVar, parts: Iterable[TupleVar]) -> PtcExpr:
+    """Replace one tuple variable by fresh variables that jointly cover its
+    scheme; evaluation is unchanged in every instance."""
+    parts = frozenset(parts)
+    if scheme_of_vars(parts) != var.scheme:
+        raise PtcError(
+            f"parts cover {sorted(scheme_of_vars(parts))}, variable is on "
+            f"{sorted(var.scheme)}"
+        )
+
+    def swap(vs: frozenset) -> frozenset:
+        return (vs - {var}) | parts if var in vs else vs
+
+    def rule(node, *below):
+        match node:
+            case Atom(e, vs):
+                return Atom(e, swap(vs))
+            case PtcSup(bound, _) | PtcInf(bound, _):
+                return type(node)(swap(bound), *below)
+        return ra._with_children(node, below)
+
+    out = ra.fold(expr, rule, _calculus_children)[id(expr)]
+    validate_ptc(out)
     return out

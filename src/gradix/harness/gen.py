@@ -102,8 +102,8 @@ def _score_grid(lat: ResiduatedLattice, step: float):
             grid = nonzero.__getitem__, len(nonzero), _bits(len(nonzero))
             _last_grid = (lat, grid)
         return grid
-    if not step > 0:
-        raise ValueError(f"score_step must be positive, got {step!r}")
+    if not 0 < step <= 1:
+        raise ValueError(f"score_step must be positive and at most 1, got {step!r}")
     levels = round(1.0 / step)
     k = _bits(levels)
     step = lat.check(step)
@@ -183,6 +183,19 @@ def fresh_universe(config: GenConfig, schemes) -> dict:
 # -- random calculus expressions ---------------------------------------------
 
 
+class VarFactory:
+    """Deterministic fresh-variable supply (counter-based)."""
+
+    def __init__(self, prefix: str = "v"):
+        self.prefix = prefix
+        self.counter = 0
+
+    def fresh(self, scheme: Scheme) -> pc.TupleVar:
+        v = pc.TupleVar(f"{self.prefix}{self.counter}", frozenset(scheme))
+        self.counter += 1
+        return v
+
+
 def gen_ptc_expr(
     config: GenConfig,
     symbols: Mapping[str, Scheme],
@@ -198,7 +211,7 @@ def gen_ptc_expr(
     so the bound/free scheme disjointness always holds.
     """
     rng = sub_rng(config.seed, "ptc", salt)
-    factory = pc.VarFactory()
+    factory = VarFactory()
     by_scheme: dict[Scheme, list[pc.TupleVar]] = {}
 
     def var_for(scheme: Scheme) -> pc.TupleVar:

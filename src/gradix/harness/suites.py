@@ -414,8 +414,8 @@ def _case_ptc_compiler(run, i, rng, cfg):
     expr = gen.gen_ptc_expr(cfg, symbols, max_depth=4, salt=str(i))
     tables = {name: inst.table(name) for name in symbols}
     want = pc.eval_ptc(expr, inst)
-    for form in (pc.DIV_FORM, pc.GSDO_FORM):
-        got = alg.eval_ra(pc.compile_ptc_to_ra(expr, inf_form=form), inst)
+    for form in (composed.DIV_FORM, composed.GSDO_FORM):
+        got = alg.eval_ra(composed.compile_ptc_literal(expr, form), inst)
         run.check_tables(i, f"compiled ({form} form) vs calculus evaluation",
                          got, want, tables)
         free = sorted(pc.ptc_scheme(expr))

@@ -3,6 +3,7 @@ import functools
 import pytest
 
 from gradix import (
+    Atom,
     BooleanLattice,
     FiniteChain,
     GoedelLattice,
@@ -11,6 +12,7 @@ from gradix import (
     RankedDataTable,
     Tuple,
 )
+from gradix.algebra import walk
 from gradix.harness.latsearch import search_distributivity_counterexample
 
 
@@ -31,6 +33,13 @@ def rdt(lat, scheme, rows):
 
 def tup(scheme, *values):
     return Tuple(zip(sorted(scheme), values))
+
+
+def atom_vars(expr) -> dict:
+    """Name → scheme of the tuple variables of a calculus expression's
+    atoms, which every well-formed expression's binders occur in."""
+    return {v.name: v.scheme for node in walk(expr) if type(node) is Atom
+            for v in node.vars}
 
 
 def count_rule(monkeypatch, owner, name):

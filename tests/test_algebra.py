@@ -105,11 +105,10 @@ def test_eval_sugar_nodes_match_direct_calls(inst):
 
 
 def test_adom_and_eadom(inst, godel):
-    d = inst.table("D")
-    assert scores(gx.adom("A", d)) == {(("A", 1),): 1.0, (("A", 2),): 1.0}
-    assert len(gx.adom("B", gx.empty(godel, sch("B")))) == 0
+    # the active domain of one table is π_{y}(∇D), as in `test_eval_core_ops`
+    assert len(gx.projection(gx.nabla(gx.empty(godel, sch("B"))), sch("B"))) == 0
     with pytest.raises(SchemeError):
-        gx.adom("Z", d)
+        gx.eval_ra(Projection(sch("Z"), Nabla(D)), inst)
 
     ead = gx.eadom(inst, sch("A", "B"))
     # A values {1,2} from D; B values {1} from D plus {1,2} from E
@@ -302,7 +301,8 @@ def test_nodes_are_frozen_and_take_their_fields_like_a_dataclass():
         with pytest.raises(TypeError, match="not an expression node: str"):
             gx.scheme_of(bad)
     with pytest.raises(gx.PtcError, match="unknown connective 'xor'"):
-        pc.PtcBinary("xor", pc.embed_ra(RelSym("P", sch("P"))), pc.embed_ra(RelSym("P", sch("P"))))
+        atom = pc.Atom(RelSym("P", sch("P")), frozenset({pc.TupleVar("p", sch("P"))}))
+        pc.PtcBinary("xor", atom, atom)
     match node:
         case Projection(scheme, child):
             assert (scheme, child) == (sch("A"), r)

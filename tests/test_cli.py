@@ -59,8 +59,8 @@ def test_eval_script_end_to_end(workdir):
     assert code == EXIT_OK
     assert "-- EVAL (line 6)\nS,rank\ns1,1\n" in out
     assert "-- EVALPTC (line 7)\nS,rank\ns1,1\n" in out
-    assert "-- COMPILE (line 8)\nDIV(" in out
-    assert "BY EADOM[P] OVER EADOM[S])" in out
+    # the ALL divides by its antecedent P, as EVALPTC evaluates it
+    assert "-- COMPILE (line 8)\nGCODD(SP, P; UNIV EADOM[S])\n" in out
     assert (workdir / "outputs" / "copy.csv").read_text() == \
         "P,S,rank\np1,s1,1\np1,s2,1\np2,s1,1\n"
 
@@ -384,12 +384,13 @@ def test_compiled_text_evaluates_like_the_calculus(tmp_path):
     (tmp_path / "r.csv").write_text("A,B,rank\n1,x,0.5\n2,y,1\n")
     head = (f'LOAD R FROM "{tmp_path}/r.csv" SCHEME A:int, B:text\n'
             "VAR a : {A}\nVAR b : {B}\n")
-    formula = 'ALL b . ([B: "z"](b) => R(a, b))'
+    # the antecedent is not on b alone, so the ALL divides by EADOM[B]
+    formula = 'ALL b . (R(a, b) => [B: "z"](b))'
     script = write_script(tmp_path, f"{head}EVALPTC {formula}\nCOMPILE {formula}\n")
     code, out = run_main(["eval", "--lattice", "godel", "--script", script])
     assert code == EXIT_OK
     evalptc, compiled = out.split("-- COMPILE (line 5)\n")
-    assert 'BY EADOM[B; B: "z"] OVER EADOM[A])' in compiled
+    assert 'OVER EADOM[A,B; B: "z"]), EADOM[B; B: "z"]; UNIV EADOM[A])' in compiled
     script = write_script(tmp_path, f"{head}EVAL {compiled}")
     code, out = run_main(["eval", "--lattice", "godel", "--script", script])
     assert code == EXIT_OK

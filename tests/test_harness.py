@@ -153,6 +153,14 @@ def test_gen_rejects_a_score_step_that_is_not_positive(godel, lukasiewicz, step)
             gen_rdt(cfg, sch("A"))
 
 
+@pytest.mark.parametrize("step", [1.0000001, 1.5, 2.5, float("inf")])
+def test_gen_rejects_a_score_step_above_one(godel, lukasiewicz, step):
+    for lat in (godel, lukasiewicz):
+        cfg = GenConfig(seed=1, lattice=lat, score_step=step)
+        with pytest.raises(ValueError, match="score_step"):
+            gen_rdt(cfg, sch("A"))
+
+
 def test_gen_rejects_a_lattice_without_nonzero_degrees():
     one = gx.FiniteTableLattice(["0"], [], [])
     with pytest.raises(gx.LatticeError, match="no nonzero degree"):

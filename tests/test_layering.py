@@ -14,8 +14,9 @@ import sys
 from pathlib import Path
 
 import gradix
-from gradix import division
-from gradix.harness import composed, oracle
+from gradix import algebra, division, ptc
+from gradix.harness import composed, gen, oracle
+from gradix.parsing import parse_ptc
 
 PACKAGE = Path(gradix.__file__).resolve().parent
 HARNESS = "gradix.harness"
@@ -101,6 +102,17 @@ def test_alternative_formulations_live_in_the_harness():
         assert callable(getattr(composed, name))
         assert not hasattr(division, name) and not hasattr(gradix, name)
     assert callable(oracle.gddo_joinable) and callable(oracle.gddo_nocond)
+    # the calculus has one translation in the engine; the paper's literal one
+    # and the variable-splitting lemma are harness code
+    assert list(inspect.signature(ptc.compile_ptc_to_ra).parameters) == ["expr"]
+    for name in ("compile_ptc_literal", "split_variable", "DIV_FORM", "GSDO_FORM"):
+        assert hasattr(composed, name)
+        assert not hasattr(ptc, name) and not hasattr(gradix, name)
+    assert callable(gen.VarFactory) and not hasattr(ptc, "VarFactory")
+    # names only tests reached are gone from the engine
+    for module, name in ((algebra, "adom"), (ptc, "all_vars"), (ptc, "atoms_of"),
+                         (ptc, "ptc_constants"), (ptc, "valuation"), (ptc, "embed_ra")):
+        assert not hasattr(module, name) and not hasattr(gradix, name)
     tree = ast.parse((PACKAGE / "division.py").read_text(encoding="utf-8"))
     residuum_users = {
         f.name for f in tree.body if isinstance(f, ast.FunctionDef)
@@ -117,13 +129,28 @@ def test_alternative_formulations_live_in_the_harness():
 
 
 def test_calculus_infimum_runs_through_the_division_kernel():
-    """`ptc.py` takes no infimum itself: every ⋀ of the calculus is a
-    division, evaluated by the kernel of `division.py`."""
+    """`ptc.py` takes no infimum and calls no table operator or division
+    itself: it compiles every ⋀ to a division node, and `eval_ptc`
+    evaluates the compiled expression."""
     tree = ast.parse((PACKAGE / "ptc.py").read_text(encoding="utf-8"))
     names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert "kinf" not in names
-    assert "div_gcodd" in names
+    modules = {name for name, value in vars(ptc).items() if inspect.ismodule(value)}
+    assert modules == {"ra", "warnings"}
+    functions = {value.__module__ for value in vars(ptc).values() if inspect.isfunction(value)}
+    assert not functions & {"gradix.table", "gradix.division"}
+
+    variables = {"a": frozenset("A"), "b": frozenset("B"), "c": frozenset("C")}
+    symbols = {"Q": frozenset("B"), "R": frozenset("AB"), "K": frozenset("BC")}
+    for text in ("ALL b . (Q(b) => R(a, b))", "ALL b . (R(a, b) & Q(b))",
+                 "ALL a, b . (R(a, b))", "ALL b . (K(b, c) => R(a, b))",
+                 "ALL a . (ALL b . (Q(b) => R(a, b)) * ALL c . (ANY b . (K(b, c))))"):
+        expr = parse_ptc(text, variables, symbols)
+        infs = [n for n in algebra.walk(expr) if type(n) is ptc.PtcInf]
+        divisions = [n for n in algebra.walk(ptc.compile_ptc_to_ra(expr))
+                     if type(n) in algebra._DIVISION_SCHEMES]
+        assert len(divisions) == len(infs) and {type(n) for n in divisions} == {algebra.GCodd}
 
 
 def recursions(source: str) -> list:

@@ -24,7 +24,7 @@ from gradix.parsing import (
     VarStmt,
 )
 
-from conftest import sch
+from conftest import atom_vars, sch
 
 SYMS = {"D1": sch("A", "B"), "D2": sch("B"), "SP": sch("S", "P"), "P": sch("P")}
 VARS = {"r": sch("S"), "s": sch("P"), "t": sch("A", "B")}
@@ -337,12 +337,10 @@ def test_ra_round_trip_random():
 def test_ptc_round_trip_random():
     cfg = gen.GenConfig(seed=78, lattice=gx.make_lattice("godel"))
     symbols = {"D1": sch("A", "B"), "D2": sch("B")}
-    from gradix.ptc import all_vars
-
     for i in range(40):
         expr = gen.gen_ptc_expr(cfg.with_seed(i), symbols, max_depth=3, salt="pt")
         text = gx.ptc_to_text(expr)
-        var_schemes = {v.name: v.scheme for v in all_vars(expr)}
+        var_schemes = atom_vars(expr)
         reparsed = parse_ptc(text, var_schemes, symbols)
         assert reparsed == expr
         assert gx.ptc_to_text(reparsed) == text
@@ -647,13 +645,11 @@ LATTICES = ("godel", "lukasiewicz", "goguen", "chain:5")
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(LATTICES), st.integers(0, 2**32 - 1), st.integers(1, 5))
 def test_printed_calculus_parses_back_to_the_same_expression(lattice, seed, depth):
-    from gradix.ptc import all_vars
-
     cfg = gen.GenConfig(seed=seed, lattice=lattice_from_spec(lattice))
     symbols = {"D1": sch("A", "B"), "D2": sch("B", "C"), "D3": sch("C"), "D0": sch()}
     expr = gen.gen_ptc_expr(cfg, symbols, max_depth=depth, salt="round-trip")
     assert levels(expr) <= MAX_DEPTH
-    var_schemes = {v.name: v.scheme for v in all_vars(expr)}
+    var_schemes = atom_vars(expr)
     text = gx.ptc_to_text(expr)
     assert parse_ptc(text, var_schemes, symbols) == expr
     assert levels(expr) < len(parsing.tokenize(text)) - 1

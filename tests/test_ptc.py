@@ -1,5 +1,7 @@
-"""Tuple calculus: evaluation semantics, splitting, embedding, validation,
-and the compiler to algebra expressions."""
+"""Tuple calculus: evaluation semantics, splitting, validation, and the
+compiler to algebra expressions, which evaluation goes through; the
+pointwise `reference` and the paper's literal translation in the harness
+judge both."""
 
 import pytest
 
@@ -17,7 +19,8 @@ from gradix import (
     Tuple,
     TupleVar,
 )
-from gradix.harness import gen
+from gradix.algebra import constants_of
+from gradix.harness import composed, gen
 from gradix.harness.latsearch import search_distributivity_counterexample
 from gradix.harness.suites import suite_tolerance
 from gradix.parsing import parse_ptc
@@ -25,9 +28,7 @@ from gradix.ptc import (
     MEET,
     OTIMES,
     RESIDUUM,
-    VarFactory,
     free_vars,
-    ptc_constants,
     ptc_scheme,
     scheme_of_vars,
     validate_ptc,
@@ -55,9 +56,14 @@ DIV_SHAPE = PtcInf(
 )
 
 
+def atom_of(expr) -> Atom:
+    """An algebra expression as a calculus atom over one variable."""
+    return Atom(expr, frozenset({TupleVar("t0", gx.scheme_of(expr))}))
+
+
 def test_atom_evaluates_like_algebra(inst):
     for expr in (R1, gx.Projection(sch("A"), R1), gx.NaturalJoin(R1, R2)):
-        atom = gx.embed_ra(expr)
+        atom = atom_of(expr)
         assert gx.eval_ptc(atom, inst) == gx.eval_ra(expr, inst)
         assert ptc_scheme(atom) == gx.scheme_of(expr)
 
@@ -114,10 +120,9 @@ def test_empty_universe_quantifier_warns(godel):
 def test_valuation_reconstructs_tuple():
     r = Tuple({"A": 1, "B": 2})
     vs = {TupleVar("x", sch("A")), TupleVar("y", sch("B"))}
-    val = gx.valuation(vs, r)
     joined = gx.EMPTY_TUPLE
-    for part in val.values():
-        joined = joined.join(part)
+    for v in vs:
+        joined = joined.join(r.project(v.scheme))
     assert joined == r
 
 
@@ -151,14 +156,14 @@ def test_split_variable_preserves_evaluation(inst):
     v = TupleVar("t", sch("A", "B"))
     expr = Atom(R1, frozenset({v}))
     parts = [TupleVar("t1", sch("A")), TupleVar("t2", sch("B"))]
-    split = gx.split_variable(expr, v, parts)
+    split = composed.split_variable(expr, v, parts)
     assert free_vars(split) == frozenset(parts)
     assert gx.eval_ptc(split, inst) == gx.eval_ptc(expr, inst)
     # single identical part is the identity transform
-    same = gx.split_variable(expr, v, [TupleVar("u", sch("A", "B"))])
+    same = composed.split_variable(expr, v, [TupleVar("u", sch("A", "B"))])
     assert gx.eval_ptc(same, inst) == gx.eval_ptc(expr, inst)
     with pytest.raises(PtcError):
-        gx.split_variable(expr, v, [TupleVar("t1", sch("A"))])
+        composed.split_variable(expr, v, [TupleVar("t1", sch("A"))])
 
 
 def test_split_variable_random(inst, godel):
@@ -171,15 +176,15 @@ def test_split_variable_random(inst, godel):
             continue
         v = sorted(candidates, key=lambda v: v.name)[0]
         attrs = sorted(v.scheme)
-        factory = VarFactory("w")
+        factory = gen.VarFactory("w")
         parts = [factory.fresh(frozenset({a})) for a in attrs]
-        split = gx.split_variable(expr, v, parts)
+        split = composed.split_variable(expr, v, parts)
         assert gx.eval_ptc(split, inst).approx_equals(gx.eval_ptc(expr, inst))
 
 
 def test_embed_ra_round_trip(inst):
     for expr in (R1, gx.DivRanged(R1, R2, gx.EadomExpr(sch("A")))):
-        atom = gx.embed_ra(expr)
+        atom = atom_of(expr)
         assert gx.eval_ptc(atom, inst) == gx.eval_ra(expr, inst)
 
 
@@ -189,30 +194,61 @@ def test_compile_atom_passthrough():
 
 
 def test_compile_inf_shape():
+    # the ∀ divides by its antecedent, over the free scheme's EADOM
     compiled = gx.compile_ptc_to_ra(DIV_SHAPE)
-    assert isinstance(compiled, gx.DivRanged)
-    assert isinstance(compiled.divisor, gx.EadomExpr)
-    assert compiled.divisor.scheme == sch("B")
-    assert isinstance(compiled.rng, gx.EadomExpr)
-    assert compiled.rng.scheme == sch("A")
-    text = gx.ra_to_text(compiled)
+    assert compiled == gx.GCodd(R1, R2, gx.EadomExpr(sch("A")))
+    assert gx.ra_to_text(compiled) == "GCODD(D1, D2; UNIV EADOM[A])"
+    with pytest.raises(TypeError):
+        gx.compile_ptc_to_ra(DIV_SHAPE, "gsdo")
+
+    # the paper's literal translation divides by the bound scheme's EADOM
+    literal = composed.compile_ptc_literal(DIV_SHAPE)
+    assert isinstance(literal, gx.DivRanged)
+    assert isinstance(literal.divisor, gx.EadomExpr)
+    assert literal.divisor.scheme == sch("B")
+    assert isinstance(literal.rng, gx.EadomExpr)
+    assert literal.rng.scheme == sch("A")
+    text = gx.ra_to_text(literal)
     assert "DIV(" in text and "BY EADOM[B] OVER EADOM[A]" in text
 
-    alt = gx.compile_ptc_to_ra(DIV_SHAPE, inf_form="gsdo")
+    alt = composed.compile_ptc_literal(DIV_SHAPE, inf_form=composed.GSDO_FORM)
     assert isinstance(alt, gx.GSDO)
     with pytest.raises(PtcError):
-        gx.compile_ptc_to_ra(DIV_SHAPE, inf_form="magic")
+        composed.compile_ptc_literal(DIV_SHAPE, inf_form="magic")
+
+
+@pytest.mark.parametrize("text, compiled", [
+    # each side is joined with EADOM over only what the other side adds
+    ("Q(b) & R(a, b)", "((Q JOIN EADOM[A]) ISECT R)"),
+    ("Q(b) => K(b, c)", "RES((Q JOIN EADOM[C]) -> K OVER EADOM[B,C])"),
+    ("P(b) => Q(b)", "RES(P -> Q OVER EADOM[B])"),
+    ("Q(b) & PROJECT[A](R)(a)", "((Q JOIN EADOM[A]) ISECT (PROJECT[A](R) JOIN EADOM[B]))"),
+    # an ALL whose body does not qualify divides by EADOM over the bound scheme
+    ("ALL b . (Q(b) & R(a, b))",
+     "GCODD(((Q JOIN EADOM[A]) ISECT R), EADOM[B]; UNIV EADOM[A])"),
+    ("ALL b . (K(b, c) => R(a, b))",
+     "GCODD(RES((K JOIN EADOM[A]) -> (R JOIN EADOM[C]) OVER EADOM[A,B,C]), EADOM[B]; "
+     "UNIV EADOM[A,C])"),
+])
+def test_compile_extends_each_side_by_what_the_other_adds(text, compiled):
+    assert gx.ra_to_text(gx.compile_ptc_to_ra(parse_ptc(text, VARS, SYMBOLS))) == compiled
+
+
+LITERAL_FORMS = (composed.DIV_FORM, composed.GSDO_FORM)
 
 
 def test_compile_soundness_handmade(inst):
     d1, d2 = inst.table("D1"), inst.table("D2")
     want = gx.div_gcodd(d1, d2, gx.eadom(inst, sch("A")))
-    for form in ("div", "gsdo"):
-        got = gx.eval_ra(gx.compile_ptc_to_ra(DIV_SHAPE, inf_form=form), inst)
+    assert gx.eval_ra(gx.compile_ptc_to_ra(DIV_SHAPE), inst) == want
+    for form in LITERAL_FORMS:
+        got = gx.eval_ra(composed.compile_ptc_literal(DIV_SHAPE, form), inst)
         assert got.approx_equals(want)
 
 
 def test_compile_soundness_random(godel, lukasiewicz):
+    """The calculus equals its pointwise definition, bit for bit, and agrees
+    with both forms of the paper's literal translation."""
     for lat, seed in ((godel, 101), (lukasiewicz, 202)):
         cfg = gen.GenConfig(seed=seed, lattice=lat)
         symbols = {"D1": sch("A", "B"), "D2": sch("B", "C"), "D3": sch("C")}
@@ -220,8 +256,9 @@ def test_compile_soundness_random(godel, lukasiewicz):
         for i in range(25):
             expr = gen.gen_ptc_expr(cfg.with_seed(i), symbols, max_depth=4, salt="snd")
             want = gx.eval_ptc(expr, inst)
-            for form in ("div", "gsdo"):
-                got = gx.eval_ra(gx.compile_ptc_to_ra(expr, inf_form=form), inst)
+            assert dict(want.rows) == reference(expr, inst), gx.ptc_to_text(expr)
+            for form in LITERAL_FORMS:
+                got = gx.eval_ra(composed.compile_ptc_literal(expr, form), inst)
                 assert got.approx_equals(want), gx.ptc_to_text(expr)
 
 
@@ -237,8 +274,9 @@ def test_compile_with_singleton_constants(godel):
     )
     expr = PtcInf(frozenset({v}), body)
     want = gx.eval_ptc(expr, inst)
-    for form in ("div", "gsdo"):
-        compiled = gx.compile_ptc_to_ra(expr, inf_form=form)
+    assert dict(want.rows) == reference(expr, inst)
+    for form in LITERAL_FORMS:
+        compiled = composed.compile_ptc_literal(expr, form)
         assert gx.eval_ra(compiled, inst).approx_equals(want)
     assert want.score(gx.EMPTY_TUPLE) == 0.0  # 1 → D2(9) = 0 kills the infimum
 
@@ -298,7 +336,7 @@ def reference(expr, inst):
     kernels: ⋀ and ⋁ run over every bound value of the extended active
     domain, absent rows read as bottom."""
     lat = inst.lattice
-    consts = ptc_constants(expr)
+    consts = constants_of(expr)
     binary = {OTIMES: lat.kotimes, MEET: lat.kmeet, RESIDUUM: lat.kresiduum}
 
     def universe(scheme):
@@ -374,8 +412,33 @@ def test_universal_quantifier_is_bit_exact(divisions, text, by_antecedent):
             assert divisions[-1] == (not by_antecedent), (name, seed)
             assert got.scheme == ptc_scheme(expr)
             assert dict(got.rows) == reference(expr, inst), (name, seed)
-            compiled = gx.eval_ra(gx.compile_ptc_to_ra(expr), inst)
-            assert got.max_deviation(compiled) <= tolerance, (name, seed)
+            literal = gx.eval_ra(composed.compile_ptc_literal(expr), inst)
+            assert got.max_deviation(literal) <= tolerance, (name, seed)
+
+
+def test_drawn_formulas_under_an_all_that_divides_by_its_antecedent(divisions):
+    """`gen_ptc_expr` seldom draws an ALL whose body is `Q(b) => φ` with Q
+    on exactly the bound variables, so each drawn φ with a free variable b
+    on {B}, and B in no other free variable, is wrapped in one."""
+    symbols = {"Q": sch("B"), "R": sch("A", "B"), "K": sch("B", "C")}
+    wrapped = 0
+    for k, (name, lat) in enumerate(ptc_lattices()):
+        cfg = gen.GenConfig(seed=5, lattice=lat, score_step=0.001)
+        inst = gen.gen_instance(cfg, symbols)
+        for i in range(40 * k, 40 * k + 40):
+            phi = gen.gen_ptc_expr(cfg.with_seed(i), symbols, max_depth=3, salt="wrap")
+            free = free_vars(phi)
+            on_b = [v for v in free if v.scheme == sch("B")]
+            if len(on_b) != 1 or any("B" in v.scheme for v in free - set(on_b)):
+                continue
+            antecedent = Atom(RelSym("Q", sch("B")), frozenset(on_b))
+            expr = PtcInf(frozenset(on_b), PtcBinary(RESIDUUM, antecedent, phi))
+            divisions.clear()
+            got = gx.eval_ptc(expr, inst)
+            assert divisions[-1] is False, (name, i)
+            assert dict(got.rows) == reference(expr, inst), (name, i, gx.ptc_to_text(expr))
+            wrapped += 1
+    assert wrapped >= 60, wrapped
 
 
 #: `=>` where it is not the body of a qualifying ALL: a residuum over the
