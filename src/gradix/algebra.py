@@ -383,6 +383,11 @@ def node_constants(node) -> frozenset:
 def resolve_schemes(expr, schemes: Mapping[str, Scheme]):
     """Annotate unresolved relation symbols with schemes from a catalog, in
     an algebra expression or in the atoms of a calculus expression."""
+    return fold(expr, _resolver(schemes))[id(expr)]
+
+
+def _resolver(schemes: Mapping[str, Scheme]):
+    """The rule of `resolve_schemes`: one node, from its children's results."""
 
     def rule(node, *below):
         if type(node) is not RelSym or node.scheme is not None:
@@ -391,7 +396,7 @@ def resolve_schemes(expr, schemes: Mapping[str, Scheme]):
             raise UnboundSymbolError(f"relation symbol {node.name!r} is not defined")
         return RelSym(node.name, frozenset(schemes[node.name]))
 
-    return fold(expr, rule)[id(expr)]
+    return rule
 
 
 # -- active domains --------------------------------------------------------

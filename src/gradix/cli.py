@@ -51,25 +51,29 @@ class Session:
     def bind(self, name: str, table: RankedDataTable) -> None:
         self.tables[name] = table
 
-    def schemes(self) -> dict:
-        return {name: t.scheme for name, t in self.tables.items()}
-
     def instance(self) -> DatabaseInstance:
         return DatabaseInstance(self.lattice, self.tables)
 
 
-def _check_value_types(expr, registry: AttributeRegistry):
-    """`expr`, an algebra or calculus expression, once its singleton values
-    are checked against their declared types.  An `int` on a `decimal`
-    attribute becomes the equal float, the value the CSV reader gives the
-    same text, so one column does not mix the two; any other mismatch, a
-    string or an int beyond the floats there among them, is a
-    `TypeRegistryError`, and so is a bool on any declared type (Python
-    counts a bool as an int, the CSV reader does not)."""
+def _bind(expr, session: Session, check_types: bool = True):
+    """`expr`, an algebra or calculus expression, bound to the session in
+    one walk: its relation symbols take the schemes of the session's
+    tables, and, where `check_types`, its singleton values are checked
+    against their declared types.  An `int` on a `decimal` attribute
+    becomes the equal float, the value the CSV reader gives the same text,
+    so one column does not mix the two; any other mismatch, a string or an
+    int beyond the floats there among them, is a `TypeRegistryError`, and
+    so is a bool on any declared type (Python counts a bool as an int, the
+    CSV reader does not).  It is raised after the walk, for the first such
+    singleton, so that an unbound symbol anywhere is reported first."""
+    resolve = ra._resolver({name: t.scheme for name, t in session.tables.items()})
+    registry, mistyped = session.registry, []
 
     def rule(node, *below):
-        if type(node) is not ra.Singleton:
+        if below:
             return ra._with_children(node, below)
+        if type(node) is not ra.Singleton or not check_types:
+            return resolve(node)
         declared = registry.type_of(node.attribute)
         if declared == "decimal" and type(node.value) is int:
             try:
@@ -78,13 +82,17 @@ def _check_value_types(expr, registry: AttributeRegistry):
                 pass
         if declared and (type(node.value) is bool
                          or not isinstance(node.value, registry._PARSERS[declared])):
-            raise TypeRegistryError(
-                f"singleton value {node.value!r} does not match declared "
-                f"type {declared} of {node.attribute!r}"
-            )
+            mistyped.append((node, declared))
         return node
 
-    return ra.fold(expr, rule)[id(expr)]
+    bound = ra.fold(expr, rule)[id(expr)]
+    if mistyped:
+        node, declared = mistyped[0]
+        raise TypeRegistryError(
+            f"singleton value {node.value!r} does not match declared "
+            f"type {declared} of {node.attribute!r}"
+        )
+    return bound
 
 
 def _unreadable(path, exc: OSError | UnicodeDecodeError) -> str:
@@ -110,7 +118,10 @@ def _select_lattice(spec: str):
 
 
 def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
-    """Execute parsed statements in order; returns the process exit code."""
+    """Execute parsed statements in order; returns the process exit code.
+    An expression statement walks its expression once to bind it, then once
+    more to number it (EVAL, LET), or twice: to check and compile the
+    formula, then to number it (EVALPTC) or to print it (COMPILE)."""
     stdout = stdout or sys.stdout
     out_base = Path(out_dir) if out_dir else None
 
@@ -131,20 +142,15 @@ def run_script(statements, session: Session, out_dir=None, stdout=None) -> int:
                 case parsing.VarStmt():
                     pass
                 case parsing.LetStmt(name, expr, _line):
-                    expr = ra.resolve_schemes(expr, session.schemes())
-                    expr = _check_value_types(expr, session.registry)
+                    expr = _bind(expr, session)
                     session.bind(name, ra.eval_ra(expr, session.instance()))
                 case parsing.EvalStmt(expr, line):
-                    expr = ra.resolve_schemes(expr, session.schemes())
-                    expr = _check_value_types(expr, session.registry)
-                    emit_table("EVAL", line, ra.eval_ra(expr, session.instance()))
+                    emit_table("EVAL", line, ra.eval_ra(_bind(expr, session), session.instance()))
                 case parsing.EvalPtcStmt(expr, line):
-                    expr = ra.resolve_schemes(expr, session.schemes())
-                    expr = _check_value_types(expr, session.registry)
+                    expr = _bind(expr, session)
                     emit_table("EVALPTC", line, pc.eval_ptc(expr, session.instance()))
                 case parsing.CompileStmt(expr, line):
-                    expr = ra.resolve_schemes(expr, session.schemes())
-                    compiled = pc.compile_ptc_to_ra(expr)
+                    compiled = pc.compile_ptc_to_ra(_bind(expr, session, check_types=False))
                     stdout.write(f"-- COMPILE (line {line})\n")
                     stdout.write(ra.ra_to_text(compiled) + "\n")
                 case parsing.SaveStmt(name, path, _line):

@@ -43,7 +43,7 @@ from ..division import (
 from ..errors import PtcError
 from ..ptc import (
     MEET, OTIMES, Atom, PtcBinary, PtcDelta, PtcExpr, PtcInf, PtcNabla, PtcSup, TupleVar,
-    _calculus_children, _check, scheme_of_vars, validate_ptc,
+    _calculus_children, _compile, scheme_of_vars, validate_ptc,
 )
 from ..table import (
     RankedDataTable,
@@ -164,6 +164,13 @@ def eadom_ra_expr(
 
 DIV_FORM = "div"
 GSDO_FORM = "gsdo"
+
+
+def _check(expr: PtcExpr) -> tuple[dict, frozenset]:
+    """`validate_ptc`'s checks; then id(node) → the free variables of each
+    calculus node, and the constants."""
+    done, consts, _quantifiers = _compile(expr, build=False)
+    return {key: result[0] for key, result in done.items() if type(result) is tuple}, consts
 
 
 def compile_ptc_literal(expr: PtcExpr, inf_form: str = DIV_FORM):

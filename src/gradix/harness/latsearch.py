@@ -168,7 +168,10 @@ def _labels(n: int) -> list[str]:
 
 def as_table_lattice(n, leq, otimes) -> FiniteTableLattice:
     """Materialize an enumerated structure, re-running full validation."""
-    return FiniteTableLattice.from_index_tables(_labels(n), leq, otimes)
+    labels = _labels(n)
+    order = [(labels[i], labels[j]) for i in range(n) for j in range(n) if leq[i][j]]
+    triples = [(labels[i], labels[j], labels[otimes[i][j]]) for i in range(n) for j in range(n)]
+    return FiniteTableLattice(labels, order, triples)
 
 
 def find_meet_distributivity_gap(n, meet, otimes) -> Optional[tuple]:

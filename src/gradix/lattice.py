@@ -338,13 +338,36 @@ class FiniteChain(_ChainLattice):
         return hash(self.kind)
 
 
+def _bound_table(side: list, labels, axiom: str) -> tuple:
+    """For every pair, the k in common = side[i] & side[j] with side[k] ⊇
+    common, where side[i] is the bit mask of the elements below i (meets)
+    or above it (joins).  The first pair without one, in row-major order,
+    raises `axiom`; (j, i) fails where (i, j) does, so the upper triangle
+    suffices."""
+    n = len(side)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            common = side[i] & side[j]
+            for k in range(n):
+                if common >> k & 1 and side[k] & common == common:
+                    out[i][j] = out[j][i] = k
+                    break
+            else:
+                raise LatticeAxiomError(axiom, (labels[i], labels[j]), "no unique bound")
+    return tuple(map(tuple, out))
+
+
 class FiniteTableLattice(ResiduatedLattice):
     """Finite lattice given by an explicit carrier, order, and ⊗ table.
 
     The constructor validates every residuated-lattice axiom by exhaustive
     enumeration and derives → as the supremum of {c | a⊗c ≤ b}; a violation
-    raises LatticeAxiomError naming the axiom and witnesses.  Degrees are
-    carrier indexes; labels appear only in serialization.
+    raises LatticeAxiomError naming the axiom and its first witnesses in
+    carrier order.  Validation is O(n³) on n elements: one Warshall pass
+    closes the order, each meet and join is one of its pair's O(n) common
+    bounds, and every axiom on triples is checked triple by triple.
+    Degrees are carrier indexes; labels appear only in serialization.
     """
 
     def __init__(self, carrier: Sequence[str], order, otimes_table):
@@ -357,40 +380,31 @@ class FiniteTableLattice(ResiduatedLattice):
         n = len(labels)
         idx = {lab: i for i, lab in enumerate(labels)}
 
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
+        up = [1 << i for i in range(n)]  # up[i]: bit j is set where i ≤ j
         for a, b in order:
             try:
-                leq[idx[str(a)]][idx[str(b)]] = True
+                up[idx[str(a)]] |= 1 << idx[str(b)]
             except KeyError as exc:
                 raise LatticeError(f"order pair mentions unknown element {exc}") from None
-        # reflexive-transitive closure
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # reflexive-transitive closure, one Warshall pass
+            bit, above_k = 1 << k, up[k]
             for i in range(n):
-                for j in range(n):
-                    if leq[i][j]:
-                        for k in range(n):
-                            if leq[j][k] and not leq[i][k]:
-                                leq[i][k] = True
-                                changed = True
+                if up[i] & bit:
+                    up[i] |= above_k
+        down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
         for i in range(n):
-            for j in range(n):
-                if i != j and leq[i][j] and leq[j][i]:
-                    raise LatticeAxiomError("antisymmetry", (labels[i], labels[j]))
-        self._leq = tuple(tuple(row) for row in leq)
+            both = up[i] & down[i] & ~(1 << i)
+            if both:  # its lowest bit is the first j with i ≤ j ≤ i
+                j = (both & -both).bit_length() - 1
+                raise LatticeAxiomError("antisymmetry", (labels[i], labels[j]))
+        self._leq = tuple(tuple(bool(up[i] >> j & 1) for j in range(n)) for i in range(n))
 
-        self._meet = self._bound_table(min_side=True)
-        self._join = self._bound_table(min_side=False)
-
-        bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-        tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
-        if len(bottoms) != 1 or len(tops) != 1:
-            raise LatticeAxiomError("bounded", (labels[0],), "no unique least/greatest element")
-        self.bottom = bottoms[0]
-        self.top = tops[0]
+        self._meet = _bound_table(down, labels, "lattice-meet")
+        self._join = _bound_table(up, labels, "lattice-join")
+        # a finite poset whose pairs all have meets and joins is bounded
+        full = (1 << n) - 1
+        self.bottom = up.index(full)
+        self.top = down.index(full)
 
         ot = [[None] * n for _ in range(n)]
         for a, b, c in otimes_table:
@@ -398,97 +412,66 @@ class FiniteTableLattice(ResiduatedLattice):
                 ia, ib, ic = idx[str(a)], idx[str(b)], idx[str(c)]
             except KeyError as exc:
                 raise LatticeError(f"otimes triple mentions unknown element {exc}") from None
-            for x, y in ((ia, ib), (ib, ia)):
-                if ot[x][y] is not None and ot[x][y] != ic:
-                    raise LatticeAxiomError("commutativity", (labels[ia], labels[ib]))
-                ot[x][y] = ic
-        for i in range(n):
-            for fixed, val in ((self.top, i), (self.bottom, self.bottom)):
-                for x, y in ((i, fixed), (fixed, i)):
-                    if ot[x][y] is None:
-                        ot[x][y] = val
-        for i in range(n):
-            for j in range(n):
-                if ot[i][j] is None:
-                    raise LatticeError(f"otimes table misses {labels[i]} ⊗ {labels[j]}")
+            if ot[ia][ib] not in (None, ic):  # ot stays symmetric, so b ⊗ a too
+                raise LatticeAxiomError("commutativity", (labels[ia], labels[ib]))
+            ot[ia][ib] = ot[ib][ia] = ic
+        top_row, bottom_row = ot[self.top], ot[self.bottom]
+        for i, row in enumerate(ot):  # a ⊗ 1 = a and a ⊗ 0 = 0 unless given
+            if row[self.top] is None:
+                row[self.top] = top_row[i] = i
+            if row[self.bottom] is None:
+                row[self.bottom] = bottom_row[i] = self.bottom
+        for i, row in enumerate(ot):
+            if None in row:
+                j = row.index(None)
+                raise LatticeError(f"otimes table misses {labels[i]} ⊗ {labels[j]}")
         self._otimes = tuple(tuple(row) for row in ot)
         self.kind = "finite_table"
         self._validate()
         self._residuum = self._residuum_table()
         self._check_adjointness()
 
-    @classmethod
-    def from_index_tables(cls, labels, leq_rows, otimes_rows):
-        """Build from precomputed index matrices (used by the lattice search)."""
-        n = len(labels)
-        order = [(labels[i], labels[j]) for i in range(n) for j in range(n) if leq_rows[i][j]]
-        triples = [
-            (labels[i], labels[j], labels[otimes_rows[i][j]])
-            for i in range(n)
-            for j in range(n)
-        ]
-        return cls(labels, order, triples)
-
-    def _bound_table(self, min_side: bool):
-        n = len(self.carrier)
-        leq = self._leq
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if min_side:
-                    cands = [k for k in range(n) if leq[k][i] and leq[k][j]]
-                    best = [k for k in cands if all(leq[m][k] for m in cands)]
-                else:
-                    cands = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                    best = [k for k in cands if all(leq[k][m] for m in cands)]
-                if len(best) != 1:
-                    raise LatticeAxiomError(
-                        "lattice-meet" if min_side else "lattice-join",
-                        (self.carrier[i], self.carrier[j]),
-                        "no unique bound",
-                    )
-                out[i][j] = best[0]
-        return tuple(tuple(row) for row in out)
-
     def _validate(self):
-        n = len(self.carrier)
-        lab = self.carrier
-        ot = self._otimes
+        """Unit, associativity and monotonicity of ⊗, triple by triple."""
+        n, lab, ot, leq = len(self.carrier), self.carrier, self._otimes, self._leq
         for a in range(n):
             if ot[a][self.top] != a:
                 raise LatticeAxiomError("unit", (lab[a],))
-        for a in range(n):
+        for a, row in enumerate(ot):
             for b in range(n):
+                ab_row, b_row = ot[row[b]], ot[b]
                 for c in range(n):
-                    if ot[ot[a][b]][c] != ot[a][ot[b][c]]:
+                    if ab_row[c] != row[b_row[c]]:
                         raise LatticeAxiomError("associativity", (lab[a], lab[b], lab[c]))
-        for a in range(n):
+        above = [[c for c in range(n) if leq[b][c]] for b in range(n)]
+        for a, row in enumerate(ot):
             for b in range(n):
-                for c in range(n):
-                    if self._leq[b][c] and not self._leq[ot[a][b]][ot[a][c]]:
+                leq_ab = leq[row[b]]
+                for c in above[b]:
+                    if not leq_ab[row[c]]:
                         raise LatticeAxiomError("monotonicity", (lab[a], lab[b], lab[c]))
 
     def _residuum_table(self):
-        n = len(self.carrier)
-        out = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                feasible = [c for c in range(n) if self._leq[self._otimes[a][c]][b]]
-                s = self.bottom
-                for c in feasible:
-                    s = self._join[s][c]
+        """a → b as the join of {c | a⊗c ≤ b}, joined in carrier order."""
+        n, leq, join = len(self.carrier), self._leq, self._join
+        out = [[self.bottom] * n for _ in range(n)]
+        for a, row in enumerate(self._otimes):
+            for b, s in enumerate(out[a]):
+                for c in range(n):
+                    if leq[row[c]][b]:
+                        s = join[s][c]
                 out[a][b] = s
-        return tuple(tuple(row) for row in out)
+        return tuple(map(tuple, out))
 
     def _check_adjointness(self):
-        n = len(self.carrier)
-        lab = self.carrier
-        for a in range(n):
+        """a⊗b ≤ c exactly when a ≤ b → c."""
+        n, lab, leq, res = len(self.carrier), self.carrier, self._leq, self._residuum
+        for a, row in enumerate(self._otimes):
+            leq_a = leq[a]
             for b in range(n):
+                leq_ab, res_b = leq[row[b]], res[b]
                 for c in range(n):
-                    left = self._leq[self._otimes[a][b]][c]
-                    right = self._leq[a][self._residuum[b][c]]
-                    if left != right:
+                    if leq_ab[c] != leq_a[res_b[c]]:
                         raise LatticeAxiomError("adjointness", (lab[a], lab[b], lab[c]))
 
     def check(self, value):
@@ -597,10 +580,12 @@ def load_lattice_file(path) -> FiniteTableLattice:
         carrier <e1> <e2> ...
         order <a> <b>          # a ≤ b
         otimes <a> <b> <a⊗b>   # one triple per line
-    """
-    carrier = None
+    A second carrier line, or a ⊗ b given twice with different values, is
+    a LatticeError naming the line."""
+    carrier = carrier_line = None
     order = []
     otimes = []
+    given = {}  # (a, b) → (a⊗b, the line that gave it first)
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -609,7 +594,10 @@ def load_lattice_file(path) -> FiniteTableLattice:
             parts = line.split()
             tag, args = parts[0], parts[1:]
             if tag == "carrier":
-                carrier = args
+                if carrier is not None:
+                    raise LatticeError(f"{path}:{lineno}: a second carrier line "
+                                       f"(the first is line {carrier_line})")
+                carrier, carrier_line = args, lineno
             elif tag == "order":
                 if len(args) != 2:
                     raise LatticeError(f"{path}:{lineno}: order wants two elements")
@@ -617,7 +605,13 @@ def load_lattice_file(path) -> FiniteTableLattice:
             elif tag == "otimes":
                 if len(args) != 3:
                     raise LatticeError(f"{path}:{lineno}: otimes wants a b a⊗b")
-                otimes.append(tuple(args))
+                a, b, c = args
+                first, first_line = given.setdefault((a, b), (c, lineno))
+                if first != c:
+                    raise LatticeError(
+                        f"{path}:{lineno}: otimes {a} {b} given twice with different "
+                        f"values ({first} at line {first_line}, {c} here)")
+                otimes.append((a, b, c))
             else:
                 raise LatticeError(f"{path}:{lineno}: unknown directive {tag!r}")
     if carrier is None:

@@ -12,7 +12,9 @@ queries are almost always mistakes.
 
 The calculus has one evaluation path: `eval_ptc` evaluates exactly the
 algebra expression that `compile_ptc_to_ra` returns and `COMPILE` prints.
-A ⋁ is a projection.  A ⋀ is a Codd division, GCODD, over the free
+One walk of a formula checks and compiles it; `eval_ptc` walks the
+compiled expression once more, to number it for the evaluator.  A ⋁ is a
+projection.  A ⋀ is a Codd division, GCODD, over the free
 scheme's active domain, so the calculus shares the divisions'
 residuum-infimum kernel.  Its cost per output row is the divisor's size:
 for `ALL b . (Q(b) => φ)` with Q on exactly the bound variables and φ
@@ -115,16 +117,26 @@ def validate_ptc(expr: PtcExpr) -> None:
     """Well-formedness: consistent variable schemes per name, atom variables
     covering the atom's scheme, quantifiers binding free variables whose
     scheme is disjoint from the remaining free scheme."""
-    _check(expr)
+    _compile(expr, build=False)
 
 
-def _check(expr: PtcExpr) -> tuple[dict, frozenset]:
-    """`validate_ptc`'s checks, node by node.  Then id(node) → the node's
-    free variables (its scheme, inside an atom), and the constants."""
+# -- compilation to relational algebra, and evaluation through it ------------
+
+
+def _compile(expr: PtcExpr, build: bool = True) -> tuple:
+    """`validate_ptc`'s checks and, where `build`, `compile_ptc_to_ra`'s
+    translation, in one fold.  Returns id(node) → result, the constants, and
+    (what it aggregates, bound scheme) for each quantifier.  A calculus
+    node's result is its free variables, free scheme and compiled form
+    (None unless `build`), and a `=>`'s adds its sides' results, so that a
+    ∀ above it may divide by the antecedent; an atom's inner node gives its
+    scheme."""
     if not isinstance(expr, PtcExpr):
         raise TypeError(f"not a PTC expression: {type(expr).__name__}")
     registry: dict[str, Scheme] = {}
     consts: set = set()
+    quantifiers = []
+    eadoms: dict = {}  # scheme → its EADOM node, whose constants come after the fold
 
     def register(vs: frozenset):
         for v in vs:
@@ -135,46 +147,87 @@ def _check(expr: PtcExpr) -> tuple[dict, frozenset]:
                     f"{sorted(prev)} and {sorted(v.scheme)}"
                 )
 
+    def ead(scheme: Scheme):
+        node = eadoms.get(scheme)
+        if node is None:
+            node = eadoms[scheme] = ra.EadomExpr(scheme)
+        return node
+
+    def extend(e, scheme: Scheme, other: Scheme):
+        """`e`, on `scheme`, joined with EADOM over what `other` adds."""
+        extra = other - scheme
+        return ra.NaturalJoin(e, ead(extra)) if extra else e
+
     def rule(node, *below):
-        match node:
-            case Atom(_, vs):
-                register(vs)
-                covered = scheme_of_vars(vs)
-                if covered != below[0]:
-                    raise PtcError(
-                        f"atom variables cover {sorted(covered)} but the "
-                        f"expression is on {sorted(below[0])}"
-                    )
-            case PtcSup(bound, _) | PtcInf(bound, _):
-                register(bound)
-                if not bound:
-                    raise PtcError("quantifier binds no variables")
-                if not bound <= below[0]:
-                    raise PtcError("quantifier binds variables not free in its body")
-                overlap = scheme_of_vars(bound) & scheme_of_vars(below[0] - bound)
-                if overlap:
-                    raise PtcError(
-                        "bound scheme overlaps the free remainder on "
-                        f"{sorted(overlap)}"
-                    )
-            case PtcBinary() | PtcNabla() | PtcDelta():
-                pass
-            case ra.Singleton() | ra.EadomExpr():
-                consts.update(ra.node_constants(node))
-                return ra._scheme_rule(node)
-            case _:  # inside an atom
-                return ra._scheme_rule(node, *below)
-        return _free_rule(node, *below)
+        cls = type(node)
+        if cls is Atom:
+            vs = node.vars
+            register(vs)
+            covered = scheme_of_vars(vs)
+            if covered != below[0]:
+                raise PtcError(
+                    f"atom variables cover {sorted(covered)} but the "
+                    f"expression is on {sorted(below[0])}"
+                )
+            return vs, covered, node.expr
+        if cls is PtcBinary:
+            left, right = below
+            free, scheme = left[0] | right[0], left[1] | right[1]
+            if not build:
+                return free, scheme, None
+            if node.op == OTIMES:
+                return free, scheme, ra.NaturalJoin(left[2], right[2])
+            sides = extend(left[2], left[1], right[1]), extend(right[2], right[1], left[1])
+            if node.op == MEET:
+                return free, scheme, ra.Intersection(*sides)
+            return free, scheme, ra.ResiduumRange(*sides, ead(scheme)), left, right
+        if cls is PtcSup or cls is PtcInf:
+            bound, (body_free, _, body, *sides) = node.bound, below[0]
+            register(bound)
+            if not bound:
+                raise PtcError("quantifier binds no variables")
+            if not bound <= body_free:
+                raise PtcError("quantifier binds variables not free in its body")
+            free, bound_scheme = body_free - bound, scheme_of_vars(bound)
+            scheme = scheme_of_vars(free)
+            overlap = bound_scheme & scheme
+            if overlap:
+                raise PtcError(
+                    "bound scheme overlaps the free remainder on "
+                    f"{sorted(overlap)}"
+                )
+            if not build:
+                return free, scheme, None
+            if cls is PtcSup:
+                quantifiers.append(("existential quantification", bound_scheme))
+                return free, scheme, ra.Projection(scheme, body)
+            quantifiers.append(("universal quantification", bound_scheme))
+            if sides:  # the body is a `=>`; divide by its antecedent where it qualifies
+                antecedent, consequent = sides
+                if antecedent[0] == bound and consequent[1] == scheme | bound_scheme:
+                    # off the antecedent's support every term is 0 → x = top
+                    return free, scheme, ra.GCodd(consequent[2], antecedent[2], ead(scheme))
+            # every term is top → x, which is x exactly
+            return free, scheme, ra.GCodd(body, ead(bound_scheme), ead(scheme))
+        if cls is PtcNabla or cls is PtcDelta:
+            free, scheme, e = below[0][:3]
+            if not build:
+                return free, scheme, None
+            return free, scheme, (ra.Nabla if cls is PtcNabla else ra.Delta)(e)
+        if cls is ra.Singleton or cls is ra.EadomExpr:
+            consts.update(ra.node_constants(node))
+        return ra._scheme_rule(node, *below)  # inside an atom
 
-    return ra.fold(expr, rule), frozenset(consts)
-
-
-# -- compilation to relational algebra, and evaluation through it ------------
+    done = ra.fold(expr, rule)
+    consts = frozenset(consts)
+    for scheme, node in eadoms.items():  # new nodes, not yet seen outside this function
+        ra.EadomExpr.constants.__set__(node, frozenset(c for c in consts if c[0] in scheme))
+    return done, consts, quantifiers
 
 
 def compile_ptc_to_ra(expr: PtcExpr):
     """Constructive translation into relational algebra, the one that
-    `eval_ptc` evaluates.
+    `eval_ptc` evaluates, made in the one walk that checks the formula.
 
     Atoms pass through; ⊗ becomes a natural join; ∧ and → extend each side
     by EADOM over only the attributes the other side adds, not at all where
@@ -183,87 +236,29 @@ def compile_ptc_to_ra(expr: PtcExpr):
     ⋁ projects the bound scheme away.  Every ⋀ becomes a Codd division,
     GCODD, over the free scheme's EADOM.  For `ALL b . (Q(b) => φ)`, with
     Q on exactly the bound variables and φ covering the free and bound
-    schemes, Q is the divisor and φ the dividend, and the `=>` is never
-    scored: off Q's support every term is 0 → x = top.  Any other ⋀
+    schemes, Q is the divisor and φ the dividend, and the `=>` is not
+    evaluated: off Q's support every term is 0 → x = top.  Any other ⋀
     divides its body by EADOM over the bound scheme.  The paper's literal
     translation, which divides every body by that EADOM, is
     `gradix.harness.composed.compile_ptc_literal`.
     """
-    return _compile(expr, *_check(expr))[0]
-
-
-def _compile(expr: PtcExpr, free: dict, consts: frozenset) -> tuple:
-    """`compile_ptc_to_ra` from `_check`'s results, and for each quantifier
-    what it aggregates, as text, with its bound scheme."""
-    quantifiers = []
-
-    def free_scheme(node) -> Scheme:
-        return scheme_of_vars(free[id(node)])
-
-    def ead(scheme: Scheme):
-        return ra.EadomExpr(scheme, frozenset(c for c in consts if c[0] in scheme))
-
-    def extend(e, scheme: Scheme, other: Scheme):
-        """`e`, on `scheme`, joined with EADOM over what `other` adds."""
-        extra = other - scheme
-        return ra.NaturalJoin(e, ead(extra)) if extra else e
-
-    def kids(node) -> tuple:
-        match node:
-            case PtcInf(bound, PtcBinary(op, antecedent, consequent)) if (
-                op == RESIDUUM and free[id(antecedent)] == bound
-                and free_scheme(consequent) == free_scheme(node) | scheme_of_vars(bound)
-            ):
-                # the ∀ divides by its antecedent, so its `=>` is never compiled
-                return antecedent, consequent
-        return _calculus_children(node)
-
-    def rule(node, *f):
-        match node:
-            case Atom(e, _):
-                return e
-            case PtcBinary(op, left, right):
-                if op == OTIMES:
-                    return ra.NaturalJoin(*f)
-                s1, s2 = free_scheme(left), free_scheme(right)
-                sides = extend(f[0], s1, s2), extend(f[1], s2, s1)
-                if op == MEET:
-                    return ra.Intersection(*sides)
-                return ra.ResiduumRange(*sides, ead(s1 | s2))
-            case PtcNabla():
-                return ra.Nabla(*f)
-            case PtcDelta():
-                return ra.Delta(*f)
-            case PtcSup(bound, _):
-                quantifiers.append(("existential quantification", scheme_of_vars(bound)))
-                return ra.Projection(free_scheme(node), *f)
-            case PtcInf(bound, _):
-                bound_scheme = scheme_of_vars(bound)
-                quantifiers.append(("universal quantification", bound_scheme))
-                if len(f) == 2:  # the antecedent and the consequent, from `kids`
-                    divisor, dividend = f
-                else:
-                    # every term is top → x, which is x exactly
-                    dividend, divisor = f[0], ead(bound_scheme)
-                return ra.GCodd(dividend, divisor, ead(free_scheme(node)))
-        raise TypeError(f"not a PTC expression: {type(node).__name__}")
-
-    return ra.fold(expr, rule, kids)[id(expr)], quantifiers
+    return _compile(expr)[0][id(expr)][2]
 
 
 def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
     """Evaluate against an instance; result on the free scheme.
 
-    The result is the table of exactly the expression `compile_ptc_to_ra`
-    returns, evaluated as `algebra.eval_ra` would evaluate it; the
-    well-formedness checks run once, here, so the scheme inference that
-    `eval_ra` adds is not repeated.  A ∀ that divides by its antecedent
-    costs the antecedent's support per output row; any other ∀ costs
-    |EADOM[bound]| per output row, which is exponential in the bound
-    arity.  A quantifier over a scheme whose EADOM is empty warns.
+    The result is the table of the expression `compile_ptc_to_ra` returns,
+    as `algebra.eval_ra` evaluates it, in two walks: one checks and
+    compiles the formula, inferring the atoms' schemes, so `eval_ra`'s
+    scheme pass is not repeated; one numbers the compiled expression.  A ∀
+    that divides by its antecedent costs the antecedent's support per
+    output row; any other ∀ costs |EADOM[bound]| per output row, which is
+    exponential in the bound arity.  A quantifier over a scheme whose
+    EADOM is empty warns.
     """
-    free, consts = _check(expr)
-    compiled, quantifiers = _compile(expr, free, consts)
+    done, consts, quantifiers = _compile(expr)
+    compiled = done[id(expr)][2]
 
     def has_values(attr: str) -> bool:
         return any(a == attr for a, _v in consts) or any(

@@ -397,6 +397,94 @@ def test_compiled_text_evaluates_like_the_calculus(tmp_path):
     assert out.replace("-- EVAL", "-- EVALPTC") == evalptc == "-- EVALPTC (line 4)\nA,rank\n\n"
 
 
+#: LOAD statements for binding tests; `Nope` is declared so that a script
+#: parses, and left unbound by running the statements after it without it
+BINDING_HEAD = """\
+LOAD SP FROM "{d}/sp.csv" SCHEME S:text, P:text
+LOAD Nope FROM "{d}/p.csv" SCHEME P:text
+VAR r : {{S}}
+VAR s : {{P}}
+"""
+
+
+@pytest.mark.parametrize("stmt, second", [
+    ("EVAL ([S: 3] JOIN Nope)",
+     "singleton value 3 does not match declared type text of 'S'"),
+    ("LET X = ([P: 1] JOIN (SP JOIN Nope))",
+     "singleton value 1 does not match declared type text of 'P'"),
+    ("EVALPTC ANY s . ([P: 1](s) * Nope(r, s))",
+     "singleton value 1 does not match declared type text of 'P'"),
+    # COMPILE checks no value type; its formula is ill-formed before its Nope
+    ('COMPILE (ALL r . ([P: "x"](s)) * Nope(r, s))',
+     "quantifier binds variables not free in its body"),
+], ids=["EVAL", "LET", "EVALPTC", "COMPILE"])
+def test_an_unbound_symbol_is_reported_before_any_other_binding_error(workdir, capsys, stmt,
+                                                                      second):
+    load_sp, load_nope, *rest = parsing.parse_script(BINDING_HEAD.format(d=workdir) + stmt)
+    session, out = Session(lattice_from_spec("godel")), io.StringIO()
+    assert cli.run_script([load_sp, *rest], session, stdout=out) == EXIT_QUERY
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "gradix: error at line 5: relation symbol 'Nope' is not defined\n")
+    # once Nope is bound, the statement's other error is the one reported
+    assert cli.run_script([load_nope, rest[-1]], session, stdout=out) == EXIT_QUERY
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"gradix: error at line 5: {second}\n"
+
+
+@pytest.mark.parametrize("stmt, value, attr", [
+    ("EVAL ([S: 3] JOIN [P: 4])", 3, "S"),
+    ("EVAL (SP JOIN ([P: 4] JOIN [S: 3]))", 4, "P"),
+    ("EVALPTC (SP(r, s) * ([S: 3](r) * [P: 4](s)))", 3, "S"),
+])
+def test_the_first_of_two_mistyped_singletons_is_reported(workdir, capsys, stmt, value, attr):
+    load_sp, _load_nope, *rest = parsing.parse_script(BINDING_HEAD.format(d=workdir) + stmt)
+    session, out = Session(lattice_from_spec("godel")), io.StringIO()
+    assert cli.run_script([load_sp, *rest], session, stdout=out) == EXIT_QUERY
+    assert capsys.readouterr().err == (
+        f"gradix: error at line 5: singleton value {value} does not match declared type "
+        f"text of {attr!r}\n")
+
+
+def test_each_statement_walks_its_expression_once_per_stage(workdir, monkeypatch):
+    """EVAL and LET walk their expression to bind and to number it;
+    EVALPTC to bind, to check and compile, and to number; COMPILE to bind,
+    to check and compile, and to print.  A walk is one `algebra.fold`."""
+    stmts = parsing.parse_script(SCRIPT.format(d=workdir) + "LET X = PROJECT[S](SP)\n")
+    session = Session(lattice_from_spec("boolean"))
+    kinds = (parsing.EvalStmt, parsing.LetStmt, parsing.EvalPtcStmt, parsing.CompileStmt)
+    assert cli.run_script([s for s in stmts if type(s) not in kinds], session,
+                          out_dir=workdir / "outputs") == EXIT_OK
+    calls = []
+    fold = ra.fold
+
+    def counting_fold(*args, **kwargs):
+        calls.append(args[1])
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(ra, "fold", counting_fold)
+    walks = {parsing.EvalStmt: 2, parsing.LetStmt: 2, parsing.EvalPtcStmt: 3,
+             parsing.CompileStmt: 3}
+    for stmt in stmts:
+        if type(stmt) in kinds:
+            calls.clear()
+            assert cli.run_script([stmt], session, stdout=io.StringIO()) == EXIT_OK
+            assert len(calls) == walks[type(stmt)], (type(stmt).__name__, calls)
+
+
+def test_eval_names_a_lattice_file_line_given_twice(tmp_path, capsys):
+    lat = tmp_path / "lat.txt"
+    lat.write_text("carrier 0 1\ncarrier a b c\n")
+    script = write_script(tmp_path, "EVAL DEE(1)\n")
+    assert main(["eval", "--lattice", f"table:{lat}", "--script", script]) == EXIT_QUERY
+    assert capsys.readouterr().err == (
+        f"gradix: {lat}:2: a second carrier line (the first is line 1)\n")
+    lat.write_text("carrier 0 1\notimes 1 1 1\notimes 1 1 0\n")
+    assert main(["eval", "--lattice", f"table:{lat}", "--script", script]) == EXIT_QUERY
+    assert capsys.readouterr().err == (
+        f"gradix: {lat}:3: otimes 1 1 given twice with different values (1 at line 2, 0 here)\n")
+
+
 @pytest.mark.parametrize("script, message", [
     ("EVAL [A: 1e400]\n", "script.gx:1:10: number '1e400' is not finite"),
     # a calculus primary that only an atom can be reports the atom's own error

@@ -258,6 +258,67 @@ def test_finite_table_associativity_violation_named():
     assert exc.value.axiom in ("associativity", "monotonicity")
 
 
+_DIAMOND_ORDER = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+
+
+@pytest.mark.parametrize("carrier, order, otimes, axiom, witnesses", [
+    # a cycle a ≤ b ≤ c ≤ a: only the closure of the order shows it
+    (["0", "a", "b", "c", "1"], [("0", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "1")],
+     [], "antisymmetry", ("a", "b")),
+    # c and d have the lower bounds 0, a, b and no greatest one; so have d and c
+    (["0", "a", "b", "c", "d", "1"], [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"),
+                                      ("a", "d"), ("b", "d"), ("c", "1"), ("d", "1")],
+     [], "lattice-meet", ("c", "d")),
+    (["0", "a", "b"], [("0", "a"), ("0", "b")], [], "lattice-join", ("a", "b")),
+    # no least element: a poset whose every pair has a meet and a join is
+    # bounded, so the missing bottom shows as a missing meet
+    (["a", "b", "1"], [("a", "1"), ("b", "1")], [], "lattice-meet", ("a", "b")),
+    (["0", "a", "b", "1"], _DIAMOND_ORDER, [("a", "b", "0"), ("b", "a", "a")],
+     "commutativity", ("b", "a")),
+    (["0", "a", "b", "1"], _DIAMOND_ORDER,
+     [("a", "1", "0"), ("a", "a", "0"), ("a", "b", "0"), ("b", "b", "b")], "unit", ("a",)),
+    (["0", "a", "b", "1"], _DIAMOND_ORDER, [("a", "a", "a"), ("a", "b", "1"), ("b", "b", "b")],
+     "associativity", ("a", "a", "b")),
+    (["0", "m", "1"], [("0", "m"), ("m", "1")], [("m", "m", "1")],
+     "monotonicity", ("m", "m", "1")),
+    (["0", "a", "b", "1"], _DIAMOND_ORDER, [(x, y, "0") for x in "ab" for y in "ab"],
+     "adjointness", ("1", "a", "0")),
+], ids=["antisymmetry", "lattice-meet", "lattice-join", "bounded", "commutativity", "unit",
+        "associativity", "monotonicity", "adjointness"])
+def test_finite_table_lattice_names_the_first_failing_witness(carrier, order, otimes, axiom,
+                                                              witnesses):
+    with pytest.raises(LatticeAxiomError) as exc:
+        FiniteTableLattice(carrier, order, otimes)
+    assert (exc.value.axiom, exc.value.witnesses) == (axiom, witnesses)
+
+
+def test_table_lattice_tables_match_brute_force_on_every_small_structure():
+    """The meet, join and residuum tables of every residuated lattice up to
+    carrier 6 against their definitions, element by element."""
+    from gradix.harness import latsearch
+
+    def greatest(cands, leq):
+        best = [k for k in cands if all(leq[m][k] for m in cands)]
+        assert len(best) == 1
+        return best[0]
+
+    structures = 0
+    for n, leq, _meet, _join, otimes in latsearch.enumerate_residuated_lattices(6):
+        lat, r = latsearch.as_table_lattice(n, leq, otimes), range(n)
+        dual = [[leq[j][i] for j in r] for i in r]
+        assert lat._leq == leq
+        for a in r:
+            for b in r:
+                assert lat._meet[a][b] == greatest(
+                    [k for k in r if leq[k][a] and leq[k][b]], leq)
+                assert lat._join[a][b] == greatest(
+                    [k for k in r if leq[a][k] and leq[b][k]], dual)
+                assert lat._residuum[a][b] == greatest(
+                    [c for c in r if leq[otimes[a][c]][b]], leq)
+        structures += 1
+    assert structures == 179
+
+
 def test_make_lattice_and_selection_strings():
     assert make_lattice("boolean").kind == "boolean"
     assert make_lattice("godel").kind == "goedel"
@@ -302,6 +363,31 @@ def test_a_lattice_file_may_start_with_a_byte_order_mark(tmp_path):
     marked = tmp_path / "witness6.lat"
     marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
     assert load_lattice_file(marked) == load_lattice_file(source)
+
+
+def test_a_lattice_file_refuses_a_second_carrier_line(tmp_path):
+    path = tmp_path / "lat.txt"
+    path.write_text("# two carriers\ncarrier 0 1\norder 0 1\ncarrier a b c\n")
+    with pytest.raises(LatticeError) as exc:
+        load_lattice_file(path)
+    assert type(exc.value) is LatticeError
+    assert str(exc.value) == f"{path}:4: a second carrier line (the first is line 2)"
+
+
+def test_a_lattice_file_names_a_product_given_twice(tmp_path):
+    path = tmp_path / "lat.txt"
+    path.write_text("carrier 0 m 1\norder 0 m\norder m 1\notimes m m 0\n"
+                    "otimes 1 1 1\notimes m m 0\notimes 1 1 0\n")
+    with pytest.raises(LatticeError) as exc:
+        load_lattice_file(path)
+    assert type(exc.value) is LatticeError
+    assert str(exc.value) == (f"{path}:7: otimes 1 1 given twice with different values "
+                              "(1 at line 5, 0 here)")
+    # a b and b a that disagree are still a failure of commutativity
+    path.write_text("carrier 0 m 1\norder 0 m\norder m 1\notimes m 1 m\notimes 1 m 0\n")
+    with pytest.raises(LatticeAxiomError) as exc:
+        load_lattice_file(path)
+    assert (exc.value.axiom, exc.value.witnesses) == ("commutativity", ("1", "m"))
 
 
 def test_degree_formatting(godel, chain5, boolean):

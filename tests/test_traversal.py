@@ -15,7 +15,6 @@ from gradix import algebra as alg
 from gradix import cli
 from gradix import ptc as pc
 from gradix.harness import composed
-from gradix.table import AttributeRegistry
 
 from conftest import count_rule, rdt, sch
 
@@ -90,9 +89,9 @@ def test_each_algebra_traversal_takes_a_long_chain(inst):
     assert len(alg.walk(expr)) == 3 + CHAIN + CHAIN // 2
     assert alg.constants_of(expr) == frozenset({("B", 0), ("B", 1), ("B", 2)})
     assert_node_dunders_hold(expr, gx.resolve_schemes(algebra_chain(), {"D": sch("A", "B")}))
-    registry = AttributeRegistry()
-    registry.declare("B", "int")
-    cli._check_value_types(expr, registry)
+    session = cli.Session(inst.lattice)
+    session.registry.declare("B", "int")
+    assert cli._bind(expr, session) is expr
 
 
 def calculus_chain(shape):
