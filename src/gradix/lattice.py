@@ -339,22 +339,24 @@ class FiniteChain(_ChainLattice):
 
 
 def _bound_table(side: list, labels, axiom: str) -> tuple:
-    """For every pair, the k in common = side[i] & side[j] with side[k] ⊇
-    common, where side[i] is the bit mask of the elements below i (meets)
-    or above it (joins).  The first pair without one, in row-major order,
-    raises `axiom`; (j, i) fails where (i, j) does, so the upper triangle
-    suffices."""
+    """For every pair, the k with side[k] = side[i] & side[j], where side[i]
+    is the bit mask of the elements below i (meets) or above it (joins) in
+    a closed, antisymmetric order.  That k is the pair's greatest common
+    lower (least common upper) bound, and antisymmetry makes it unique.
+    The first pair without one, in row-major order, raises `axiom`; (j, i)
+    fails where (i, j) does, so the upper triangle suffices.  The lattice
+    search (`harness.latsearch`) builds its tables here too, reading the
+    raise as "not a lattice"."""
     n = len(side)
+    owner = {mask: k for k, mask in enumerate(side)}
     out = [[None] * n for _ in range(n)]
     for i in range(n):
+        row, side_i = out[i], side[i]
         for j in range(i, n):
-            common = side[i] & side[j]
-            for k in range(n):
-                if common >> k & 1 and side[k] & common == common:
-                    out[i][j] = out[j][i] = k
-                    break
-            else:
+            k = owner.get(side_i & side[j])
+            if k is None:
                 raise LatticeAxiomError(axiom, (labels[i], labels[j]), "no unique bound")
+            row[j] = out[j][i] = k
     return tuple(map(tuple, out))
 
 
@@ -581,7 +583,9 @@ def load_lattice_file(path) -> FiniteTableLattice:
         order <a> <b>          # a ≤ b
         otimes <a> <b> <a⊗b>   # one triple per line
     A second carrier line, or a ⊗ b given twice with different values, is
-    a LatticeError naming the line."""
+    a LatticeError naming the line.  An error that validation finds after
+    reading, such as a failing axiom, is prefixed with the path; a
+    LatticeAxiomError keeps its axiom and witnesses."""
     carrier = carrier_line = None
     order = []
     otimes = []
@@ -616,7 +620,11 @@ def load_lattice_file(path) -> FiniteTableLattice:
                 raise LatticeError(f"{path}:{lineno}: unknown directive {tag!r}")
     if carrier is None:
         raise LatticeError(f"{path}: missing carrier line")
-    return FiniteTableLattice(carrier, order, otimes)
+    try:
+        return FiniteTableLattice(carrier, order, otimes)
+    except LatticeError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def lattice_from_spec(spec: str) -> ResiduatedLattice:

@@ -485,6 +485,15 @@ def test_eval_names_a_lattice_file_line_given_twice(tmp_path, capsys):
         f"gradix: {lat}:3: otimes 1 1 given twice with different values (1 at line 2, 0 here)\n")
 
 
+def test_eval_names_a_lattice_file_that_fails_validation(tmp_path, capsys):
+    lat = tmp_path / "lat.txt"
+    lat.write_text("carrier 0 a b 1\norder 0 a\norder 0 b\n")
+    script = write_script(tmp_path, "EVAL DEE(1)\n")
+    assert main(["eval", "--lattice", f"table:{lat}", "--script", script]) == EXIT_QUERY
+    assert capsys.readouterr().err == (
+        f"gradix: {lat}: axiom 'lattice-meet' fails at ('0', '1'): no unique bound\n")
+
+
 @pytest.mark.parametrize("script, message", [
     ("EVAL [A: 1e400]\n", "script.gx:1:10: number '1e400' is not finite"),
     # a calculus primary that only an atom can be reports the atom's own error

@@ -248,6 +248,49 @@ def test_enumeration_keeps_its_sequence():
     assert {n: len(leqs) for n, leqs in orders.items()} == {2: 1, 3: 1, 4: 2, 5: 3, 6: 7}
 
 
+ENUMERATION_DIGEST_7 = "03789d8ecbe8328bbd267c152f62b9dce10b5a135a351a6c629c5b536361987f"
+
+
+def test_enumeration_keeps_its_sequence_through_carrier_seven():
+    digest = hashlib.sha256()
+    counts, orders = {}, {}
+    for structure in enumerate_residuated_lattices(7):
+        digest.update(repr(structure).encode())
+        n, leq = structure[:2]
+        counts[n] = counts.get(n, 0) + 1
+        orders.setdefault(n, set()).add(leq)
+    assert digest.hexdigest() == ENUMERATION_DIGEST_7
+    assert counts == {2: 1, 3: 2, 4: 7, 5: 27, 6: 142, 7: 839}
+    assert len(orders[7]) == 18
+    # lattices on 7 elements up to isomorphism (Heitzig & Reinhold 2002)
+    assert len(list(latsearch.enumerate_bounded_lattices(7))) == 53
+
+
+def filtered_posets(m):
+    """Every strict partial order on m labelled points, as a relation mask,
+    found by filtering all masks in ascending order: the poset walk's
+    reference."""
+    bit = latsearch._pair_bits(m)
+    symmetric = [bit[i, j] | bit[j, i] for i, j in bit if i < j]
+    chains = [(bit[i, j] | bit[j, k], bit[i, k])
+              for i, j, k in itertools.permutations(range(m), 3)]
+    for rel in range(1 << len(bit)):
+        for both in symmetric:
+            if rel & both == both:
+                break
+        else:
+            for both, implied in chains:
+                if rel & both == both and not rel & implied:
+                    break
+            else:
+                yield rel
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_poset_walk_matches_the_filter(m):
+    assert list(latsearch._middle_posets(m)) == list(filtered_posets(m))
+
+
 def test_bounded_lattices_match_the_known_counts():
     # lattices on 2..6 elements up to isomorphism (Heitzig & Reinhold 2002)
     counts = {n: len(list(latsearch.enumerate_bounded_lattices(n))) for n in range(2, 7)}
@@ -259,6 +302,29 @@ def test_isomorphism_is_decided_before_bounds(monkeypatch):
     calls = count_rule(monkeypatch, latsearch, "_bound_tables")
     list(latsearch.enumerate_bounded_lattices(6))
     assert len(calls) == 16
+
+
+def test_the_search_counts_its_work(monkeypatch):
+    """Counts, not timings, up to carrier 6: the complete tables that reach
+    the associativity test (2,721 reached the leaf tests when the join law
+    was tested only there) and the bound computations, one per isomorphism
+    class of orders (1, 1, 2, 5 and 16 on carriers 2 to 6)."""
+    leaves = count_rule(monkeypatch, latsearch, "_associative")
+    bounds = count_rule(monkeypatch, latsearch, "_bound_tables")
+    assert sum(1 for _ in enumerate_residuated_lattices(6)) == 179
+    assert len(leaves) == 591
+    assert len(bounds) == 25
+
+
+def test_the_search_refuses_degenerate_sizes():
+    # no elements is no lattice
+    assert list(latsearch.enumerate_bounded_lattices(0)) == []
+    assert list(latsearch.enumerate_bounded_lattices(-2)) == []
+    # one element is the trivial lattice on the single label 0, whose only
+    # product is 0 ⊗ 0 = 0
+    [(leq, meet, join)] = latsearch.enumerate_bounded_lattices(1)
+    assert list(latsearch.enumerate_multiplications(leq, meet, join, 1)) == [((0,),)]
+    assert latsearch.as_table_lattice(1, leq, ((0,),)) == gx.FiniteTableLattice(["0"], [], [])
 
 
 def brute_force_multiplications(leq, meet, n):
@@ -299,6 +365,24 @@ def test_multiplications_match_a_brute_force():
 def test_enumerated_structures_pass_full_validation():
     for n, leq, _meet, _join, otimes in enumerate_residuated_lattices(5):
         latsearch.as_table_lattice(n, leq, otimes)  # raises if any axiom fails
+
+
+def first_meet_distributivity_gap(n, meet, otimes):
+    """The first failing triple over all n³ triples in row-major order:
+    the reference of the gap scan."""
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if otimes[a][meet[b][c]] != meet[otimes[a][b]][otimes[a][c]]:
+            return a, b, c
+    return None
+
+
+def test_the_gap_scan_finds_the_first_failing_triple():
+    gaps = 0
+    for n, _leq, meet, _join, otimes in enumerate_residuated_lattices(6):
+        gap = latsearch.find_meet_distributivity_gap(n, meet, otimes)
+        assert gap == first_meet_distributivity_gap(n, meet, otimes)
+        gaps += gap is not None
+    assert gaps > 0
 
 
 def test_no_distributivity_gap_below_six():

@@ -390,6 +390,27 @@ def test_a_lattice_file_names_a_product_given_twice(tmp_path):
     assert (exc.value.axiom, exc.value.witnesses) == ("commutativity", ("1", "m"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("carrier 0 a b 1\norder 0 a\norder 0 b\n",
+     "axiom 'lattice-meet' fails at ('0', '1'): no unique bound"),
+    ("carrier 0 a 1\norder 0 a\norder a 1\n", "otimes table misses a ⊗ a"),
+    ("carrier 0 a a 1\n", "carrier labels must be distinct"),
+    ("carrier\n", "carrier must be nonempty"),
+    ("carrier 0 1\norder 0 z\n", "order pair mentions unknown element 'z'"),
+], ids=["axiom", "missing-product", "repeated-label", "empty-carrier", "unknown-element"])
+def test_a_lattice_file_that_fails_validation_names_the_file(tmp_path, text, message):
+    path = tmp_path / "lat.txt"
+    path.write_text(text)
+    with pytest.raises(LatticeError) as exc:
+        load_lattice_file(path)
+    assert str(exc.value) == f"{path}: {message}"
+    with pytest.raises(type(exc.value)) as selected:
+        lattice_from_spec(f"table:{path}")
+    assert str(selected.value) == str(exc.value)
+    if isinstance(exc.value, LatticeAxiomError):
+        assert (exc.value.axiom, exc.value.witnesses) == ("lattice-meet", ("0", "1"))
+
+
 def test_degree_formatting(godel, chain5, boolean):
     assert godel.format_degree(0.3) == "0.3"
     assert godel.format_degree(1.0) == "1"
