@@ -181,10 +181,10 @@ def fold(root, rule, kids=None) -> dict:
     return done
 
 
-def walk(expr, kids=None) -> list:
+def walk(expr) -> list:
     """Every distinct node of an algebra or calculus expression, children
     first."""
-    return list(fold(expr, lambda node, *_: node, kids).values())
+    return list(fold(expr, lambda node, *_: node).values())
 
 
 def _with_children(node: Node, below: tuple) -> Node:
@@ -443,12 +443,14 @@ class _Evaluator(_Numbering):
         return tables[n]
 
     def _rule(self, expr: RaExpr, *t) -> RankedDataTable:
-        """The table of one node, from its children's tables `t`."""
+        """The table of one node, from its children's tables `t`.  Every
+        relation symbol has its scheme: `eval_ra` and `ptc._compile` reject
+        an unresolved one first."""
         lat = self.instance.lattice
         match expr:
             case RelSym(name, scheme):
                 d = self.instance.table(name)
-                if scheme is not None and d.scheme != scheme:
+                if d.scheme != scheme:
                     _fail(expr, f"symbol {name!r} bound to scheme {sorted(d.scheme)}")
                 return d
             case DeeConst(degree):

@@ -166,13 +166,6 @@ DIV_FORM = "div"
 GSDO_FORM = "gsdo"
 
 
-def _check(expr: PtcExpr) -> tuple[dict, frozenset]:
-    """`validate_ptc`'s checks; then id(node) → the free variables of each
-    calculus node, and the constants."""
-    done, consts, _quantifiers = _compile(expr, build=False)
-    return {key: result[0] for key, result in done.items() if type(result) is tuple}, consts
-
-
 def compile_ptc_literal(expr: PtcExpr, inf_form: str = DIV_FORM):
     """The paper's structural translation into relational algebra.
 
@@ -187,10 +180,10 @@ def compile_ptc_literal(expr: PtcExpr, inf_form: str = DIV_FORM):
     """
     if inf_form not in (DIV_FORM, GSDO_FORM):
         raise PtcError(f"unknown Inf compilation form {inf_form!r}")
-    free, consts = _check(expr)
+    done, consts, _quantifiers = _compile(expr)  # checks the formula as `validate_ptc` does
 
     def free_scheme(node) -> Scheme:
-        return scheme_of_vars(free[id(node)])
+        return done[id(node)][1]
 
     def ead(scheme: Scheme):
         scheme = frozenset(scheme)

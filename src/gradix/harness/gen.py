@@ -159,11 +159,11 @@ def gen_scheme(rng: random.Random, size: int, pool=ATTR_POOL) -> Scheme:
     return frozenset(rng.sample(pool, size))
 
 
-def split_pool(rng: random.Random, sizes: list[int], pool=ATTR_POOL) -> list[Scheme]:
+def split_pool(rng: random.Random, sizes: list[int]) -> list[Scheme]:
     """Pairwise disjoint schemes of the requested sizes."""
-    if sum(sizes) > len(pool):
+    if sum(sizes) > len(ATTR_POOL):
         raise ValueError("attribute pool too small")
-    chosen = rng.sample(pool, sum(sizes))
+    chosen = rng.sample(ATTR_POOL, sum(sizes))
     out, k = [], 0
     for size in sizes:
         out.append(frozenset(chosen[k:k + size]))

@@ -22,11 +22,9 @@ from .. import division as dv
 from .. import ptc as pc
 from .. import table as tb
 from ..errors import GradixError
-from ..lattice import BooleanLattice, ResiduatedLattice, UnitIntervalLattice
+from ..lattice import DEGREE_TOL, BooleanLattice, ResiduatedLattice, UnitIntervalLattice
 from ..table import DatabaseInstance, RankedDataTable, Tuple, table_to_csv
 from . import composed, gen, oracle
-
-FLOAT_TOL = 1e-9
 
 
 @dataclass
@@ -77,7 +75,7 @@ class EquivalenceReport:
 
 
 def suite_tolerance(lat: ResiduatedLattice) -> float:
-    return FLOAT_TOL if isinstance(lat, UnitIntervalLattice) else 0.0
+    return DEGREE_TOL if isinstance(lat, UnitIntervalLattice) else 0.0
 
 
 def instance_csv(tables: dict) -> str:
@@ -133,10 +131,10 @@ class _Run:
         )
 
 
-def _sizes(rng, count, low=0, high=2):
-    """`count` draws of `rng.randint(low, high)`."""
-    draw = gen._drawer(rng, high - low + 1)
-    return [low + draw() for _ in range(count)]
+def _sizes(rng, count):
+    """`count` draws of `rng.randint(0, 2)`."""
+    draw = gen._drawer(rng, 3)
+    return [draw() for _ in range(count)]
 
 
 def _draw(cfg: gen.GenConfig, *schemes) -> dict:
@@ -322,7 +320,7 @@ def _case_boolean_collapse(run, i, rng, cfg):
 
     # ranged/Codd-style division on RS / S
     rng2 = gen.sub_rng(run.seed, "boolean-collapse.div", i)
-    r_scheme, s_scheme = gen.split_pool(rng2, _sizes(rng2, 2, 0, 2))
+    r_scheme, s_scheme = gen.split_pool(rng2, _sizes(rng2, 2))
     div_tables = _draw(cfg, r_scheme | s_scheme, s_scheme)
     d1, d2 = div_tables.values()
     sd1, sd2 = frozenset(d1.support()), frozenset(d2.support())
@@ -362,7 +360,7 @@ def _case_boolean_collapse(run, i, rng, cfg):
 
     # Todd division on RS / ST
     rng4 = gen.sub_rng(run.seed, "boolean-collapse.todd", i)
-    rt_, st_, tt_ = gen.split_pool(rng4, _sizes(rng4, 3, 0, 2))
+    rt_, st_, tt_ = gen.split_pool(rng4, _sizes(rng4, 3))
     t1 = gen.gen_rdt(cfg, rt_ | st_, "t1")
     t2_tab = gen.gen_rdt(cfg, st_ | tt_, "t2")
     st1, st2 = frozenset(t1.support()), frozenset(t2_tab.support())
@@ -414,11 +412,11 @@ def _case_ptc_compiler(run, i, rng, cfg):
     expr = gen.gen_ptc_expr(cfg, symbols, max_depth=4, salt=str(i))
     tables = {name: inst.table(name) for name in symbols}
     want = pc.eval_ptc(expr, inst)
+    free = sorted(want.scheme)
     for form in (composed.DIV_FORM, composed.GSDO_FORM):
         got = alg.eval_ra(composed.compile_ptc_literal(expr, form), inst)
         run.check_tables(i, f"compiled ({form} form) vs calculus evaluation",
                          got, want, tables)
-        free = sorted(pc.ptc_scheme(expr))
         if free and run.counterexample is None:
             for j in range(10):
                 probe = Tuple({

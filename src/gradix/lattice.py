@@ -152,13 +152,20 @@ def _parse_float(text: str) -> float:
 
 class _ChainLattice(ResiduatedLattice):
     """Lattices whose degrees are totally ordered by Python's own order:
-    ∧/∨ are min/max and ⋀ is a plain minimum."""
+    ∧/∨ are min/max and ⋀ is a plain minimum.  Two are equal when they
+    have one class and one `kind`, which names the whole structure."""
 
     kmeet = staticmethod(min)
     kjoin = staticmethod(max)
 
     def kinf(self, values):
         return min(values, default=self.top)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.kind == self.kind
+
+    def __hash__(self):
+        return hash(self.kind)
 
 
 def _classical_residuum(a, b):
@@ -192,12 +199,6 @@ class BooleanLattice(_ChainLattice):
         if v in (0.0, 1.0):
             return int(v)
         raise DegreeError(f"boolean rank must be 0 or 1, got {text!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, BooleanLattice)
-
-    def __hash__(self):
-        return hash(self.kind)
 
 
 class UnitIntervalLattice(_ChainLattice):
@@ -234,12 +235,6 @@ class UnitIntervalLattice(_ChainLattice):
 
     def parse_degree(self, text):
         return self.check(_parse_float(text))
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(self.kind)
 
 
 def _goedel_residuum(a, b):
@@ -330,12 +325,6 @@ class FiniteChain(_ChainLattice):
             if 0 <= k <= self.n - 1 and abs(v - k / (self.n - 1)) <= DEGREE_TOL:
                 return k
         raise DegreeError(f"{text!r} is not a level of the {self.n}-chain")
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteChain) and other.n == self.n
-
-    def __hash__(self):
-        return hash(self.kind)
 
 
 def _bound_table(side: list, labels, axiom: str) -> tuple:

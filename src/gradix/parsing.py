@@ -87,7 +87,6 @@ def _token_pattern(digit: str, alpha: str, alnum: str) -> re.Pattern:
 _ASCII_TOKENS = _token_pattern("[0-9]", "[A-Za-z_]", "[A-Za-z0-9_]")
 
 
-@functools.lru_cache(maxsize=64)
 def _unicode_tokens(extra: str) -> re.Pattern:
     """The expression whose classes also hold the characters of `extra`
     that `str.isdigit`, `str.isalpha` and `str.isalnum` accept."""

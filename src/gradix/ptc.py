@@ -12,10 +12,11 @@ queries are almost always mistakes.
 
 The calculus has one evaluation path: `eval_ptc` evaluates exactly the
 algebra expression that `compile_ptc_to_ra` returns and `COMPILE` prints.
-One walk of a formula checks and compiles it; `eval_ptc` walks the
-compiled expression once more, to number it for the evaluator.  A ⋁ is a
-projection.  A ⋀ is a Codd division, GCODD, over the free
-scheme's active domain, so the calculus shares the divisions'
+One walk of a formula checks and compiles it, whether the caller wants
+the check (`validate_ptc`), the compiled expression or its value;
+`eval_ptc` walks the compiled expression once more, to number it for the
+evaluator.  A ⋁ is a projection.  A ⋀ is a Codd division, GCODD, over the
+free scheme's active domain, so the calculus shares the divisions'
 residuum-infimum kernel.  Its cost per output row is the divisor's size:
 for `ALL b . (Q(b) => φ)` with Q on exactly the bound variables and φ
 covering the free and bound schemes, Q itself is the divisor, and the ∀
@@ -117,20 +118,19 @@ def validate_ptc(expr: PtcExpr) -> None:
     """Well-formedness: consistent variable schemes per name, atom variables
     covering the atom's scheme, quantifiers binding free variables whose
     scheme is disjoint from the remaining free scheme."""
-    _compile(expr, build=False)
+    _compile(expr)
 
 
 # -- compilation to relational algebra, and evaluation through it ------------
 
 
-def _compile(expr: PtcExpr, build: bool = True) -> tuple:
-    """`validate_ptc`'s checks and, where `build`, `compile_ptc_to_ra`'s
-    translation, in one fold.  Returns id(node) → result, the constants, and
-    (what it aggregates, bound scheme) for each quantifier.  A calculus
-    node's result is its free variables, free scheme and compiled form
-    (None unless `build`), and a `=>`'s adds its sides' results, so that a
-    ∀ above it may divide by the antecedent; an atom's inner node gives its
-    scheme."""
+def _compile(expr: PtcExpr) -> tuple:
+    """`validate_ptc`'s checks and `compile_ptc_to_ra`'s translation, in one
+    fold.  Returns id(node) → result, the constants, and (what it
+    aggregates, bound scheme) for each quantifier.  A calculus node's result
+    is its free variables, free scheme and compiled form, and a `=>`'s adds
+    its sides' results, so that a ∀ above it may divide by the antecedent;
+    an atom's inner node gives its scheme."""
     if not isinstance(expr, PtcExpr):
         raise TypeError(f"not a PTC expression: {type(expr).__name__}")
     registry: dict[str, Scheme] = {}
@@ -173,8 +173,6 @@ def _compile(expr: PtcExpr, build: bool = True) -> tuple:
         if cls is PtcBinary:
             left, right = below
             free, scheme = left[0] | right[0], left[1] | right[1]
-            if not build:
-                return free, scheme, None
             if node.op == OTIMES:
                 return free, scheme, ra.NaturalJoin(left[2], right[2])
             sides = extend(left[2], left[1], right[1]), extend(right[2], right[1], left[1])
@@ -196,8 +194,6 @@ def _compile(expr: PtcExpr, build: bool = True) -> tuple:
                     "bound scheme overlaps the free remainder on "
                     f"{sorted(overlap)}"
                 )
-            if not build:
-                return free, scheme, None
             if cls is PtcSup:
                 quantifiers.append(("existential quantification", bound_scheme))
                 return free, scheme, ra.Projection(scheme, body)
@@ -211,8 +207,6 @@ def _compile(expr: PtcExpr, build: bool = True) -> tuple:
             return free, scheme, ra.GCodd(body, ead(bound_scheme), ead(scheme))
         if cls is PtcNabla or cls is PtcDelta:
             free, scheme, e = below[0][:3]
-            if not build:
-                return free, scheme, None
             return free, scheme, (ra.Nabla if cls is PtcNabla else ra.Delta)(e)
         if cls is ra.Singleton or cls is ra.EadomExpr:
             consts.update(ra.node_constants(node))

@@ -411,6 +411,24 @@ def test_a_lattice_file_that_fails_validation_names_the_file(tmp_path, text, mes
         assert (exc.value.axiom, exc.value.witnesses) == ("lattice-meet", ("0", "1"))
 
 
+def test_lattices_compare_and_hash_by_kind():
+    """Two selections of one built-in lattice, or two loads of one lattice
+    file, are equal and hash equal; lattices of different kinds, or chains
+    of different sizes, are unequal."""
+    witness = f"table:{Path(__file__).parents[1] / 'bench' / 'witness6.lat'}"
+    specs = ["boolean", "godel", "lukasiewicz", "goguen", "chain:4", "chain:5", witness]
+    firsts = [lattice_from_spec(spec) for spec in specs]
+    for spec, lat in zip(specs, firsts):
+        again = lattice_from_spec(spec)
+        assert again is not lat
+        assert again == lat and not again != lat
+        assert hash(again) == hash(lat)
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1:]:
+            assert a != b and b != a
+    assert len(set(firsts + [lattice_from_spec(spec) for spec in specs])) == len(specs)
+
+
 def test_degree_formatting(godel, chain5, boolean):
     assert godel.format_degree(0.3) == "0.3"
     assert godel.format_degree(1.0) == "1"

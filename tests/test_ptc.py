@@ -293,6 +293,31 @@ def test_compilation_deterministic(inst):
     assert c1 == c2 and gx.ra_to_text(c1) == gx.ra_to_text(c2)
 
 
+def test_literal_translation_rejects_what_validation_rejects():
+    """Each malformed formula of `test_validation_errors` fails the literal
+    translation, in both forms, with the message `validate_ptc` gives."""
+    x_ab, y_ab = TupleVar("x", sch("A", "B")), TupleVar("y", sch("A", "B"))
+    malformed = [
+        Atom(R1, frozenset({VR})),
+        PtcBinary(OTIMES, Atom(R2, frozenset({TupleVar("x", sch("B"))})),
+                  Atom(gx.Projection(sch("A"), R1), frozenset({TupleVar("x", sch("A"))}))),
+        PtcInf(frozenset(), Atom(R2, frozenset({VS}))),
+        PtcInf(frozenset({VR}), Atom(R2, frozenset({VS}))),
+        PtcInf(frozenset({x_ab}), PtcBinary(OTIMES, Atom(R1, frozenset({x_ab})),
+                                            Atom(R1, frozenset({y_ab})))),
+    ]
+    for expr in malformed:
+        with pytest.raises(PtcError) as checked:
+            validate_ptc(expr)
+        for form in LITERAL_FORMS:
+            with pytest.raises(PtcError) as literal:
+                composed.compile_ptc_literal(expr, form)
+            assert str(literal.value) == str(checked.value)
+    for form in LITERAL_FORMS:
+        with pytest.raises(TypeError, match="not a PTC expression"):
+            composed.compile_ptc_literal(R1, form)
+
+
 def test_ptc_to_text(inst):
     text = gx.ptc_to_text(DIV_SHAPE)
     assert text == "ALL s . ((D2(s) => D1(r, s)))"
