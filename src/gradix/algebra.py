@@ -16,6 +16,7 @@ remaining divisions are sugar nodes evaluated through the division module.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Mapping
 
@@ -415,9 +416,14 @@ def eadom_values(instance: DatabaseInstance, attr: str, extra_values=()) -> list
 def eadom(instance: DatabaseInstance, scheme: Scheme, extra_values=()) -> RankedDataTable:
     """Extended active domain over a scheme: the cross join of per-attribute
     domains, every tuple at score 1.  eadom(∅) is Dee₁; an attribute with no
-    values anywhere yields the empty table."""
+    values anywhere yields the empty table.  The product of the domain sizes
+    is at most `table.MAX_ROWS`."""
     lat = instance.lattice
-    columns = [eadom_values(instance, a, extra_values) for a in tb.attrs_of(scheme)]
+    names = tb.attrs_of(scheme)
+    columns = [eadom_values(instance, a, extra_values) for a in names]
+    count = math.prod(map(len, columns))
+    if count > tb.MAX_ROWS:
+        raise tb._too_many_rows(f"EADOM[{','.join(names)}]", count)
     return tb._table(frozenset(scheme), lat, dict.fromkeys(itertools.product(*columns), lat.top))
 
 

@@ -12,6 +12,13 @@ divisions, EADOM and CSV read and write hash, probe and sort these, and no
 row becomes a `Tuple`.  `Tuple` is the type of the API: the validating
 constructor takes `Tuple`s, and `score`, iteration, `support`, `sorted_rows`
 and the read-only `rows` view give them, each built when asked for.
+
+Where data enters, `read_csv` gives each distinct value of a text column
+one object for all the rows of one call, the dictionary encoding of column
+stores, so the operators hash and compare strings they have met before.
+Decimal columns keep a float per cell, because -0.0 and 0.0 are equal but
+print as "-0" and "0"; integer columns do too, since sharing ints was
+measured to slow loading without speeding queries.
 """
 
 from __future__ import annotations
@@ -397,6 +404,22 @@ def _table(scheme: Scheme, lattice: ResiduatedLattice, rows: dict) -> RankedData
     return out
 
 
+#: The most rows that an EADOM or a join with no shared attribute may build.
+#: Their row counts are products known before anything is built.  An EADOM
+#: on four attributes takes about 115 bytes a row (1,048,576 rows: 120 MB
+#: and 0.4 s, CPython 3.11, x86-64), so the bound is about a gigabyte.
+MAX_ROWS = 10_000_000
+
+
+def _too_many_rows(node: str, count: int) -> GradixError:
+    """The error for `node`, which would build `count` rows, more than
+    `MAX_ROWS`."""
+    return GradixError(
+        f"{node} would build {count} rows, more than the bound of "
+        f"{MAX_ROWS} (table.MAX_ROWS)"
+    )
+
+
 def _sup_index(d: RankedDataTable, names: tuple) -> dict:
     """The projection of `d` onto the sub-names `names`: each projected
     value tuple scores the ∨ of its rows' degrees.  On `d`'s own names this
@@ -466,10 +489,18 @@ def intersection(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
 
 def natural_join(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     """(D1 ⋈ D2)(rst) = D1(rs) ⊗ D2(st); ⊗ acts as the conjunctive aggregator.
-    D2 is hashed on the shared attributes."""
+    D2 is hashed on the shared attributes.  A join with no shared attribute
+    is a cross join of |D1|·|D2| rows, at most `MAX_ROWS`; the bound holds
+    for every caller, `semijoin` and the divisions too."""
     lat = _same_lattice(d1, d2)
     kotimes = lat.kotimes
-    plan = _join_plan(attrs_of(d1.scheme), attrs_of(d2.scheme))
+    left, right = attrs_of(d1.scheme), attrs_of(d2.scheme)
+    plan = _join_plan(left, right)
+    if len(plan.names) == len(left) + len(right):
+        count = len(d1._rows) * len(d2._rows)
+        if count > MAX_ROWS:
+            raise _too_many_rows(
+                f"cross join of tables on {list(left)} and {list(right)}", count)
     merge, left_key, right_key = plan.merge, plan.left_key, plan.right_key
     by_common: dict[tuple, list] = {}
     for v2, b in d2._rows.items():
@@ -810,6 +841,26 @@ def _cell_parser(parse):
     return lambda cell: parse(cell.strip())
 
 
+def _pooled(values: list, pool: dict | None) -> list:
+    """`values` with each value replaced by its pool's object for it."""
+    if pool is None:
+        return values
+    pool.update(zip(values, values))
+    return list(map(pool.__getitem__, values))
+
+
+def _pooling(parse, pool: dict | None):
+    """The cell parser `parse`, giving its pool's object for each value."""
+    if pool is None:
+        return parse
+    setdefault = pool.setdefault
+
+    def read(cell):
+        value = parse(cell)
+        return setdefault(value, value)
+    return read
+
+
 def read_csv(
     text_or_file,
     lattice: ResiduatedLattice,
@@ -822,7 +873,12 @@ def read_csv(
     the degree (default: top).  `types` declares attribute types, enforced
     through the session registry.  Every cell goes through its column's
     `registry.parser`, picked once per column, and every distinct rank text
-    through `lattice.parse_degree`, once per call.
+    through `lattice.parse_degree`, once per call.  Within one call, equal
+    values of a text column are one shared object, so the table holds one
+    object per distinct value; a `str` computes its hash once, and `==` on
+    one object returns at once.  A decimal column is not shared, because
+    -0.0 == 0.0 and yet the two print as "-0" and "0"; an integer column is
+    not, because shared ints loaded slower and queried no faster.
 
     The csv module reads the header.  The rows take one of two paths that
     give the same table.  `_plain_rows` splits text that needs no csv
@@ -861,14 +917,19 @@ def read_csv(
     names = attrs_of(frozenset(attrs))
     order = tuple(attrs.index(a) for a in names)
     parsers = [_cell_parser(registry.parser(a)) for a in attrs]
+    # one pool per text column; a shared decimal zero would print one row's
+    # sign in another row
+    pools = [{} if registry.type_of(a) in (None, "text") else None for a in attrs]
     parse_degree = lattice.parse_degree
     rank = lattice.top  # every row's rank when there is no rank column
     width = len(header)
-    rows = _plain_rows(text, file_lines, width, [(i, parsers[i]) for i in order],
+    rows = _plain_rows(text, file_lines, width,
+                       [(i, parsers[i], pools[i]) for i in order],
                        parse_degree if has_rank else None, rank)
     if rows is not None:
         return _table(_SCHEME_OF[names], lattice, rows)
     to_sorted = _picker(order)
+    readers = list(map(_pooling, parsers, pools))
     ranks: dict = {}
     rows = {}
     count = blank = 0
@@ -879,7 +940,7 @@ def read_csv(
                 continue
             if len(row) != width:
                 raise SchemeError(f"CSV row {row} does not match header {header}")
-            values = to_sorted([parse(cell) for parse, cell in zip(parsers, row)])
+            values = to_sorted([read(cell) for read, cell in zip(readers, row)])
             if has_rank:
                 label = row[-1]
                 rank = ranks.get(label)
@@ -906,8 +967,9 @@ def _plain_rows(text: str, file_lines, width: int, columns: list, parse_degree,
     the text's line feeds.  The csv module then reads the same records.  It
     must also read them, to raise the error, when a cell or a rank does not
     parse or two rows have the same tuple.  `columns` holds (header
-    position, cell parser) in sorted-attribute order; `parse_degree` is None
-    without a rank column, and every row then has the degree `top`.
+    position, cell parser, value pool or None) in sorted-attribute order;
+    `parse_degree` is None without a rank column, and every row then has
+    the degree `top`.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -924,7 +986,8 @@ def _plain_rows(text: str, file_lines, width: int, columns: list, parse_degree,
         return None
     cells = ",".join(body).split(",")
     try:
-        keys = (zip(*[list(map(parse, cells[i::width])) for i, parse in columns])
+        keys = (zip(*[_pooled(list(map(parse, cells[i::width])), pool)
+                      for i, parse, pool in columns])
                 if columns else [()] * len(body))
         if parse_degree is None:
             rows = dict.fromkeys(keys, top)

@@ -121,6 +121,16 @@ def test_adom_and_eadom(inst, godel):
     assert Tuple({"A": 99}) in with_extra.support()
 
 
+def test_an_eadom_past_the_row_bound_is_refused(inst, monkeypatch):
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 4)
+    assert len(gx.eval_ra(gx.EadomExpr(sch("A", "B")), inst)) == 4
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 3)
+    with pytest.raises(gx.GradixError) as err:
+        gx.eval_ra(gx.EadomExpr(sch("A", "B")), inst)
+    assert str(err.value) == ("EADOM[A,B] would build 4 rows, "
+                              "more than the bound of 3 (table.MAX_ROWS)")
+
+
 def test_eadom_monotone_under_widening(inst, godel):
     wide = inst.with_table("Z", rdt(godel, {"A"}, {7: 0.3}))
     base = frozenset(gx.eadom(inst, sch("A")).support())

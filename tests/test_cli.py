@@ -326,6 +326,54 @@ def test_cross_process_determinism(workdir):
     assert saved[0] == saved[1]
 
 
+def test_an_eadom_past_the_row_bound_ends_in_exit_1(tmp_path):
+    """`EADOM[A,B,C,D,E,F,G]` over 20 values an attribute would hold 1.28·10⁹
+    rows, on the order of 100 GB.  `gradix eval` refuses it before building
+    any row: exit 1, with a message naming the node, the count and the bound,
+    within 30 s of wall time and a peak resident set of 150 MB (about 25 MB in
+    practice).  The child runs with 1 GB of address space and 60 s of CPU
+    time, so that an engine without the bound fails the test and not the
+    host."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    import gradix
+
+    import_root = str(Path(gradix.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
+    attrs = "ABCDEFG"
+    lines = [",".join(attrs)] + [",".join(f"{a.lower()}{i}" for a in attrs)
+                                 for i in range(20)]
+    (tmp_path / "r.csv").write_text("\n".join(lines) + "\n")
+    script = write_script(tmp_path, 'LOAD R FROM "r.csv"\nLET X = EADOM[A,B,C,D,E,F,G]\n')
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+    with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+        start = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gradix.cli", "eval", "--lattice", "godel",
+             "--script", script],
+            stdout=out, stderr=err, cwd=tmp_path, preexec_fn=limit,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+        )
+        _pid, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.monotonic() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == EXIT_QUERY
+    assert (tmp_path / "err").read_text() == (
+        "gradix: error at line 2: EADOM[A,B,C,D,E,F,G] would build 1280000000 rows, "
+        "more than the bound of 10000000 (table.MAX_ROWS)\n")
+    assert elapsed < 30
+    assert usage.ru_maxrss < 150 * 1024  # kilobytes on Linux
+
+
 def test_run_script_direct_api(workdir):
     session = Session(lattice_from_spec("boolean"))
     stmts = parsing.parse_script(

@@ -196,6 +196,52 @@ def test_text_cells_are_stripped(godel):
     assert list(table.rows) == [Tuple({"A": "x"})]
 
 
+# -- one object per distinct value ---------------------------------------------
+
+
+def _read_both_ways(text, lat, types):
+    """The table of `text` read on the `str.split` path, and read with one
+    cell quoted, which sends it through the csv module."""
+    plain_rows, returned = gx.table._plain_rows, []
+
+    def spy(*args):
+        returned.append(plain_rows(*args))
+        return returned[-1]
+
+    with mock.patch("gradix.table._plain_rows", spy):
+        split = gx.read_csv(text, lat, AttributeRegistry(), types)
+    assert returned[0] is not None
+    header, first, rest = text.split("\n", 2)
+    cells = first.split(",")
+    cells[0] = f'"{cells[0]}"'
+    quoted = gx.read_csv("\n".join([header, ",".join(cells), rest]), lat,
+                         AttributeRegistry(), types)
+    assert quoted == split
+    return split, quoted
+
+
+def test_decimal_zeros_keep_their_signs(godel):
+    text = "K,X,rank\na,-0.0,1\nb,0.0,1\nc,-0.0,0.5\nd,0.0,0.5\n"
+    for table in _read_both_ways(text, godel, {"X": "decimal"}):
+        assert gx.table_to_csv(table) == "K,X,rank\na,-0,1\nb,0,1\nc,-0,0.5\nd,0,0.5\n"
+
+
+def test_text_columns_hold_one_object_per_value(godel):
+    lines = ["N,T,U,rank"]
+    for i in range(2000):
+        a, b = i % 40, (i // 40) % 40
+        c = (a + b + i // 1600) % 40  # rows 1600 on repeat (a, b) with another c
+        lines.append(f"{1_000_000 + a},t{b},u{c},{(i % 4 + 1) / 4}")
+    text = "\n".join(lines) + "\n"
+    for table in _read_both_ways(text, godel, {"N": "int"}):
+        assert len(table) == 2000
+        numbers, *texts = zip(*table._rows)
+        assert len(set(numbers)) == 40
+        for column in texts:
+            assert len(set(column)) == 40
+            assert len(set(map(id, column))) == 40
+
+
 # -- repeated rows -------------------------------------------------------------
 
 
@@ -367,13 +413,15 @@ def csv_texts(draw):
 
 
 def _outcome(read):
-    """What a call of `read` gives: the table's scheme and rows, value types
-    shown, or the type and message of its error."""
+    """What a call of `read` gives: the table's scheme, its rows with value
+    types shown and the number of distinct value objects in each column, or
+    the type and message of its error."""
     try:
         table = read()
     except gx.GradixError as exc:
         return type(exc), str(exc)
-    return sorted(table.scheme), repr(list(table._rows.items()))
+    return (sorted(table.scheme), repr(list(table._rows.items())),
+            [len(set(map(id, column))) for column in zip(*table._rows)])
 
 
 def _agrees_with_the_csv_module(read):
@@ -388,6 +436,7 @@ def _agrees_with_the_csv_module(read):
        st.sampled_from([lat for lat, _ in LATTICES[:3]]))
 @example("A,B,rank\n1,2,1,0\n1,1\n", {}, gx.BooleanLattice())
 @example('A,rank\n"1,1\n', {}, gx.BooleanLattice())
+@example("A,B,rank\n 12,0,1\n12 ,1,1\n12,2,1\n", {}, gx.BooleanLattice())
 def test_read_csv_agrees_with_the_csv_module(tmp_path_factory, text, types, lat):
     path = tmp_path_factory.getbasetemp() / "agree.csv"
     path.write_text(text, encoding="utf-8", newline="")
@@ -409,7 +458,7 @@ def test_long_fields_and_other_line_splits_go_to_the_csv_module(tmp_path, godel)
         # a line longer than the limit whose fields are not
         got = _agrees_with_the_csv_module(
             lambda: gx.read_csv("A,B,rank\nabcd,efgh,1\n", godel, AttributeRegistry()))
-        assert got == (["A", "B"], "[(('abcd', 'efgh'), 1.0)]")
+        assert got == (["A", "B"], "[(('abcd', 'efgh'), 1.0)]", [1, 1])
     finally:
         csv.field_size_limit(limit)
     # lines that do not end at the text's line feeds: the csv module reads

@@ -95,6 +95,26 @@ def test_natural_join(goguen, godel):
     assert scaled.score(tup({"A"}, 2)) == 0.2
 
 
+def test_a_join_past_the_row_bound_is_refused(godel, monkeypatch):
+    d1 = rdt(godel, {"A"}, {1: 0.5, 2: 0.5, 3: 0.5})
+    d2 = rdt(godel, {"B"}, {1: 0.5, 2: 0.5})
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 6)
+    assert len(gx.natural_join(d1, d2)) == 6
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 5)
+    with pytest.raises(gx.GradixError) as err:
+        gx.natural_join(d1, d2)
+    message = ("cross join of tables on ['A'] and ['B'] would build 6 rows, "
+               "more than the bound of 5 (table.MAX_ROWS)")
+    assert str(err.value) == message
+    # a semijoin builds the cross join before it projects
+    with pytest.raises(gx.GradixError) as err:
+        gx.semijoin(d1, d2)
+    assert str(err.value) == message
+    # with a shared attribute the product does not bound the result
+    d12 = rdt(godel, {"A", "B"}, {(a, b): 0.5 for a in (1, 2, 3) for b in (1, 2)})
+    assert len(gx.natural_join(d12, d2)) == 6
+
+
 def test_projection(godel):
     d = rdt(godel, {"A", "B"}, {("a1", "b1"): 0.6, ("a1", "b2"): 0.9})
     assert scores(gx.projection(d, sch("A"))) == {(("A", "a1"),): 0.9}
