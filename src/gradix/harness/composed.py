@@ -180,7 +180,13 @@ def compile_ptc_literal(expr: PtcExpr, inf_form: str = DIV_FORM):
     """
     if inf_form not in (DIV_FORM, GSDO_FORM):
         raise PtcError(f"unknown Inf compilation form {inf_form!r}")
-    done, consts, _quantifiers = _compile(expr)  # checks the formula as `validate_ptc` does
+    return _literal(expr, _compile(expr), inf_form)  # checks the formula as `validate_ptc` does
+
+
+def _literal(expr: PtcExpr, compilation: tuple, inf_form: str):
+    """`compile_ptc_literal` of `expr`, whose `ptc._compile` result is
+    `compilation`."""
+    done, consts, _quantifiers = compilation
 
     def free_scheme(node) -> Scheme:
         return done[id(node)][1]

@@ -411,10 +411,11 @@ def _case_ptc_compiler(run, i, rng, cfg):
     inst = gen.gen_instance(cfg, symbols)
     expr = gen.gen_ptc_expr(cfg, symbols, max_depth=4, salt=str(i))
     tables = {name: inst.table(name) for name in symbols}
-    want = pc.eval_ptc(expr, inst)
+    compilation = pc._compile(expr)  # one check and compilation serves all three forms
+    want = pc._evaluate(expr, compilation, inst)
     free = sorted(want.scheme)
     for form in (composed.DIV_FORM, composed.GSDO_FORM):
-        got = alg.eval_ra(composed.compile_ptc_literal(expr, form), inst)
+        got = alg.eval_ra(composed._literal(expr, compilation, form), inst)
         run.check_tables(i, f"compiled ({form} form) vs calculus evaluation",
                          got, want, tables)
         if free and run.counterexample is None:

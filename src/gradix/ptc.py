@@ -251,7 +251,12 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
     exponential in the bound arity.  A quantifier over a scheme whose
     EADOM is empty warns.
     """
-    done, consts, quantifiers = _compile(expr)
+    return _evaluate(expr, _compile(expr), instance)
+
+
+def _evaluate(expr: PtcExpr, compilation: tuple, instance: DatabaseInstance) -> RankedDataTable:
+    """`eval_ptc` of `expr`, whose `_compile` result is `compilation`."""
+    done, consts, quantifiers = compilation
     compiled = done[id(expr)][2]
 
     def has_values(attr: str) -> bool:
@@ -264,7 +269,7 @@ def eval_ptc(expr: PtcExpr, instance: DatabaseInstance) -> RankedDataTable:
             warnings.warn(
                 f"{what} over attributes {sorted(scheme)} with an empty "
                 "extended active domain; the aggregation is vacuous",
-                stacklevel=2,
+                stacklevel=3,
             )
     ev = ra._Evaluator(instance)
     return ev.table(ra.fold(compiled, ev.number)[id(compiled)])

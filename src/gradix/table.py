@@ -491,7 +491,7 @@ def natural_join(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     """(D1 ⋈ D2)(rst) = D1(rs) ⊗ D2(st); ⊗ acts as the conjunctive aggregator.
     D2 is hashed on the shared attributes.  A join with no shared attribute
     is a cross join of |D1|·|D2| rows, at most `MAX_ROWS`; the bound holds
-    for every caller, `semijoin` and the divisions too."""
+    for every caller, the divisions too.  `semijoin` builds no join."""
     lat = _same_lattice(d1, d2)
     kotimes = lat.kotimes
     left, right = attrs_of(d1.scheme), attrs_of(d2.scheme)
@@ -527,8 +527,24 @@ def projection(d: RankedDataTable, scheme: Scheme) -> RankedDataTable:
 
 
 def semijoin(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
-    """π_R(D1 ⋈ D2); the algebraic form of "some φ is ψ" queries."""
-    return projection(natural_join(d1, d2), d1.scheme)
+    """π_R(D1 ⋈ D2); the algebraic form of "some φ is ψ" queries.
+
+    Computed as (D1 ⋉ D2)(r) = D1(r) ⊗ ⋁{D2(s) | s agrees with r}: D2 is
+    projected by ∨ onto the shared attributes, and each row of D1 finds its
+    supremum by one lookup, so no join is built and the result has at most
+    |D1| rows, in D1's order.  This is π_R(D1 ⋈ D2) exactly, on every
+    lattice: ⊗ preserves ∨ in a residuated lattice, a ⊗ ⋁B = ⋁{a ⊗ b | b ∈
+    B}, and on the float lattices the computed product is monotone in each
+    argument, so it commutes with `max` as it is computed.
+    """
+    lat = _same_lattice(d1, d2)
+    kotimes, bottom = lat.kotimes, lat.bottom
+    common = attrs_of(d1.scheme & d2.scheme)
+    sup = _sup_index(d2, common).get
+    key = _project_plan(attrs_of(d1.scheme), common)
+    rows = {v: x for v, a in d1._rows.items()
+            if (b := sup(key(v))) is not None and (x := kotimes(a, b)) != bottom}
+    return _table(d1.scheme, lat, rows)
 
 
 def difference_graded(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
@@ -543,10 +559,8 @@ def difference_graded(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTab
     scheme = _same_scheme(d1, d2)
     kotimes, kresiduum, bottom = lat.kotimes, lat.kresiduum, lat.bottom
     r2 = d2._rows
-    rows = {
-        v: kotimes(a, kresiduum(r2.get(v, bottom), bottom))
-        for v, a in d1._rows.items()
-    }
+    rows = {v: x for v, a in d1._rows.items()
+            if (x := kotimes(a, kresiduum(r2.get(v, bottom), bottom))) != bottom}
     return _table(scheme, lat, rows)
 
 
@@ -575,10 +589,8 @@ def residuum_with_range(
     scheme = _same_scheme(d1, d2, rng)
     kotimes, kresiduum, bottom = lat.kotimes, lat.kresiduum, lat.bottom
     r1, r2 = d1._rows, d2._rows
-    rows = {
-        v: kotimes(g, kresiduum(r1.get(v, bottom), r2.get(v, bottom)))
-        for v, g in rng._rows.items()
-    }
+    rows = {v: x for v, g in rng._rows.items()
+            if (x := kotimes(g, kresiduum(r1.get(v, bottom), r2.get(v, bottom)))) != bottom}
     return _table(scheme, lat, rows)
 
 
@@ -845,8 +857,7 @@ def _pooled(values: list, pool: dict | None) -> list:
     """`values` with each value replaced by its pool's object for it."""
     if pool is None:
         return values
-    pool.update(zip(values, values))
-    return list(map(pool.__getitem__, values))
+    return list(map(pool.setdefault, values, values))
 
 
 def _pooling(parse, pool: dict | None):
@@ -880,7 +891,13 @@ def read_csv(
     -0.0 == 0.0 and yet the two print as "-0" and "0"; an integer column is
     not, because shared ints loaded slower and queried no faster.
 
-    The csv module reads the header.  The rows take one of two paths that
+    A `str` is split into lines at line feeds, a file or other iterable of
+    lines as its iteration splits it (a file opened with `newline=""` at a
+    bare carriage return too).  A seekable file is read from where it
+    stands, its first line and then the rest in one `read()`, and its lines
+    are cut from that text wherever they end at its line feeds; `_source`
+    gives the rules.  The csv module reads the header from the first lines
+    alone.  The rows take one of two paths that
     give the same table.  `_plain_rows` splits text that needs no csv
     parsing with `str.split` and parses it a column at a time; its
     docstring gives the conditions.  All other text, and plain text in
@@ -889,18 +906,9 @@ def read_csv(
     or rank in row order, and a `SchemeError` for a row that does not match
     the header, for two rows with the same tuple, naming the line of the
     second, and for a record the csv module cannot parse, naming its line.
-    A `str` is split into lines at line feeds, a file or other iterable of
-    lines as its iteration splits it (a file opened with `newline=""` at a
-    bare carriage return too).
     """
-    if isinstance(text_or_file, str):
-        text, file_lines = text_or_file, None
-        lines = io.StringIO(text)
-    else:
-        # kept so that a repeated row can be found again, after the fact
-        lines = file_lines = list(text_or_file)
-        text = "".join(lines)
-    reader = csv.reader(lines)
+    text, lines, at_lf = _source(text_or_file)
+    reader = csv.reader(lines())
     try:
         header = next(reader)
     except StopIteration:
@@ -923,9 +931,8 @@ def read_csv(
     parse_degree = lattice.parse_degree
     rank = lattice.top  # every row's rank when there is no rank column
     width = len(header)
-    rows = _plain_rows(text, file_lines, width,
-                       [(i, parsers[i], pools[i]) for i in order],
-                       parse_degree if has_rank else None, rank)
+    rows = _plain_rows(text, width, [(i, parsers[i], pools[i]) for i in order],
+                       parse_degree if has_rank else None, rank) if at_lf else None
     if rows is not None:
         return _table(_SCHEME_OF[names], lattice, rows)
     to_sorted = _picker(order)
@@ -950,21 +957,64 @@ def read_csv(
     except csv.Error as exc:
         raise _malformed(reader, exc) from None
     if count - blank != len(rows):
-        raise _repeated_row(io.StringIO(text) if file_lines is None else file_lines,
-                           parsers, to_sorted)
+        raise _repeated_row(lines(), parsers, to_sorted)
     return _table(_SCHEME_OF[names], lattice, rows)
 
 
-def _plain_rows(text: str, file_lines, width: int, columns: list, parse_degree,
-                top) -> dict | None:
+def _source(text_or_file) -> tuple:
+    """(text, lines, at_lf) of a CSV source: its whole text, a function
+    giving a new iterator over its lines as the source's own iteration
+    splits them, and whether those lines end exactly at the text's line
+    feeds.
+
+    A `str` is its own text, and its lines end at its line feeds.  A
+    seekable file is read as its first line and then the rest in one
+    `read()`.  Where that first line ends at the text's first line feed and
+    the text holds no carriage return, the file splits at line feeds in
+    every newline mode, and its lines are cut from the text.  Otherwise the
+    file is rewound and, like any other iterable of lines, kept as the list
+    of the lines its iteration gives, so that a repeated row can be found
+    again.
+    """
+    if isinstance(text_or_file, str):
+        text = text_or_file
+        return text, lambda: _lines(text), True
+    start = None
+    seekable = getattr(text_or_file, "seekable", None)
+    if seekable is not None and seekable():
+        try:
+            start = text_or_file.tell()
+        except OSError:  # a file iterated by next() cannot tell
+            pass
+    if start is not None:
+        first = text_or_file.readline()
+        text = first + text_or_file.read()
+        if "\r" not in text and first == text[:text.find("\n") + 1 or None]:
+            return text, lambda: _lines(text), True
+        text_or_file.seek(start)
+    kept = list(text_or_file)
+    text = "".join(kept)
+    return text, lambda: kept, len(kept) == text.count("\n") + (not text.endswith("\n"))
+
+
+def _lines(text: str):
+    """The lines of `text`, each ending at a line feed but perhaps the last."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
+def _plain_rows(text: str, width: int, columns: list, parse_degree, top) -> dict | None:
     """The rows of `text` after its header line, split with `str.split`, or
     None when the csv module must read them.
 
-    The text must hold no quote, carriage return or "\\0" (which the csv
-    module of Python 3.10 refuses), and its rows no blank line, no line
-    longer than `csv.field_size_limit()` and `width` − 1 commas on every
-    line; the lines of a file or other iterable (`file_lines`) must end at
-    the text's line feeds.  The csv module then reads the same records.  It
+    The lines of the source must end at the text's line feeds (`_source`'s
+    `at_lf`).  The text must hold no quote, carriage return or "\\0" (which
+    the csv module of Python 3.10 refuses), and its rows no blank line, no
+    line longer than `csv.field_size_limit()` and `width` − 1 commas on
+    every line.  The csv module then reads the same records.  It
     must also read them, to raise the error, when a cell or a rank does not
     parse or two rows have the same tuple.  `columns` holds (header
     position, cell parser, value pool or None) in sorted-attribute order;
@@ -977,8 +1027,6 @@ def _plain_rows(text: str, file_lines, width: int, columns: list, parse_degree,
     del body[0]
     if body and not body[-1]:  # the text ends in a line feed
         body.pop()
-    if file_lines is not None and len(body) != len(file_lines) - 1:
-        return None
     if not body:
         return {}
     if ("" in body or set(map(str.count, body, repeat(","))) != {width - 1}

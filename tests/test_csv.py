@@ -467,3 +467,76 @@ def test_long_fields_and_other_line_splits_go_to_the_csv_module(tmp_path, godel)
     kind, message = _agrees_with_the_csv_module(
         lambda: gx.read_csv(iter(lines), godel, AttributeRegistry()))
     assert kind is SchemeError and message.startswith("CSV line 2 is malformed")
+
+
+# -- files against their text ----------------------------------------------------
+#
+# `read_csv` reads a file's first line and then the rest in one `read()`, and
+# cuts its lines from that text where the file's own lines end at the text's
+# line feeds; otherwise it rewinds the file and keeps the lines it gives.
+# Either way a file must read as the list of the lines its iteration gives,
+# which takes the path of any other iterable, and as its text wherever those
+# lines are the text's.
+
+QUOTED_HEADERS = ['"A",B,rank', '"A\nB",rank', '"A , B",rank', '"rank"']
+NEWLINES = ["", None, "\n", "\r", "\r\n"]
+
+
+@st.composite
+def source_texts(draw):
+    text = draw(csv_texts())
+    if draw(st.integers(0, 3)) == 0:
+        text = draw(st.sampled_from(QUOTED_HEADERS)) + "\n" + text.partition("\n")[2]
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    if draw(st.integers(0, 3)) == 0:
+        text = "\ufeff" + text
+    return text
+
+
+def _text_lines(text):
+    """The lines of `text` split at line feeds alone, each keeping its end."""
+    lines = [line + "\n" for line in text.split("\n")]
+    lines[-1] = lines[-1][:-1]
+    return lines if lines[-1] else lines[:-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(source_texts(), st.sampled_from(["utf-8", "utf-8-sig"]),
+       st.sampled_from([{}, {"A": "int"}]), st.sampled_from([lat for lat, _ in LATTICES[:3]]))
+@example("A,rank\r\nx,1\r\nx,1\r\n", "utf-8", {}, gx.BooleanLattice())
+@example("\ufeffA,rank\nx,1\ny\rz,1\n", "utf-8-sig", {}, gx.BooleanLattice())
+@example('"A\r\nB",rank\n1,1\n"2,1\n', "utf-8", {}, gx.BooleanLattice())
+@example("A,rank\nx,1\ny,1\n", "utf-8", {}, gx.BooleanLattice())
+def test_a_file_reads_as_its_lines_and_its_text(tmp_path_factory, text, encoding, types, lat):
+    path = tmp_path_factory.getbasetemp() / "source.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def read(source):
+        return _outcome(lambda: gx.read_csv(source, lat, AttributeRegistry(), types))
+
+    for newline in NEWLINES:
+        with open(path, encoding=encoding, newline=newline) as fh:
+            lines = list(fh)
+        with open(path, encoding=encoding, newline=newline) as fh:
+            read_text = fh.read()
+        with open(path, encoding=encoding, newline=newline) as fh:
+            got = read(fh)
+            assert len(got) == 2 or fh.read() == ""  # a table is read to the file's end
+        assert got == read(iter(lines)) == read(lines)
+        if lines == _text_lines(read_text):
+            assert got == read(read_text)
+
+
+def test_a_file_reads_from_where_it_stands(tmp_path, godel):
+    path = tmp_path / "t.csv"
+    path.write_text("# a comment line\nA,rank\nx,0.5\n", encoding="utf-8")
+    for newline in ("", None, "\n"):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            fh.readline()
+            table = gx.read_csv(fh, godel, AttributeRegistry())
+        assert gx.table_to_csv(table) == "A,rank\nx,0.5\n"
+    # a file iterated by `next` cannot tell its place and reads as its lines
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        assert gx.table_to_csv(gx.read_csv(fh, godel, AttributeRegistry())) == "A,rank\nx,0.5\n"
