@@ -13,9 +13,12 @@ row becomes a `Tuple`.  `Tuple` is the type of the API: the validating
 constructor takes `Tuple`s, and `score`, iteration, `support`, `sorted_rows`
 and the read-only `rows` view give them, each built when asked for.
 
-Where data enters, `read_csv` gives each distinct value of a text column
-one object for all the rows of one call, the dictionary encoding of column
-stores, so the operators hash and compare strings they have met before.
+Data enters through `read_csv`, which reads its source once: `str.split`
+or the csv module only cut records, one parse reads them a column at a
+time, and one scan in line order finds the first error.  It gives each
+distinct value of a text column one object for all the rows of one call,
+the dictionary encoding of column stores, so the operators hash and
+compare strings they have met before.
 Decimal columns keep a float per cell, because -0.0 and 0.0 are equal but
 print as "-0" and "0"; integer columns do too, since sharing ints was
 measured to slow loading without speeding queries.
@@ -663,15 +666,16 @@ class AttributeRegistry:
 
     def parser(self, attr: str):
         """The function `parse_value(attr, ·)`, picked once for a column:
-        `str` for text attributes, else a converter raising `parse_value`'s
-        errors."""
+        `str.strip` for text attributes, else a converter of the stripped
+        cell raising `parse_value`'s errors."""
         ty = self.type_of(attr) or "text"
         if ty == "text":
-            return str
+            return str.strip
         convert = self._PARSERS[ty]
         finite = ty == "decimal"
 
-        def parse(text: str):
+        def parse(cell: str):
+            text = cell.strip()
             try:
                 value = convert(text)
             except ValueError:
@@ -687,8 +691,9 @@ class AttributeRegistry:
         return parse
 
     def parse_value(self, attr: str, text: str):
-        """The typed value of a CSV cell.  Decimals must be finite: nan is
-        unequal to itself, so two nan rows would stay distinct tuples."""
+        """The typed value of a CSV cell, stripped of surrounding spaces as
+        `read_csv` strips it.  Decimals must be finite: nan is unequal to
+        itself, so two nan rows would stay distinct tuples."""
         return self.parser(attr)(text)
 
 
@@ -845,31 +850,11 @@ def _value_to_text(v) -> str:
     return str(v)
 
 
-def _cell_parser(parse):
-    """Function from a raw CSV cell to its value: the cell is stripped and
-    handed to the registry parser `parse`."""
-    if parse is str:
-        return str.strip
-    return lambda cell: parse(cell.strip())
-
-
 def _pooled(values: list, pool: dict | None) -> list:
     """`values` with each value replaced by its pool's object for it."""
     if pool is None:
         return values
     return list(map(pool.setdefault, values, values))
-
-
-def _pooling(parse, pool: dict | None):
-    """The cell parser `parse`, giving its pool's object for each value."""
-    if pool is None:
-        return parse
-    setdefault = pool.setdefault
-
-    def read(cell):
-        value = parse(cell)
-        return setdefault(value, value)
-    return read
 
 
 def read_csv(
@@ -880,35 +865,32 @@ def read_csv(
 ) -> RankedDataTable:
     """Parse a CSV table.
 
-    The header names the attributes; an optional final `rank` column carries
-    the degree (default: top).  `types` declares attribute types, enforced
-    through the session registry.  Every cell goes through its column's
-    `registry.parser`, picked once per column, and every distinct rank text
-    through `lattice.parse_degree`, once per call.  Within one call, equal
-    values of a text column are one shared object, so the table holds one
-    object per distinct value; a `str` computes its hash once, and `==` on
-    one object returns at once.  A decimal column is not shared, because
-    -0.0 == 0.0 and yet the two print as "-0" and "0"; an integer column is
-    not, because shared ints loaded slower and queried no faster.
+    The header names the attributes, each non-empty; an optional final
+    `rank` column carries the degree (default: top).  `types` declares
+    attribute types, enforced through the session registry.  Every cell
+    goes through its column's `registry.parser`, picked once per column,
+    and every distinct rank text through `lattice.parse_degree`, once per
+    call.  Within one call, equal values of a text column are one shared
+    object, so the table holds one object per distinct value; a `str`
+    computes its hash once, and `==` on one object returns at once.  A
+    decimal column is not shared, because -0.0 == 0.0 and yet the two print
+    as "-0" and "0"; an integer column is not, because shared ints loaded
+    slower and queried no faster.
 
-    A `str` is split into lines at line feeds, a file or other iterable of
-    lines as its iteration splits it (a file opened with `newline=""` at a
-    bare carriage return too).  A seekable file is read from where it
-    stands, its first line and then the rest in one `read()`, and its lines
-    are cut from that text wherever they end at its line feeds; `_source`
-    gives the rules.  The csv module reads the header from the first lines
-    alone.  The rows take one of two paths that
-    give the same table.  `_plain_rows` splits text that needs no csv
-    parsing with `str.split` and parses it a column at a time; its
-    docstring gives the conditions.  All other text, and plain text in
-    which a cell or a rank does not parse or a tuple repeats, goes through
-    the csv module row by row, which raises every error: the first bad cell
-    or rank in row order, and a `SchemeError` for a row that does not match
-    the header, for two rows with the same tuple, naming the line of the
-    second, and for a record the csv module cannot parse, naming its line.
+    A source is read once.  A `str` is split into lines at line feeds, a
+    file or other iterable of lines as its iteration splits it (a file
+    opened with `newline=""` at a bare carriage return too); `_source`
+    gives the rules.  The csv module reads the header.  The records after
+    it are cut by `_plain_rows` with `str.split` where no csv parsing is
+    needed, else by `_csv_records`, and `_rows` parses them a column at a
+    time.  Where that makes no table, `_first_error` scans the records in
+    line order and raises the first error: a cell or a rank that does not
+    parse, then a `SchemeError` for a record that does not match the
+    header or that the csv module cannot parse, naming its line, then one
+    for two rows with the same tuple, naming the line of the second.
     """
-    text, lines, at_lf = _source(text_or_file)
-    reader = csv.reader(lines())
+    text, lines = _source(text_or_file)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -916,6 +898,10 @@ def read_csv(
     except csv.Error as exc:
         raise _malformed(reader, exc) from None
     header = [h.strip() for h in header]
+    if "" in header:
+        raise SchemeError(
+            f"empty attribute name in column {header.index('') + 1} of CSV header {header}"
+        )
     has_rank = bool(header) and header[-1] == "rank"
     attrs = header[:-1] if has_rank else header
     if len(set(attrs)) != len(attrs):
@@ -924,77 +910,51 @@ def read_csv(
         registry.declare(a, ty)
     names = attrs_of(frozenset(attrs))
     order = tuple(attrs.index(a) for a in names)
-    parsers = [_cell_parser(registry.parser(a)) for a in attrs]
-    # one pool per text column; a shared decimal zero would print one row's
-    # sign in another row
-    pools = [{} if registry.type_of(a) in (None, "text") else None for a in attrs]
-    parse_degree = lattice.parse_degree
-    rank = lattice.top  # every row's rank when there is no rank column
+    parsers = [registry.parser(a) for a in attrs]
+    parse_degree = lattice.parse_degree if has_rank else None
     width = len(header)
-    rows = _plain_rows(text, width, [(i, parsers[i], pools[i]) for i in order],
-                       parse_degree if has_rank else None, rank) if at_lf else None
-    if rows is not None:
-        return _table(_SCHEME_OF[names], lattice, rows)
-    to_sorted = _picker(order)
-    readers = list(map(_pooling, parsers, pools))
-    ranks: dict = {}
-    rows = {}
-    count = blank = 0
-    try:
-        for count, row in enumerate(reader, 1):
-            if not row:
-                blank += 1
-                continue
-            if len(row) != width:
-                raise SchemeError(f"CSV row {row} does not match header {header}")
-            values = to_sorted([read(cell) for read, cell in zip(readers, row)])
-            if has_rank:
-                label = row[-1]
-                rank = ranks.get(label)
-                if rank is None:
-                    rank = ranks[label] = parse_degree(label.strip())
-            rows[values] = rank
-    except csv.Error as exc:
-        raise _malformed(reader, exc) from None
-    if count - blank != len(rows):
-        raise _repeated_row(lines(), parsers, to_sorted)
-    return _table(_SCHEME_OF[names], lattice, rows)
+    records = _plain_rows(text, width) if text is not None else None
+    if records is None:
+        records = _csv_records(reader, header)
+    cells, count, starts, error = records
+    if error is None:
+        # one pool per text column; a shared decimal zero would print one
+        # row's sign in another row
+        columns = [(i, parsers[i], {} if registry.type_of(attrs[i]) in (None, "text") else None)
+                   for i in order]
+        rows = _rows(cells, count, width, columns, parse_degree, lattice.top)
+        if rows is not None:
+            return _table(_SCHEME_OF[names], lattice, rows)
+    raise _first_error(cells, starts, error, width, parsers, _picker(order), parse_degree)
 
 
 def _source(text_or_file) -> tuple:
-    """(text, lines, at_lf) of a CSV source: its whole text, a function
-    giving a new iterator over its lines as the source's own iteration
-    splits them, and whether those lines end exactly at the text's line
-    feeds.
+    """(text, lines) of a CSV source: its whole text where `str.split` may
+    cut its records, else None, and one iterator over its lines as the
+    source's own iteration splits them.
 
     A `str` is its own text, and its lines end at its line feeds.  A
-    seekable file is read as its first line and then the rest in one
-    `read()`.  Where that first line ends at the text's first line feed and
-    the text holds no carriage return, the file splits at line feeds in
-    every newline mode, and its lines are cut from the text.  Otherwise the
-    file is rewound and, like any other iterable of lines, kept as the list
-    of the lines its iteration gives, so that a repeated row can be found
-    again.
+    seekable file is read from where it stands, as its first line and then
+    the rest in one `read()`.  Where that first line ends at the text's
+    first line feed and the text holds no carriage return, the file splits
+    at line feeds in every newline mode, and its lines are cut from the
+    text.  Otherwise the file is rewound and iterated, as is any other
+    iterable of lines, and nothing is kept of it but its records.
     """
     if isinstance(text_or_file, str):
-        text = text_or_file
-        return text, lambda: _lines(text), True
-    start = None
+        return text_or_file, _lines(text_or_file)
     seekable = getattr(text_or_file, "seekable", None)
     if seekable is not None and seekable():
         try:
             start = text_or_file.tell()
         except OSError:  # a file iterated by next() cannot tell
-            pass
-    if start is not None:
+            return None, text_or_file
         first = text_or_file.readline()
         text = first + text_or_file.read()
         if "\r" not in text and first == text[:text.find("\n") + 1 or None]:
-            return text, lambda: _lines(text), True
+            return text, _lines(text)
         text_or_file.seek(start)
-    kept = list(text_or_file)
-    text = "".join(kept)
-    return text, lambda: kept, len(kept) == text.count("\n") + (not text.endswith("\n"))
+    return None, text_or_file
 
 
 def _lines(text: str):
@@ -1006,20 +966,14 @@ def _lines(text: str):
         start = stop
 
 
-def _plain_rows(text: str, width: int, columns: list, parse_degree, top) -> dict | None:
-    """The rows of `text` after its header line, split with `str.split`, or
-    None when the csv module must read them.
+def _plain_rows(text: str, width: int) -> tuple | None:
+    """The records of `text` after its header line, cut with `str.split`, as
+    `_csv_records` gives them, or None when the csv module must read them.
 
-    The lines of the source must end at the text's line feeds (`_source`'s
-    `at_lf`).  The text must hold no quote, carriage return or "\\0" (which
-    the csv module of Python 3.10 refuses), and its rows no blank line, no
-    line longer than `csv.field_size_limit()` and `width` − 1 commas on
-    every line.  The csv module then reads the same records.  It
-    must also read them, to raise the error, when a cell or a rank does not
-    parse or two rows have the same tuple.  `columns` holds (header
-    position, cell parser, value pool or None) in sorted-attribute order;
-    `parse_degree` is None without a rank column, and every row then has
-    the degree `top`.
+    The text must hold no quote, carriage return or "\\0" (which the csv
+    module of Python 3.10 refuses), and its rows no blank line, no line
+    longer than `csv.field_size_limit()` and `width` − 1 commas on every
+    line.  The csv module then reads the same records, each on one line.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -1028,15 +982,57 @@ def _plain_rows(text: str, width: int, columns: list, parse_degree, top) -> dict
     if body and not body[-1]:  # the text ends in a line feed
         body.pop()
     if not body:
-        return {}
+        return [], 0, (), None
     if ("" in body or set(map(str.count, body, repeat(","))) != {width - 1}
             or max(map(len, body)) > csv.field_size_limit()):
         return None
-    cells = ",".join(body).split(",")
+    return ",".join(body).split(","), len(body), range(2, len(body) + 2), None
+
+
+def _csv_records(reader, header: list) -> tuple:
+    """(cells, count, starts, error) of the records `reader` gives after
+    `header`: their cells in one flat list, their number and the line each
+    starts on.  Blank records are skipped.  Reading stops at the first
+    record that does not match the header or that the csv module cannot
+    parse, and `error` is then its `SchemeError`, else None.
+    """
+    width = len(header)
+    cells: list = []
+    starts: list = []
+    error = None
+    start = reader.line_num + 1
+    try:
+        for record in reader:
+            if record:
+                if len(record) != width:
+                    error = SchemeError(f"CSV row {record} does not match header {header}")
+                    break
+                cells += record
+                starts.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        error = _malformed(reader, exc)
+    return cells, len(starts), starts, error
+
+
+def _malformed(reader, exc: csv.Error) -> SchemeError:
+    return SchemeError(f"CSV line {reader.line_num} is malformed: {exc}")
+
+
+def _rows(cells: list, count: int, width: int, columns: list, parse_degree, top) -> dict | None:
+    """The rows of `count` records of `width` cells, parsed a column at a
+    time, or None when a cell or a rank does not parse or two rows have the
+    same tuple.
+
+    `columns` holds (header position, cell parser, value pool or None) in
+    sorted-attribute order.  Each distinct rank text is parsed once;
+    `parse_degree` is None without a rank column, and every row then has
+    the degree `top`.
+    """
     try:
         keys = (zip(*[_pooled(list(map(parse, cells[i::width])), pool)
                       for i, parse, pool in columns])
-                if columns else [()] * len(body))
+                if columns else [()] * count)
         if parse_degree is None:
             rows = dict.fromkeys(keys, top)
         else:
@@ -1045,26 +1041,28 @@ def _plain_rows(text: str, width: int, columns: list, parse_degree, top) -> dict
             rows = dict(zip(keys, map(degree_of.__getitem__, texts)))
     except GradixError:
         return None
-    return rows if len(rows) == len(body) else None
+    return rows if len(rows) == count else None
 
 
-def _malformed(reader, exc: csv.Error) -> SchemeError:
-    return SchemeError(f"CSV line {reader.line_num} is malformed: {exc}")
+def _first_error(cells: list, starts, error, width: int, parsers: list, to_sorted,
+                 parse_degree) -> SchemeError:
+    """The error of records that make no table, found in line order.
 
-
-def _repeated_row(lines: list, parsers: list, to_sorted) -> SchemeError:
-    """The error for the first data row whose tuple an earlier row has."""
-    reader = csv.reader(lines)
-    next(reader)
+    The first cell or rank that does not parse raises here, the cells of a
+    record in header order and then its rank.  Failing that the records'
+    own `error` is returned, and failing that the error for the first row
+    whose tuple an earlier row has.
+    """
     first_line: dict = {}
-    start = reader.line_num + 1
-    for row in reader:
-        if row:
-            values = to_sorted([parse(cell) for parse, cell in zip(parsers, row)])
-            if values in first_line:
-                return SchemeError(
-                    f"CSV line {start} repeats the tuple of line {first_line[values]}"
-                )
-            first_line[values] = start
-        start = reader.line_num + 1
-    raise AssertionError("no repeated row")
+    repeated = None
+    for k, start in enumerate(starts):
+        record = cells[k * width:(k + 1) * width]
+        values = to_sorted([parse(cell) for parse, cell in zip(parsers, record)])
+        if parse_degree is not None:
+            parse_degree(record[-1].strip())
+        line = first_line.setdefault(values, start)
+        if repeated is None and line != start:
+            repeated = SchemeError(f"CSV line {start} repeats the tuple of line {line}")
+    if error is None and repeated is None:
+        raise AssertionError("records with no error")
+    return error if error is not None else repeated

@@ -1,10 +1,11 @@
 """The CSV boundary: output order and bytes against a reference writer,
-per-column parsers and rank memos, the repeated-row error, and the bulk
-paths against the csv module."""
+per-column parsers and rank memos, the repeated-row error, the bulk paths
+against the csv module, and the reader's outcomes and error order."""
 
 import csv
 import hashlib
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -334,7 +335,8 @@ def test_saved_carriage_return_loads_again(tmp_path, capsys):
 # `write_csv` and `read_csv` build and split plain text with `str.join` and
 # `str.split` and leave everything else to the csv module.  The writer must
 # give the reference bytes on tables whose values sort around "\0" and ",";
-# the reader must give what the csv module's row loop gives, table or error.
+# the reader must give what it gives when the csv module cuts every record,
+# table or error.
 
 # characters below "," (and "\0" itself), and values that are prefixes of
 # each other
@@ -473,10 +475,10 @@ def test_long_fields_and_other_line_splits_go_to_the_csv_module(tmp_path, godel)
 #
 # `read_csv` reads a file's first line and then the rest in one `read()`, and
 # cuts its lines from that text where the file's own lines end at the text's
-# line feeds; otherwise it rewinds the file and keeps the lines it gives.
-# Either way a file must read as the list of the lines its iteration gives,
-# which takes the path of any other iterable, and as its text wherever those
-# lines are the text's.
+# line feeds; otherwise it rewinds the file and iterates it.  Either way a
+# file must read as the list of the lines its iteration gives, which takes
+# the path of any other iterable, and as its text wherever those lines are
+# the text's.
 
 QUOTED_HEADERS = ['"A",B,rank', '"A\nB",rank', '"A , B",rank', '"rank"']
 NEWLINES = ["", None, "\n", "\r", "\r\n"]
@@ -540,3 +542,209 @@ def test_a_file_reads_from_where_it_stands(tmp_path, godel):
     with open(path, encoding="utf-8") as fh:
         next(fh)
         assert gx.table_to_csv(gx.read_csv(fh, godel, AttributeRegistry())) == "A,rank\nx,0.5\n"
+
+
+# -- the reader's outcomes, pinned ------------------------------------------------
+#
+# `test_read_csv_agrees_with_the_csv_module` compares the reader's paths with
+# each other, so it cannot see a change that moves both: a new error order or
+# message.  `READ_DIGEST` pins what seeded texts give, read as a `str`, as a
+# file in three newline modes, and as the list of that file's lines and an
+# iterator over it.
+
+#: sha256 of `read_digest()`, computed while the reader still parsed rows on
+#: two paths and read a source again to name a repeated row
+READ_DIGEST = "6d036f8ba6cb18be90484b1b787ac66fa190802dd78d056b5f119604bf55dac1"
+
+#: headers with no empty attribute name, among them a duplicate, padded
+#: names and quoted ones
+DIGEST_HEADERS = ["A,B,rank", "A,rank", "B,A,rank", "A,B", "A", "rank", "A,A,rank",
+                  " A , B ,rank", '"A",B,rank', '"A\nB",rank']
+DIGEST_TYPES = [{}, {"A": "int"}, {"A": "decimal", "B": "text"}]
+
+
+def _digest_text(rng):
+    """A header and up to eight lines of cells over digits, spaces and one
+    character the csv module treats specially, with blank lines, lines of a
+    wrong width and, now and then, "\\r\\n" line ends."""
+    header = rng.choice(DIGEST_HEADERS)
+    width = header.count(",") + 1
+    alphabet = "012 " + rng.choice(SPECIAL)
+
+    def cell():
+        return "".join(rng.choice(alphabet) for _ in range(rng.choice([0, 1, 1, 1, 1, 2, 3])))
+
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        n = rng.choice([0, width, width, width, width, width, max(width - 1, 1), width + 1])
+        lines.append(",".join(cell() for _ in range(n)))
+    text = header + "\n" + "\n".join(lines) + rng.choice(["", "\n"])
+    return text.replace("\n", "\r\n") if rng.random() < 0.2 else text
+
+
+def _digest_outcome(read) -> bytes:
+    """`_outcome` of `read`, with the csv module's own words cut from a
+    malformed record's error: they differ between Python versions."""
+    got = _outcome(read)
+    if isinstance(got[0], type):
+        kind, message = got
+        if " is malformed: " in message:
+            message = message.partition(": ")[0]
+        got = kind.__name__, message
+    return repr(got).encode()
+
+
+def read_digest(path) -> str:
+    h = hashlib.sha256()
+    rng = random.Random(2029)
+    lattices = [gx.BooleanLattice(), gx.GoedelLattice(), gx.FiniteChain(5)]
+    for k in range(2000):
+        text = _digest_text(rng)
+        lat, types = lattices[k % 3], DIGEST_TYPES[k // 3 % 3]
+
+        def outcome(source):
+            return _digest_outcome(lambda: gx.read_csv(source, lat, AttributeRegistry(), types))
+
+        h.update(outcome(text))
+        path.write_bytes(text.encode("utf-8"))
+        for newline in ("", None, "\r"):
+            with open(path, encoding="utf-8", newline=newline) as fh:
+                lines = list(fh)
+            with open(path, encoding="utf-8", newline=newline) as fh:
+                h.update(outcome(fh))
+            h.update(outcome(lines))
+            h.update(outcome(iter(lines)))
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="the csv module of 3.10 refuses NUL")
+def test_every_source_keeps_its_outcome(tmp_path):
+    assert read_digest(tmp_path / "digest.csv") == READ_DIGEST
+
+
+# -- error order and reading once --------------------------------------------------
+#
+# A read raises the first thing wrong in line order: a cell or a rank that
+# does not parse, a record that does not match the header or that the csv
+# module cannot parse.  Only a source with none of these raises for a
+# repeated tuple.  Each case holds on plain text and with its first cell
+# quoted, which sends every record through the csv module.
+
+
+def _plain_and_quoted(text):
+    header, first, rest = text.split("\n", 2)
+    cells = first.split(",")
+    cells[0] = f'"{cells[0]}"'
+    return [text, "\n".join([header, ",".join(cells), rest])]
+
+
+def _error_of(text, lat, types=None):
+    with pytest.raises(gx.GradixError) as err:
+        gx.read_csv(text, lat, AttributeRegistry(), types)
+    return type(err.value), str(err.value)
+
+
+def test_a_bad_cell_beats_a_later_mis_sized_or_malformed_record(godel):
+    bad_cell = (TypeRegistryError, "value 'zz' is not a valid integer for 'A'")
+    for rest in ("4,w\n", "4,w,0.5,9\n", "4,w\r,0.5\n", '4,"w,0.5\n'):
+        for text in _plain_and_quoted("A,B,rank\n1,x,0.5\nzz,y,0.5\n3,z,0.5\n" + rest):
+            assert _error_of(text, godel, {"A": "int"}) == bad_cell
+
+
+def test_a_bad_rank_beats_an_earlier_repeat(godel):
+    for text in _plain_and_quoted("A,rank\na,0.5\nx,0.5\nx,0.7\ny,1.5\n"):
+        assert _error_of(text, godel) == (gx.DegreeError, "1.5 is outside [0, 1]")
+
+
+def test_a_malformed_record_after_a_repeat_is_the_error(godel):
+    for text in _plain_and_quoted("A,rank\nx,0.5\nx,0.7\ny,0.5\nZ\rZ,0.5\n"):
+        kind, message = _error_of(text, godel)
+        assert kind is SchemeError and message.startswith("CSV line 5 is malformed: ")
+    for text in _plain_and_quoted("A,rank\nx,0.5\nx,0.7\ny,0.5\nz\n"):
+        assert _error_of(text, godel) == (
+            SchemeError, "CSV row ['z'] does not match header ['A', 'rank']")
+
+
+def _once(lines):
+    """An iterable of `lines` whose second iteration fails."""
+    started = []
+
+    class Once:
+        def __iter__(self):
+            assert not started, "the source was iterated twice"
+            started.append(True)
+            yield from lines
+
+    return Once()
+
+
+ONE_SHOT_TEXTS = [
+    'A,rank\r\nx,0.5\r\n"y\rz",0.5\r\nw,1\r\n',  # loads
+    'A,rank\r\nx,0.5\r\n"y\rz",0.5\r\nx,1\r\n',  # repeats line 2
+    'A,rank\r\nx,0.5\r\n"y\rz",0.5\r\nw,2\r\n',  # a bad rank
+    'A,rank\r\nx,0.5\r\nx,0.7\r\n"y\rz",0.5\r\n"w,1\r\n',  # an open quote after a repeat
+]
+
+
+@pytest.mark.parametrize("text", ONE_SHOT_TEXTS)
+def test_a_one_shot_source_reads_as_its_list(tmp_path, godel, text):
+    path = tmp_path / "once.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = list(fh)
+
+    def outcome(source):
+        return _outcome(lambda: gx.read_csv(source, godel, AttributeRegistry()))
+
+    expected = outcome(lines)
+    assert outcome(_once(lines)) == expected
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert outcome(fh) == expected
+        assert isinstance(expected[0], type) or fh.read() == ""
+    for plain in _plain_and_quoted(text.replace("\r\n", "\n")):
+        plain_lines = plain.splitlines(keepends=True)
+        assert outcome(_once(plain_lines)) == outcome(plain_lines)
+
+
+# -- header names and single cells -------------------------------------------------
+
+
+def _header_then_fail(header):
+    yield header
+    raise AssertionError("a row was read")
+
+
+@pytest.mark.parametrize("header, column", [
+    ("A,rank,\n", 3), ("A, ,rank\n", 2), (",A\n", 1), ("A,,\n", 2), (" \n", 1)])
+def test_an_empty_attribute_name_is_an_error(godel, header, column):
+    names = [h.strip() for h in header.split(",")]
+    message = f"empty attribute name in column {column} of CSV header {names}"
+    for source in (header + "x,0.5,\n", _header_then_fail(header)):
+        with pytest.raises(SchemeError) as err:
+            gx.read_csv(source, godel, AttributeRegistry())
+        assert str(err.value) == message
+
+
+def test_eval_rejects_an_empty_attribute_name(tmp_path, capsys):
+    from gradix.cli import EXIT_QUERY, main
+
+    (tmp_path / "x.csv").write_text("A,rank,\nx,0.5,\n")
+    script = tmp_path / "script.gx"
+    script.write_text(f'LOAD T FROM "{tmp_path}/x.csv"\nEVAL T\n')
+    assert main(["eval", "--lattice", "godel", "--script", str(script)]) == EXIT_QUERY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("gradix: error at line 1: empty attribute name in column 3 of "
+                   "CSV header ['A', 'rank', '']\n")
+
+
+def test_parse_value_reads_a_cell_as_read_csv_does(godel):
+    types = {"D": "decimal", "I": "int", "T": "text", "U": "text"}
+    cells = {"D": "\t-0.5 ", "I": " 7 ", "T": "  x y ", "U": "u"}
+    for text in _plain_and_quoted("D,I,T,U,rank\n" + ",".join(cells.values()) + ",1\n"):
+        reg = AttributeRegistry()
+        (row,) = gx.read_csv(text, godel, reg, types).rows
+        for a, cell in cells.items():
+            value = reg.parse_value(a, cell)
+            assert (type(value), value) == (type(row[a]), row[a])
+    assert AttributeRegistry().parse_value("T", " x ") == "x"
