@@ -74,23 +74,22 @@ def _bind(expr, session: Session, check_types: bool = True):
             return ra._with_children(node, below)
         if type(node) is not ra.Singleton or not check_types:
             return resolve(node)
-        declared = registry.type_of(node.attribute)
-        if declared == "decimal" and type(node.value) is int:
+        value_type = registry.value_type(node.attribute)
+        if value_type is float and type(node.value) is int:
             try:
                 return ra.Singleton(node.attribute, float(node.value))
             except OverflowError:
                 pass
-        if declared and (type(node.value) is bool
-                         or not isinstance(node.value, registry._PARSERS[declared])):
-            mistyped.append((node, declared))
+        if value_type and (type(node.value) is bool or not isinstance(node.value, value_type)):
+            mistyped.append(node)
         return node
 
     bound = ra.fold(expr, rule)[id(expr)]
     if mistyped:
-        node, declared = mistyped[0]
+        node = mistyped[0]
         raise TypeRegistryError(
             f"singleton value {node.value!r} does not match declared "
-            f"type {declared} of {node.attribute!r}"
+            f"type {registry.type_of(node.attribute)} of {node.attribute!r}"
         )
     return bound
 

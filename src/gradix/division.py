@@ -30,7 +30,7 @@ semidifference) live in the harness, where they cross-check this module.
 from __future__ import annotations
 
 from .errors import SchemeError, UnsupportedLatticeError
-from .lattice import BooleanLattice
+from .lattice import BooleanLattice, RowLoop
 from .table import (
     RankedDataTable,
     Scheme,
@@ -63,16 +63,41 @@ def _require_boolean(table: RankedDataTable, op: str) -> None:
 # -- `combine`: how an outer row's weight meets the infimum of its residua ----
 
 
-def _inside_inf(lat, g, residua):
-    """⋀({g} ∪ {g ⊗ x}): ⊗ stays inside the infimum, because it need not
-    distribute over ∧."""
-    kotimes = lat.kotimes
-    return lat.kinf([g] + [kotimes(g, x) for x in residua])
+def _infimum_rows(name: str, start: str, term: str, result: str) -> RowLoop:
+    """The outer-row loop of `_residuum_infimum` for one `combine`.
+
+    Each outer row v with weight w folds its terms t into `inf` by ∧,
+    starting from `start`; `term` sets t from the row's residuum x, and
+    `result` is the row's degree.  A term x equal to bottom ends the row,
+    which is then not stored.
+    """
+    return RowLoop(name, ("outer", "group", "to_key", "to_prefix", "score", "probe",
+                          "top", "bottom"), f"""
+        rows = {{}}
+        for v, w in outer.items():
+            head = to_prefix(v)
+            inf = {start}
+            for sv, b, miss in group(to_key(v), ()):
+                a = score(probe(head + sv))
+                if a is None:
+                    x = miss
+                else:
+                    x = RESIDUUM(b, a)
+                if x == bottom:
+                    break
+                {term}
+                inf = MEET(inf, t)
+            else:
+                rows[v] = {result}
+        return rows
+    """)
 
 
-def _times_inf(lat, w, residua):
-    """w ⊗ ⋀ residua: the weight is a ⊗ factor outside the infimum."""
-    return lat.kotimes(w, lat.kinf(residua))
+#: ⋀({w} ∪ {w ⊗ x}): ⊗ stays inside the infimum, because it need not
+#: distribute over ∧.  Starting the fold at w is starting it at 1 ∧ w.
+_inside_inf = _infimum_rows("inside_inf", "w", "t = OTIMES(w, x)", "inf")
+#: w ⊗ ⋀ residua: the weight is a ⊗ factor outside the infimum.
+_times_inf = _infimum_rows("times_inf", "top", "t = x", "OTIMES(w, inf)")
 
 
 #: the most scheme triples whose layout `_residuum_infimum` remembers
@@ -102,7 +127,9 @@ def _residuum_infimum(outer: RankedDataTable, divisor: dict, divisor_scheme: Sch
     The rows of `divisor` are grouped in one pass that keeps each row as a
     triple (rest values, degree b, b → ⊥).  A probe that misses takes the
     stored b → ⊥, with no residuum computed.  A missing group is empty:
-    every term of the infimum is then the tail 0 → · = 1.
+    every term of the infimum is then the tail 0 → · = 1.  `combine` is
+    the row kernel that loops over the outer rows, one of `_inside_inf` and
+    `_times_inf`; it folds each row's terms into the infimum as it goes.
 
     The loop over a group stops at the first term equal to bottom and the
     outer row is dropped, as `_table` would drop it.  Only a miss can give
@@ -128,22 +155,11 @@ def _residuum_infimum(outer: RankedDataTable, divisor: dict, divisor_scheme: Sch
             _LAYOUTS.pop(next(iter(_LAYOUTS)), None)
         _LAYOUTS[schemes] = layout
     to_key, to_prefix, divisor_key, divisor_rest, probe = layout
-    score = consequent.get
     groups: dict = {}
     for u, b in divisor.items():
         groups.setdefault(divisor_key(u), []).append((divisor_rest(u), b, kresiduum(b, bottom)))
-    rows = {}
-    for v, w in outer._rows.items():
-        head = to_prefix(v)
-        residua = []
-        for sv, b, miss in groups.get(to_key(v), ()):
-            a = score(probe(head + sv))
-            x = miss if a is None else kresiduum(b, a)
-            if x == bottom:
-                break
-            residua.append(x)
-        else:
-            rows[v] = combine(lat, w, residua)
+    rows = combine[lat._kernel_class](lat, outer._rows, groups.get, to_key, to_prefix,
+                                      consequent.get, probe, lat.top, bottom)
     return _table(outer.scheme, lat, rows)
 
 

@@ -14,12 +14,23 @@ already be carrier members, and the public `meet`/`join`/`otimes`/
 `residuum`/`inf`/`sup`, which validate every argument with `check` and then
 call the kernel.  Degrees are validated where they enter (CSV ranks,
 literals, user-built tables); the table operators then run on the kernels.
+
+Each built-in class writes each kernel op (∧, ∨, ⊗, → of two degrees) once,
+as one Python expression in its `kernel_expressions`.  Both forms of the op
+are built from that expression: the `k<op>` method, and the row kernels of
+the table operators and the divisions, `RowLoop`s whose loops are written
+once as templates and compiled once per lattice class with the class's
+expressions written inline, so no row pays a Python call per op.  A class
+without expressions, such as a user subclass that defines only `k<op>`
+methods, gets the same loops calling those methods.  Only the fixed
+templates and the classes' fixed expressions reach the generated source,
+never a value, an attribute name or a carrier label.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import re
 import sys
 from typing import Iterable, Sequence
 
@@ -36,12 +47,141 @@ DEGREE_TOL = 1e-9
 _MIN_NORMAL = sys.float_info.min
 
 
+# -- kernel expressions and row kernels ---------------------------------------
+#
+# An expression is a format string over the operand fields {a} and {b}; any
+# other field names an attribute of the lattice, such as {top}, which a
+# generated function reads into a local `lat_<field>` once per call.
+
+#: The kernel ops; `k<op>` is the unchecked method of each.
+_KERNEL_OPS = ("meet", "join", "otimes", "residuum")
+_KERNEL_METHODS = frozenset("k" + op for op in _KERNEL_OPS)
+#: An op applied to two names in a template, as in `OTIMES(a, b)`.
+_OP_CALL = re.compile(r"\b(MEET|JOIN|OTIMES|RESIDUUM)\((\w+), (\w+)\)")
+_OP_WORD = re.compile(r"\b(?:MEET|JOIN|OTIMES|RESIDUUM)\b")
+#: A field of an expression, as in `{a}` or `{top}`.
+_FIELD = re.compile(r"\{(\w+)\}")
+#: The expression each generated `k<op>` function was built from.
+_EXPRESSION_OF: dict = {}
+
+#: `min(a, b)` and `max(a, b)`, ties and all: each keeps `a` unless `b` is
+#: strictly smaller (larger).
+_MIN = "{b} if {b} < {a} else {a}"
+_MAX = "{b} if {b} > {a} else {a}"
+
+
+def _fields(expression: str) -> list:
+    """The lattice attributes an expression reads, in order of appearance."""
+    return list(dict.fromkeys(f for f in _FIELD.findall(expression) if f not in ("a", "b")))
+
+
+def _source(name: str, params: tuple, body: str, expressions: dict) -> str:
+    """The source of the function `name(*params)` running `body`, with each
+    op applied to two names in it written inline as `expressions[op]` of
+    those names.  The lattice attributes the expressions read come from the
+    parameter `lat`."""
+    fields: list = []
+
+    def inline(call) -> str:
+        expression = expressions[call[1].lower()]
+        local = {f: "lat_" + f for f in _fields(expression)}
+        fields.extend(f for f in local if f not in fields)
+        return "(" + expression.format(a=call[2], b=call[3], **local) + ")"
+
+    lines = _OP_CALL.sub(inline, body).strip("\n").split("\n")
+    if _OP_WORD.search("\n".join(lines)):
+        raise LatticeError(f"{name}: a kernel op must be applied to two names")
+    margin = min(len(line) - len(line.lstrip()) for line in lines if line.strip())
+    lines = [f"lat_{f} = lat.{f}" for f in fields] + [line[margin:] for line in lines]
+    return f"def {name}({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _compiled(sources) -> dict:
+    """The functions the `_source` texts define, by name, compiled at once.
+    This and `algebra._init` are the engine's only calls of `exec` or
+    `compile`; the source is built from fixed templates and expressions
+    alone."""
+    space: dict = {}
+    exec(compile("".join(sources), "<gradix kernels>", "exec"), space)
+    return space
+
+
+def _kernel_methods(expressions: dict) -> dict:
+    """The `k<op>` method computing each op's expression, compiled at once:
+    a static method where it reads no lattice attribute, else a method
+    whose instance is `lat`."""
+    for op in expressions:
+        if op not in _KERNEL_OPS:
+            raise LatticeError(f"{op!r} is not a kernel op; they are {', '.join(_KERNEL_OPS)}")
+    reads = {op: bool(_fields(e)) for op, e in expressions.items()}
+    space = _compiled(_source("k" + op, ("lat", "a", "b") if reads[op] else ("a", "b"),
+                              f"return {op.upper()}(a, b)", {op: e})
+                      for op, e in expressions.items())
+    methods = {}
+    for op, expression in expressions.items():
+        fn = space["k" + op]
+        _EXPRESSION_OF[fn] = expression
+        methods["k" + op] = fn if reads[op] else staticmethod(fn)
+    return methods
+
+
+def _expressions(cls) -> dict:
+    """The expression of each kernel op for row kernels over `cls`: the one
+    its `k<op>` was built from, else a call of that method."""
+    return {op: _EXPRESSION_OF.get(getattr(cls, "k" + op), "{k" + op + "}({a}, {b})")
+            for op in _KERNEL_OPS}
+
+
+class RowLoop(dict):
+    """A row loop written once, as a template, and compiled once per
+    lattice class.
+
+    The template is the body of a function of `lat` and `params`; in it
+    `MEET(x, y)`, `JOIN`, `OTIMES` and `RESIDUUM` apply a kernel op to two
+    names.  `loop[lat._kernel_class]` is the kernel for a lattice, compiled
+    at the first such index with that class's expressions inline.  The
+    dict fills by single dict operations, so concurrent callers at worst
+    compile a kernel twice.
+    """
+
+    def __init__(self, name: str, params: tuple, body: str):
+        super().__init__()
+        self.name, self.params, self.body = name, ("lat",) + params, body
+
+    def __missing__(self, cls):
+        source = _source(self.name, self.params, self.body, _expressions(cls))
+        kernel = self[cls] = _compiled([source])[self.name]
+        return kernel
+
+
 class ResiduatedLattice:
     """Shared behaviour; concrete carriers subclass this."""
 
     kind: str = "abstract"
     bottom = None
     top = None
+
+    #: One expression per kernel op, over the operands {a} and {b} and the
+    #: lattice attributes it names as other fields.  A class's `k<op>`
+    #: methods are built from the expressions its own body gives, and its
+    #: row kernels write them inline; an op without one keeps the inherited
+    #: method, and the row kernels call it.
+    kernel_expressions: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._kernel_class = cls
+        expressions = cls.__dict__.get("kernel_expressions")
+        if expressions:
+            for name, method in _kernel_methods(expressions).items():
+                setattr(cls, name, method)
+
+    def __setattr__(self, name, value):
+        # an instance that gets its own k<op> (a test's counting wrapper,
+        # say) computes with it, so its row kernels call every method
+        if name in _KERNEL_METHODS:
+            object.__setattr__(self, "_kernel_class", ResiduatedLattice)
+        object.__setattr__(self, name, value)
 
     # -- carrier ----------------------------------------------------------
 
@@ -138,6 +278,9 @@ class ResiduatedLattice:
         return f"<lattice {self.kind}>"
 
 
+ResiduatedLattice._kernel_class = ResiduatedLattice
+
+
 def _format_unit(value: float) -> str:
     # 9 significant digits, trailing zeros trimmed
     return f"{value:.9g}"
@@ -155,8 +298,7 @@ class _ChainLattice(ResiduatedLattice):
     ∧/∨ are min/max and ⋀ is a plain minimum.  Two are equal when they
     have one class and one `kind`, which names the whole structure."""
 
-    kmeet = staticmethod(min)
-    kjoin = staticmethod(max)
+    kernel_expressions = {"meet": _MIN, "join": _MAX}
 
     def kinf(self, values):
         return min(values, default=self.top)
@@ -168,10 +310,6 @@ class _ChainLattice(ResiduatedLattice):
         return hash(self.kind)
 
 
-def _classical_residuum(a, b):
-    return 1 if a <= b else 0
-
-
 class BooleanLattice(_ChainLattice):
     """Two-element chain {0, 1}; ⊗ coincides with ∧ and → with classical
     implication, so tables over it behave exactly like classic relations."""
@@ -179,14 +317,12 @@ class BooleanLattice(_ChainLattice):
     kind = "boolean"
     bottom = 0
     top = 1
+    kernel_expressions = {"otimes": _MIN, "residuum": "1 if {a} <= {b} else 0"}
 
     def check(self, value):
         if value in (0, 1):
             return int(value)
         raise DegreeError(f"{value!r} is not a boolean degree")
-
-    kotimes = staticmethod(min)
-    kresiduum = staticmethod(_classical_residuum)
 
     def degree_diff(self, a, b):
         return float(abs(a - b))
@@ -237,49 +373,31 @@ class UnitIntervalLattice(_ChainLattice):
         return self.check(_parse_float(text))
 
 
-def _goedel_residuum(a, b):
-    return 1.0 if a <= b else b
-
-
-def _lukasiewicz_otimes(a, b):
-    # exact at the unit: a + 1.0 - 1.0 need not give a back in binary floats
-    if b == 1.0:
-        return a
-    if a == 1.0:
-        return b
-    return max(a + b - 1.0, 0.0)
-
-
-def _lukasiewicz_residuum(a, b):
-    return min(1.0, 1.0 - a + b)
-
-
-def _goguen_residuum(a, b):
-    return 1.0 if a <= b else b / a
-
-
 class GoedelLattice(UnitIntervalLattice):
     """Minimum multiplication: a⊗b = min(a, b)."""
 
     kind = "goedel"
-    kotimes = staticmethod(min)
-    kresiduum = staticmethod(_goedel_residuum)
+    kernel_expressions = {"otimes": _MIN, "residuum": "1.0 if {a} <= {b} else {b}"}
 
 
 class LukasiewiczLattice(UnitIntervalLattice):
-    """Bounded-sum multiplication: a⊗b = max(a + b - 1, 0)."""
+    """Bounded-sum multiplication: a⊗b = max(a + b - 1, 0), exact at the
+    unit, since a + 1.0 - 1.0 need not give a back in binary floats; and
+    a→b = min(1, 1 - a + b)."""
 
     kind = "lukasiewicz"
-    kotimes = staticmethod(_lukasiewicz_otimes)
-    kresiduum = staticmethod(_lukasiewicz_residuum)
+    kernel_expressions = {
+        "otimes": "{a} if {b} == 1.0 else {b} if {a} == 1.0 else "
+                  "0.0 if 0.0 > {a} + {b} - 1.0 else {a} + {b} - 1.0",
+        "residuum": "1.0 - {a} + {b} if 1.0 - {a} + {b} < 1.0 else 1.0",
+    }
 
 
 class GoguenLattice(UnitIntervalLattice):
     """Product multiplication: a⊗b = a·b."""
 
     kind = "goguen"
-    kotimes = staticmethod(operator.mul)
-    kresiduum = staticmethod(_goguen_residuum)
+    kernel_expressions = {"otimes": "{a} * {b}", "residuum": "1.0 if {a} <= {b} else {b} / {a}"}
 
 
 class FiniteChain(_ChainLattice):
@@ -289,6 +407,11 @@ class FiniteChain(_ChainLattice):
     k→m = min(n-1, n-1 - k + m).  Everything stays in ints, so algebraic-law
     tests on chains can demand exact equality.
     """
+
+    kernel_expressions = {
+        "otimes": "0 if 0 > {a} + {b} - {top} else {a} + {b} - {top}",
+        "residuum": "{top} - {a} + {b} if {top} - {a} + {b} < {top} else {top}",
+    }
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
@@ -304,12 +427,6 @@ class FiniteChain(_ChainLattice):
         if 0 <= value <= self.n - 1:
             return value
         raise DegreeError(f"level {value} outside chain of {self.n}")
-
-    def kotimes(self, a, b):
-        return max(a + b - self.top, 0)
-
-    def kresiduum(self, a, b):
-        return min(self.top, self.top - a + b)
 
     def degree_diff(self, a, b):
         return abs(a - b) / (self.n - 1)
@@ -360,6 +477,8 @@ class FiniteTableLattice(ResiduatedLattice):
     bounds, and every axiom on triples is checked triple by triple.
     Degrees are carrier indexes; labels appear only in serialization.
     """
+
+    kernel_expressions = {op: "{_" + op + "}[{a}][{b}]" for op in _KERNEL_OPS}
 
     def __init__(self, carrier: Sequence[str], order, otimes_table):
         labels = [str(x) for x in carrier]
@@ -471,18 +590,6 @@ class FiniteTableLattice(ResiduatedLattice):
         if 0 <= value < len(self.carrier):
             return value
         raise DegreeError(f"index {value} outside carrier of size {len(self.carrier)}")
-
-    def kmeet(self, a, b):
-        return self._meet[a][b]
-
-    def kjoin(self, a, b):
-        return self._join[a][b]
-
-    def kotimes(self, a, b):
-        return self._otimes[a][b]
-
-    def kresiduum(self, a, b):
-        return self._residuum[a][b]
 
     def kinf(self, values):
         out, meet = self.top, self._meet

@@ -42,7 +42,7 @@ from .errors import (
     TypeRegistryError,
     UnboundSymbolError,
 )
-from .lattice import ResiduatedLattice
+from .lattice import ResiduatedLattice, RowLoop
 
 #: A relation scheme is a finite set of attribute names.
 Scheme = frozenset
@@ -377,7 +377,10 @@ class RankedDataTable:
         return all(eq(a, b) for a, b in self._pairs(other))
 
     def max_deviation(self, other: "RankedDataTable") -> float:
-        """Largest pointwise degree difference over the union of supports."""
+        """Largest pointwise degree difference over the union of supports;
+        0.0 at once for equal rows on one scheme, as degree_diff(a, a) is."""
+        if other.scheme == self.scheme and other._rows == self._rows:
+            return 0.0
         diff = self.lattice.degree_diff
         dev = 0.0
         for a, b in self._pairs(other):
@@ -423,20 +426,97 @@ def _too_many_rows(node: str, count: int) -> GradixError:
     )
 
 
+# -- row kernels: each operator's loop over rows, written once and compiled
+# per lattice class with its ∧, ∨, ⊗ and → inline (`lattice.RowLoop`) -------
+
+_SUP_ROWS = RowLoop("sup_rows", ("rows", "pick"), """
+    best = {}
+    best_get = best.get
+    for v, a in rows.items():
+        s = pick(v)
+        prev = best_get(s)
+        if prev is None:
+            best[s] = a
+        else:
+            best[s] = JOIN(prev, a)
+    return best
+""")
+
+_UNION_ROWS = RowLoop("union_rows", ("left", "right"), """
+    rows = dict(left)
+    left_get = left.get
+    for v, b in right.items():
+        a = left_get(v)
+        if a is None:
+            rows[v] = b
+        else:
+            rows[v] = JOIN(a, b)
+    return rows
+""")
+
+_INTERSECTION_ROWS = RowLoop("intersection_rows", ("left", "right"), """
+    rows = {}
+    right_get = right.get
+    for v, a in left.items():
+        b = right_get(v)
+        if b is not None:
+            rows[v] = MEET(a, b)
+    return rows
+""")
+
+_JOIN_ROWS = RowLoop("join_rows", ("left", "right_groups", "left_key", "merge"), """
+    rows = {}
+    for v1, a in left.items():
+        for v2, b in right_groups(left_key(v1), ()):
+            rows[merge(v1 + v2)] = OTIMES(a, b)
+    return rows
+""")
+
+_SEMIJOIN_ROWS = RowLoop("semijoin_rows", ("left", "sup", "key", "bottom"), """
+    rows = {}
+    for v, a in left.items():
+        b = sup(key(v))
+        if b is not None:
+            x = OTIMES(a, b)
+            if x != bottom:
+                rows[v] = x
+    return rows
+""")
+
+_DIFFERENCE_ROWS = RowLoop("difference_rows", ("left", "right", "bottom"), """
+    rows = {}
+    right_get = right.get
+    for v, a in left.items():
+        b = right_get(v, bottom)
+        n = RESIDUUM(b, bottom)
+        x = OTIMES(a, n)
+        if x != bottom:
+            rows[v] = x
+    return rows
+""")
+
+_RESIDUUM_ROWS = RowLoop("residuum_rows", ("weights", "left", "right", "bottom"), """
+    rows = {}
+    left_get, right_get = left.get, right.get
+    for v, g in weights.items():
+        a = left_get(v, bottom)
+        b = right_get(v, bottom)
+        r = RESIDUUM(a, b)
+        x = OTIMES(g, r)
+        if x != bottom:
+            rows[v] = x
+    return rows
+""")
+
+
 def _sup_index(d: RankedDataTable, names: tuple) -> dict:
     """The projection of `d` onto the sub-names `names`: each projected
     value tuple scores the ∨ of its rows' degrees.  On `d`'s own names this
     is `d`'s own dict, not a copy."""
     if names == attrs_of(d.scheme):
         return d._rows
-    pick = _project_plan(attrs_of(d.scheme), names)
-    kjoin = d.lattice.kjoin
-    best: dict[tuple, object] = {}
-    for v, a in d._rows.items():
-        s = pick(v)
-        prev = best.get(s)
-        best[s] = a if prev is None else kjoin(prev, a)
-    return best
+    lat = d.lattice
+    return _SUP_ROWS[lat._kernel_class](lat, d._rows, _project_plan(attrs_of(d.scheme), names))
 
 
 def _same_lattice(*tables: RankedDataTable) -> ResiduatedLattice:
@@ -472,22 +552,13 @@ def empty(lattice: ResiduatedLattice, scheme: Scheme) -> RankedDataTable:
 def union(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
-    kjoin = lat.kjoin
-    r1 = d1._rows
-    rows = dict(r1)
-    for v, b in d2._rows.items():
-        a = r1.get(v)
-        rows[v] = b if a is None else kjoin(a, b)
-    return _table(scheme, lat, rows)
+    return _table(scheme, lat, _UNION_ROWS[lat._kernel_class](lat, d1._rows, d2._rows))
 
 
 def intersection(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
-    kmeet = lat.kmeet
-    r2 = d2._rows
-    rows = {v: kmeet(a, r2[v]) for v, a in d1._rows.items() if v in r2}
-    return _table(scheme, lat, rows)
+    return _table(scheme, lat, _INTERSECTION_ROWS[lat._kernel_class](lat, d1._rows, d2._rows))
 
 
 def natural_join(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
@@ -496,7 +567,6 @@ def natural_join(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     is a cross join of |D1|·|D2| rows, at most `MAX_ROWS`; the bound holds
     for every caller, the divisions too.  `semijoin` builds no join."""
     lat = _same_lattice(d1, d2)
-    kotimes = lat.kotimes
     left, right = attrs_of(d1.scheme), attrs_of(d2.scheme)
     plan = _join_plan(left, right)
     if len(plan.names) == len(left) + len(right):
@@ -504,14 +574,11 @@ def natural_join(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
         if count > MAX_ROWS:
             raise _too_many_rows(
                 f"cross join of tables on {list(left)} and {list(right)}", count)
-    merge, left_key, right_key = plan.merge, plan.left_key, plan.right_key
+    right_key = plan.right_key
     by_common: dict[tuple, list] = {}
     for v2, b in d2._rows.items():
         by_common.setdefault(right_key(v2), []).append((v2, b))
-    rows = {}
-    for v1, a in d1._rows.items():
-        for v2, b in by_common.get(left_key(v1), ()):
-            rows[merge(v1 + v2)] = kotimes(a, b)
+    rows = _JOIN_ROWS[lat._kernel_class](lat, d1._rows, by_common.get, plan.left_key, plan.merge)
     return _table(_SCHEME_OF[plan.names], lat, rows)
 
 
@@ -541,12 +608,10 @@ def semijoin(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     argument, so it commutes with `max` as it is computed.
     """
     lat = _same_lattice(d1, d2)
-    kotimes, bottom = lat.kotimes, lat.bottom
     common = attrs_of(d1.scheme & d2.scheme)
-    sup = _sup_index(d2, common).get
-    key = _project_plan(attrs_of(d1.scheme), common)
-    rows = {v: x for v, a in d1._rows.items()
-            if (b := sup(key(v))) is not None and (x := kotimes(a, b)) != bottom}
+    rows = _SEMIJOIN_ROWS[lat._kernel_class](
+        lat, d1._rows, _sup_index(d2, common).get,
+        _project_plan(attrs_of(d1.scheme), common), lat.bottom)
     return _table(d1.scheme, lat, rows)
 
 
@@ -560,10 +625,7 @@ def difference_graded(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTab
     """
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
-    kotimes, kresiduum, bottom = lat.kotimes, lat.kresiduum, lat.bottom
-    r2 = d2._rows
-    rows = {v: x for v, a in d1._rows.items()
-            if (x := kotimes(a, kresiduum(r2.get(v, bottom), bottom))) != bottom}
+    rows = _DIFFERENCE_ROWS[lat._kernel_class](lat, d1._rows, d2._rows, lat.bottom)
     return _table(scheme, lat, rows)
 
 
@@ -590,10 +652,7 @@ def residuum_with_range(
     """Row r gets rng(r) ⊗ (D1(r) → D2(r)); support stays inside rng's."""
     lat = _same_lattice(d1, d2, rng)
     scheme = _same_scheme(d1, d2, rng)
-    kotimes, kresiduum, bottom = lat.kotimes, lat.kresiduum, lat.bottom
-    r1, r2 = d1._rows, d2._rows
-    rows = {v: x for v, g in rng._rows.items()
-            if (x := kotimes(g, kresiduum(r1.get(v, bottom), r2.get(v, bottom)))) != bottom}
+    rows = _RESIDUUM_ROWS[lat._kernel_class](lat, rng._rows, d1._rows, d2._rows, lat.bottom)
     return _table(scheme, lat, rows)
 
 
@@ -643,7 +702,10 @@ class AttributeRegistry:
     TYPES = ("integer", "text", "decimal")
     _ALIASES = {"int": "integer", "integer": "integer", "str": "text",
                 "text": "text", "decimal": "decimal", "float": "decimal"}
-    _PARSERS = {"integer": int, "text": str, "decimal": float}
+    #: the Python type of each attribute type's values
+    _VALUE_TYPES = {"integer": int, "text": str, "decimal": float}
+    #: the converter of each stripped cell that is not text
+    _PARSERS = {"integer": int, "decimal": float}
 
     def __init__(self):
         self._types: dict[str, str] = {}
@@ -663,6 +725,11 @@ class AttributeRegistry:
     def type_of(self, attr: str) -> str | None:
         """Declared type of the attribute, None when undeclared."""
         return self._types.get(attr)
+
+    def value_type(self, attr: str) -> type | None:
+        """The Python type of the attribute's values (`int`, `str` or
+        `float`), None when it is undeclared."""
+        return self._VALUE_TYPES.get(self._types.get(attr))
 
     def parser(self, attr: str):
         """The function `parse_value(attr, ·)`, picked once for a column:
@@ -916,7 +983,10 @@ def read_csv(
     records = _plain_rows(text, width) if text is not None else None
     if records is None:
         records = _csv_records(reader, header)
-    cells, count, starts, error = records
+    # `body`, the plain path's list of lines, stays referenced until the
+    # rows are built: freed earlier, its strings' memory takes the rows' key
+    # tuples, and the operators that walk the table run slower
+    cells, count, starts, error, body = records
     if error is None:
         # one pool per text column; a shared decimal zero would print one
         # row's sign in another row
@@ -939,7 +1009,9 @@ def _source(text_or_file) -> tuple:
     first line feed and the text holds no carriage return, the file splits
     at line feeds in every newline mode, and its lines are cut from the
     text.  Otherwise the file is rewound and iterated, as is any other
-    iterable of lines, and nothing is kept of it but its records.
+    iterable of lines, and nothing is kept of it but its records.  A line
+    that is not a `str`, such as the `bytes` of a file opened in binary
+    mode, is a `SchemeError` naming its line.
     """
     if isinstance(text_or_file, str):
         return text_or_file, _lines(text_or_file)
@@ -948,13 +1020,29 @@ def _source(text_or_file) -> tuple:
         try:
             start = text_or_file.tell()
         except OSError:  # a file iterated by next() cannot tell
-            return None, text_or_file
+            return None, _text_lines(text_or_file)
         first = text_or_file.readline()
+        if not isinstance(first, str):
+            raise _not_text(first, 1)
         text = first + text_or_file.read()
         if "\r" not in text and first == text[:text.find("\n") + 1 or None]:
             return text, _lines(text)
         text_or_file.seek(start)
-    return None, text_or_file
+        return None, text_or_file
+    return None, _text_lines(text_or_file)
+
+
+def _text_lines(lines):
+    """The items of `lines`, each checked to be a `str`."""
+    for number, line in enumerate(lines, 1):
+        if not isinstance(line, str):
+            raise _not_text(line, number)
+        yield line
+
+
+def _not_text(line, number: int) -> SchemeError:
+    return SchemeError(f"CSV source yields {type(line).__name__} and not text at line "
+                       f"{number}; open a file in text mode")
 
 
 def _lines(text: str):
@@ -968,7 +1056,8 @@ def _lines(text: str):
 
 def _plain_rows(text: str, width: int) -> tuple | None:
     """The records of `text` after its header line, cut with `str.split`, as
-    `_csv_records` gives them, or None when the csv module must read them.
+    `_csv_records` gives them but with their list of lines last, or None
+    when the csv module must read them.
 
     The text must hold no quote, carriage return or "\\0" (which the csv
     module of Python 3.10 refuses), and its rows no blank line, no line
@@ -982,19 +1071,20 @@ def _plain_rows(text: str, width: int) -> tuple | None:
     if body and not body[-1]:  # the text ends in a line feed
         body.pop()
     if not body:
-        return [], 0, (), None
+        return [], 0, (), None, body
     if ("" in body or set(map(str.count, body, repeat(","))) != {width - 1}
             or max(map(len, body)) > csv.field_size_limit()):
         return None
-    return ",".join(body).split(","), len(body), range(2, len(body) + 2), None
+    return ",".join(body).split(","), len(body), range(2, len(body) + 2), None, body
 
 
 def _csv_records(reader, header: list) -> tuple:
-    """(cells, count, starts, error) of the records `reader` gives after
-    `header`: their cells in one flat list, their number and the line each
-    starts on.  Blank records are skipped.  Reading stops at the first
+    """(cells, count, starts, error, None) of the records `reader` gives
+    after `header`: their cells in one flat list, their number and the line
+    each starts on.  Blank records are skipped.  Reading stops at the first
     record that does not match the header or that the csv module cannot
-    parse, and `error` is then its `SchemeError`, else None.
+    parse, and `error` is then its `SchemeError`, else None.  No line list
+    is kept.
     """
     width = len(header)
     cells: list = []
@@ -1012,7 +1102,7 @@ def _csv_records(reader, header: list) -> tuple:
             start = reader.line_num + 1
     except csv.Error as exc:
         error = _malformed(reader, exc)
-    return cells, len(starts), starts, error
+    return cells, len(starts), starts, error, None
 
 
 def _malformed(reader, exc: csv.Error) -> SchemeError:

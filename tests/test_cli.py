@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from gradix import algebra as ra, cli, parsing
+from gradix import AttributeRegistry, algebra as ra, cli, parsing
 from gradix.cli import EXIT_IO, EXIT_OK, EXIT_QUERY, EXIT_UNKNOWN_SUITE, Session, main
 from gradix.lattice import lattice_from_spec
 
@@ -170,6 +170,28 @@ def test_bool_literal_is_refused_on_every_declared_type(declared, capsys):
     assert out.getvalue() == ""
     assert capsys.readouterr().err == (
         "gradix: error at line 1: singleton value True does not match declared type "
+        f"{declared} of 'A'\n")
+
+
+@pytest.mark.parametrize("declared, good, bad", [
+    ("text", "x", 3), ("integer", 3, "3"), ("decimal", 2.5, "2.5"), ("decimal", 2, True),
+])
+def test_singleton_type_checks_need_no_parser_table(declared, good, bad, capsys, monkeypatch):
+    # the check asks the registry for the values' Python type; the parsers
+    # of CSV cells, which have no entry for text, play no part
+    monkeypatch.setattr(AttributeRegistry, "_PARSERS", {})
+    session, out = Session(lattice_from_spec("godel")), io.StringIO()
+    session.registry.declare("A", declared)
+    assert session.registry.value_type("A") is {"text": str, "integer": int,
+                                                  "decimal": float}[declared]
+    assert session.registry.value_type("B") is None
+    assert cli.run_script([parsing.EvalStmt(ra.Singleton("A", good), 1)], session,
+                          stdout=out) == EXIT_OK
+    assert out.getvalue() == f"-- EVAL (line 1)\nA,rank\n{good},1\n\n"
+    assert cli.run_script([parsing.EvalStmt(ra.Singleton("A", bad), 2)], session,
+                          stdout=out) == EXIT_QUERY
+    assert capsys.readouterr().err == (
+        f"gradix: error at line 2: singleton value {bad!r} does not match declared type "
         f"{declared} of 'A'\n")
 
 

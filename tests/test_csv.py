@@ -4,6 +4,7 @@ against the csv module, and the reader's outcomes and error order."""
 
 import csv
 import hashlib
+import io
 import random
 import sys
 from unittest import mock
@@ -748,3 +749,33 @@ def test_parse_value_reads_a_cell_as_read_csv_does(godel):
             value = reg.parse_value(a, cell)
             assert (type(value), value) == (type(row[a]), row[a])
     assert AttributeRegistry().parse_value("T", " x ") == "x"
+
+
+# -- a source of bytes -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source, line", [
+    ([b"A,rank\n", b"x,1\n"], 1),
+    (["A,rank\n", b"x,1\n"], 2),
+    (lambda: io.BytesIO(b"A,rank\nx,1\n"), 1),
+], ids=["bytes-lines", "bytes-after-text", "binary-file"])
+def test_a_source_of_bytes_is_named_with_its_line(godel, source, line):
+    source = source() if callable(source) else source
+    with pytest.raises(SchemeError) as exc:
+        gx.read_csv(source, godel, AttributeRegistry())
+    assert str(exc.value) == (f"CSV source yields bytes and not text at line {line}; "
+                              "open a file in text mode")
+
+
+def test_eval_of_a_file_read_as_bytes_exits_one(tmp_path, capsys, monkeypatch):
+    from gradix import cli
+
+    (tmp_path / "x.csv").write_text("A,rank\nx,1\n")
+    script = tmp_path / "script.gx"
+    script.write_text(f'LOAD T FROM "{tmp_path}/x.csv" SCHEME A:text\nEVAL T\n')
+    monkeypatch.setattr(cli, "open", lambda path, **_kw: open(path, "rb"), raising=False)
+    assert cli.main(["eval", "--lattice", "godel", "--script", str(script)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("gradix: error at line 1: CSV source yields bytes and not text at line 1; "
+                   "open a file in text mode\n")

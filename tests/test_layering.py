@@ -240,3 +240,39 @@ def test_no_traversal_recurses():
     the expression's."""
     for module in ("algebra.py", "ptc.py"):
         assert recursions((PACKAGE / module).read_text(encoding="utf-8")) == [], module
+
+
+def dynamic_code_calls(source: str) -> set:
+    """The functions of a module, by qualified name, that call `exec`,
+    `eval` or `compile` (the built-ins, not a method such as
+    `re.compile`); a call outside every function counts as "<module>"."""
+    found, stack = set(), [(ast.parse(source), "<module>")]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+                stack.append((child, inner))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("exec", "eval", "compile")):
+                found.add(scope)
+            stack.append((child, scope))
+    return found
+
+
+def test_dynamic_code_scan():
+    source = ("import re\nre.compile('x')\ndef f():\n    exec('1')\n"
+              "class C:\n    def g(self):\n        return [eval(s) for s in ()]\n")
+    assert dynamic_code_calls(source) == {"f", "C.g"}
+    assert dynamic_code_calls("compile('1', '', 'eval')\n") == {"<module>"}
+
+
+def test_only_the_kernel_generator_and_slot_init_run_generated_code():
+    """Generated code comes from two places: the slot `__init__` of the
+    algebra's node classes and the row-kernel generator of the lattices."""
+    callers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = module_name(path)
+        callers |= {(module, f) for f in dynamic_code_calls(path.read_text(encoding="utf-8"))}
+    assert callers == {("gradix.algebra", "_init"), ("gradix.lattice", "_compiled")}

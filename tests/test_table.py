@@ -537,3 +537,17 @@ def test_table_survives_pickling(godel, chain5):
         assert back == table and hash(back) == hash(table)
         assert back.rows == table.rows and back.scheme == table.scheme
         assert gx.table_to_csv(back) == gx.table_to_csv(table)
+
+
+def test_max_deviation_of_equal_rows_is_zero_at_once(monkeypatch):
+    from conftest import count_rule
+
+    lat = witness_lattice()
+    d1 = rdt(lat, {"A", "B"}, {("a", 1): 1, ("b", 2): 4, ("c", 3): lat.top})
+    same = rdt(lat, {"A", "B"}, {("c", 3): lat.top, ("a", 1): 1, ("b", 2): 4})
+    other = rdt(lat, {"A", "B"}, {("a", 1): 1, ("b", 2): 3})
+    moved = rdt(lat, {"A", "C"}, {("a", 1): 1, ("b", 2): 4, ("c", 3): lat.top})
+    diffs = count_rule(monkeypatch, lat, "degree_diff")
+    assert d1.max_deviation(same) == 0.0 and not diffs
+    assert d1.max_deviation(other) == 1.0 and len(diffs) == 3
+    assert d1.max_deviation(moved) == 1.0  # no tuple is on both schemes
