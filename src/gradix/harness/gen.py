@@ -5,21 +5,28 @@ from a keyed blake2 digest, never from Python's randomized hashing), and
 desk-scale by construction: few attributes, few values, few rows, so naive
 universe enumeration stays well under a second per instance.
 
-Draw contract: tables are drawn from `Random.getrandbits` exactly as
-`randint` and `choice` draw (CPython's `_randbelow_with_getrandbits`: take
-`n.bit_length()` bits, again while the result is at least `n`), so a seed
-gives the same tables on every supported Python and across gradix versions.
-Each row's values are drawn in sorted-attribute order, then its score.
-`_draw_table` writes every one of those draws out in a single loop over
-`getrandbits`, with the rejection step inline, so it takes the same bits
-in the same order as one `_drawer` per bound and a call per value.
+Draw contract: every stream is a `random.Random` opened by `_stream`, in
+the state `random.Random(n)` has for n the 8-byte blake2b digest of the
+stream's key text; `_stream` runs the C seeding alone, which is all of
+that state but `gauss_next`.  Tables are drawn from `Random.getrandbits`
+exactly as `randint` and `choice` draw (CPython's
+`_randbelow_with_getrandbits`: take `n.bit_length()` bits, again while the
+result is at least `n`), so a seed gives the same tables on every supported
+Python and across gradix versions.  Each row's values are drawn in
+sorted-attribute order, then its score.  `_draw_table` writes every one of
+those draws out in a single loop over `getrandbits`, with the rejection
+step inline, so it takes the same bits in the same order as a call per
+value.  The suites' small samples and ranges draw through `_draw_sample`,
+`_draw_below` and `_draw_int`, which take the bits `Random.sample`,
+`randrange` and `randint` take, in the same order.
 Scores are carrier members by construction; a unit-interval grid is checked
-once per table, at its step and its top point, and tables are built by the
-trusted `table._table` with rows keyed by value tuples.
+at its step and its top point whenever a table plan is made, and tables are
+built by the trusted `table._table` with rows keyed by value tuples.
 """
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
 from dataclasses import dataclass
@@ -50,10 +57,21 @@ class GenConfig:
                          self.max_rows, self.score_step)
 
 
+def _stream(text: str) -> random.Random:
+    """The stream keyed by `text`: a `random.Random` whose state is that of
+    `random.Random(n)`, n the text's 8-byte blake2b digest.  Python's
+    `Random.__init__` and `Random.seed` add nothing to the C seeding for an
+    int but `gauss_next = None`, so they are skipped."""
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    rng = random.Random.__new__(random.Random)
+    _random.Random.seed(rng, int.from_bytes(digest, "big"))
+    rng.gauss_next = None
+    return rng
+
+
 def sub_rng(*key) -> random.Random:
     """A Random seeded stably from the key parts (process-independent)."""
-    digest = hashlib.blake2b("|".join(map(str, key)).encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return _stream("|".join(map(str, key)))
 
 
 def _bits(n: int) -> int:
@@ -63,45 +81,57 @@ def _bits(n: int) -> int:
     return n.bit_length()
 
 
-def _drawer(rng: random.Random, n: int):
-    """A function drawing ints in [0, n) from `rng`, the same values and
-    bits as `rng.randrange(n)`: `randint(a, b)` is `a + draw()` for
-    n = b - a + 1 and `choice(seq)` is `seq[draw()]` for n = len(seq)."""
-    getrandbits = rng.getrandbits
+def _draw_below(rng: random.Random, n: int) -> int:
+    """An int in [0, n), the same value and bits as `rng.randrange(n)`."""
     k = _bits(n)
-
-    def draw():
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= n:
         r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    return draw
+    return r
 
 
-#: the table lattice last drawn from and its grid, reused while tables keep
-#: being drawn on that lattice
-_last_grid: tuple = (None, None)
+def _draw_int(rng: random.Random, a: int, b: int) -> int:
+    """An int in [a, b], the same value and bits as `rng.randint(a, b)`."""
+    return a + _draw_below(rng, b - a + 1)
+
+
+def _draw_sample(rng: random.Random, population, k: int) -> list:
+    """`rng.sample(population, k)`: the same items, bits and errors.  A list
+    or tuple of at most 21 items always takes `Random.sample`'s pool
+    algorithm, which is written out here; anything else goes to
+    `rng.sample`."""
+    n = len(population)
+    if n > 21 or type(population) not in (tuple, list):
+        return rng.sample(population, k)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    pool = list(population)
+    result = []
+    for m in range(n, n - k, -1):
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        result.append(pool[j])
+        pool[j] = pool[m - 1]
+    return result
 
 
 def _score_grid(lat: ResiduatedLattice, step: float):
     """The nonzero degrees on the granularity grid, as a function from a
     draw in [0, n) to its degree, with n and the bits one draw takes.  The
     one nonzero Boolean degree takes no bits: `getrandbits(0)` draws none."""
-    global _last_grid
     if isinstance(lat, BooleanLattice):
         return (1,).__getitem__, 1, 0
     if isinstance(lat, FiniteChain):
         return range(1, lat.n).__getitem__, lat.n - 1, _bits(lat.n - 1)
     if isinstance(lat, FiniteTableLattice):
-        last, grid = _last_grid
-        if last is not lat:
-            nonzero = tuple(e for e in lat.elements() if e != lat.bottom)
-            if not nonzero:
-                raise LatticeError("a one-element lattice has no nonzero degree to draw")
-            grid = nonzero.__getitem__, len(nonzero), _bits(len(nonzero))
-            _last_grid = (lat, grid)
-        return grid
+        nonzero = tuple(e for e in lat.elements() if e != lat.bottom)
+        if not nonzero:
+            raise LatticeError("a one-element lattice has no nonzero degree to draw")
+        return nonzero.__getitem__, len(nonzero), _bits(len(nonzero))
     if not 0 < step <= 1:
         raise ValueError(f"score_step must be positive and at most 1, got {step!r}")
     levels = round(1.0 / step)
@@ -111,13 +141,33 @@ def _score_grid(lat: ResiduatedLattice, step: float):
     return lambda r: (1 + r) * step, levels, k
 
 
+#: the last table plan: its lattice, held and compared by identity, its
+#: (step, max_rows, count), and the draw constants `_draw_table` uses.
+#: Replaced whole by one assignment, so threads at worst make a plan twice.
+_last_plan: tuple = (None, None, None)
+
+
+def _plan(lat: ResiduatedLattice, step: float, max_rows: int, count: int) -> tuple:
+    """The draw constants of a table on `lat`: the bits a row count and a
+    value take, and `_score_grid`'s degree function, size and bits.  A plan
+    is kept only once all of them are made, so a bad bound or step raises
+    on every call."""
+    global _last_plan
+    bounds = (step, max_rows, count)
+    last_lat, last_bounds, constants = _last_plan
+    if last_lat is lat and last_bounds == bounds:
+        return constants
+    constants = (_bits(max_rows), _bits(count), *_score_grid(lat, step))
+    _last_plan = (lat, bounds, constants)
+    return constants
+
+
 def _draw_table(rng: random.Random, names: tuple, lat: ResiduatedLattice, step: float,
                 max_rows: int, low: int, count: int) -> RankedDataTable:
     """1..max_rows rows on the interned `names`, values low..low+count-1,
     scores from `_score_grid`; a repeated row keeps its last score.  Every
-    draw is `_drawer`'s, written out in one loop."""
-    k_rows, k_value = _bits(max_rows), _bits(count)
-    degree, levels, k_score = _score_grid(lat, step)
+    draw is `_draw_below`'s, written out in one loop."""
+    k_rows, k_value, degree, levels, k_score = _plan(lat, step, max_rows, count)
     getrandbits = rng.getrandbits
     r = getrandbits(k_rows)
     while r >= max_rows:
@@ -142,7 +192,7 @@ def gen_rdt(config: GenConfig, scheme: Scheme, salt: str = "") -> RankedDataTabl
     """Deterministic random table on the scheme: 1..max_rows distinct rows,
     integer values 1..max_values, scores from the granularity grid."""
     names = attrs_of(scheme)
-    rng = sub_rng(config.seed, "rdt", salt, ",".join(names))
+    rng = _stream(f"{config.seed}|rdt|{salt}|{','.join(names)}")
     return _draw_table(rng, names, config.lattice, config.score_step,
                        config.max_rows, 1, config.max_values)
 
@@ -156,14 +206,15 @@ def gen_instance(config: GenConfig, symbol_schemes: Mapping[str, Scheme]) -> Dat
 
 
 def gen_scheme(rng: random.Random, size: int, pool=ATTR_POOL) -> Scheme:
-    return frozenset(rng.sample(pool, size))
+    return frozenset(_draw_sample(rng, pool, size))
 
 
 def split_pool(rng: random.Random, sizes: list[int]) -> list[Scheme]:
     """Pairwise disjoint schemes of the requested sizes."""
-    if sum(sizes) > len(ATTR_POOL):
+    total = sum(sizes)
+    if total > len(ATTR_POOL):
         raise ValueError("attribute pool too small")
-    chosen = rng.sample(ATTR_POOL, sum(sizes))
+    chosen = _draw_sample(rng, ATTR_POOL, total)
     out, k = [], 0
     for size in sizes:
         out.append(frozenset(chosen[k:k + size]))

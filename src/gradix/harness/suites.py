@@ -133,8 +133,7 @@ class _Run:
 
 def _sizes(rng, count):
     """`count` draws of `rng.randint(0, 2)`."""
-    draw = gen._drawer(rng, 3)
-    return [draw() for _ in range(count)]
+    return [gen._draw_below(rng, 3) for _ in range(count)]
 
 
 def _draw(cfg: gen.GenConfig, *schemes) -> dict:
@@ -146,8 +145,8 @@ def _widening_table(config: gen.GenConfig, rng, used_attrs) -> RankedDataTable:
     """An extra table injecting unseen values into (some of) the used
     attributes, so a widened instance genuinely enlarges the active domains."""
     attrs = sorted(used_attrs) or ["A"]
-    size = min(len(attrs), 1 + gen._drawer(rng, 2)())
-    names = tb.attrs_of(rng.sample(attrs, size))
+    size = min(len(attrs), 1 + gen._draw_below(rng, 2))
+    names = tb.attrs_of(gen._draw_sample(rng, attrs, size))
     return gen._draw_table(rng, names, config.lattice, config.score_step,
                            3, config.max_values + 1, 3)
 
@@ -205,7 +204,7 @@ def _case_ggdo_gddo(run, i, rng, cfg):
 
 
 def _case_gddo_variants(run, i, rng, cfg):
-    schemes = [gen.gen_scheme(rng, rng.randint(0, 3)) for _ in range(4)]
+    schemes = [gen.gen_scheme(rng, gen._draw_int(rng, 0, 3)) for _ in range(4)]
     tables = _draw(cfg, *schemes)
     lat, rows = cfg.lattice, [d.rows for d in tables.values()]
     engine = dv.div_gddo(*tables.values())
@@ -254,7 +253,8 @@ def _case_gsdo_via_rdiv(run, i, rng, cfg):
 
 
 def _case_gddo_via_rdiv(run, i, rng, cfg):
-    s1, s2, s3, s4 = schemes = [gen.gen_scheme(rng, rng.randint(0, 2)) for _ in range(4)]
+    s1, s2, s3, s4 = schemes = [gen.gen_scheme(rng, gen._draw_int(rng, 0, 2))
+                                for _ in range(4)]
     tables = _draw(cfg, *schemes)
     d1, d2, d3, d4 = tables.values()
     r1p = (s4 & (s1 | s2)) | (s1 & s3)
@@ -276,8 +276,8 @@ def _case_gddo_via_rdiv(run, i, rng, cfg):
 
 
 def _case_semidiff(run, i, rng, cfg):
-    sch1 = gen.gen_scheme(rng, rng.randint(1, 3))
-    sch2 = gen.gen_scheme(rng, rng.randint(0, 3))
+    sch1 = gen.gen_scheme(rng, gen._draw_int(rng, 1, 3))
+    sch2 = gen.gen_scheme(rng, gen._draw_int(rng, 0, 3))
     tables = _draw(cfg, sch1, sch2)
     d1, d2 = tables.values()
     want = oracle.set_semidiff_char(frozenset(d1.support()), frozenset(d2.support()))
@@ -286,7 +286,7 @@ def _case_semidiff(run, i, rng, cfg):
 
 
 def _case_darwen_set(run, i, rng, cfg):
-    schemes = [gen.gen_scheme(rng, rng.randint(0, 3)) for _ in range(4)]
+    schemes = [gen.gen_scheme(rng, gen._draw_int(rng, 0, 3)) for _ in range(4)]
     tables = _draw(cfg, *schemes)
     sets = [frozenset(d.support()) for d in tables.values()]
     want = oracle.set_darwen(*sets, schemes[0])
@@ -298,16 +298,17 @@ def _case_darwen_set(run, i, rng, cfg):
 
 def _case_boolean_collapse(run, i, rng, cfg):
     # base operations on matching/overlapping schemes
-    common = gen.gen_scheme(rng, rng.randint(1, 3))
+    common = gen.gen_scheme(rng, gen._draw_int(rng, 1, 3))
     a1 = gen.gen_rdt(cfg, common, "a1")
     a2 = gen.gen_rdt(cfg, common, "a2")
     sa1, sa2 = frozenset(a1.support()), frozenset(a2.support())
-    b2_scheme = frozenset(rng.sample(sorted(common), rng.randint(1, len(common)))) \
-        | gen.gen_scheme(rng, rng.randint(0, 2))
+    shared = sorted(common)
+    b2_scheme = frozenset(gen._draw_sample(rng, shared, gen._draw_int(rng, 1, len(shared)))) \
+        | gen.gen_scheme(rng, gen._draw_int(rng, 0, 2))
     b2 = gen.gen_rdt(cfg, b2_scheme, "b2")
     sb2 = frozenset(b2.support())
     tables = {"A1": a1, "A2": a2, "B2": b2}
-    proj_target = frozenset(rng.sample(sorted(common), rng.randint(0, len(common))))
+    proj_target = frozenset(gen._draw_sample(rng, shared, gen._draw_int(rng, 0, len(shared))))
     for label, got, want in (
         ("union", tb.union(a1, a2), oracle.set_union(sa1, sa2)),
         ("intersection", tb.intersection(a1, a2), oracle.set_intersection(sa1, sa2)),
@@ -389,7 +390,7 @@ def _case_boolean_collapse(run, i, rng, cfg):
 
     # Darwen divide on arbitrary schemes
     rng5 = gen.sub_rng(run.seed, "boolean-collapse.darwen", i)
-    dschemes = [gen.gen_scheme(rng5, rng5.randint(0, 3)) for _ in range(4)]
+    dschemes = [gen.gen_scheme(rng5, gen._draw_int(rng5, 0, 3)) for _ in range(4)]
     w1, w2, w3, w4 = (gen.gen_rdt(cfg, s, f"w{k + 1}") for k, s in enumerate(dschemes))
     want_darwen = oracle.set_darwen(
         frozenset(w1.support()), frozenset(w2.support()),
@@ -406,8 +407,9 @@ def _case_boolean_collapse(run, i, rng, cfg):
 def _case_ptc_compiler(run, i, rng, cfg):
     pool = ("A", "B", "C", "D")
     symbols = {}
-    for k in range(rng.randint(2, 3)):
-        symbols[f"D{k + 1}"] = frozenset(rng.sample(pool, rng.randint(1, min(3, cfg.max_attrs))))
+    for k in range(gen._draw_int(rng, 2, 3)):
+        size = gen._draw_int(rng, 1, min(3, cfg.max_attrs))
+        symbols[f"D{k + 1}"] = frozenset(gen._draw_sample(rng, pool, size))
     inst = gen.gen_instance(cfg, symbols)
     expr = gen.gen_ptc_expr(cfg, symbols, max_depth=4, salt=str(i))
     tables = {name: inst.table(name) for name in symbols}
@@ -421,7 +423,7 @@ def _case_ptc_compiler(run, i, rng, cfg):
         if free and run.counterexample is None:
             for j in range(10):
                 probe = Tuple({
-                    a: rng.randint(1, cfg.max_values + 5) if a != free[0]
+                    a: gen._draw_int(rng, 1, cfg.max_values + 5) if a != free[0]
                     else cfg.max_values + 5 + j
                     for a in free
                 })
@@ -467,7 +469,8 @@ def run_theorem_suite(theorem_id: str, config: gen.GenConfig, n: int | None = No
     """Run one catalogued suite for n seeded instances (its default count if
     n is None); instance i draws its schemes from the rng keyed
     "<id>.schemes" and its tables from a config reseeded by the rng keyed
-    "<id>"."""
+    "<id>", as `gen.sub_rng(seed, key, i)` keys them.  The key text up to i
+    is built once per run."""
     try:
         suite = _SUITES[theorem_id]
     except KeyError:
@@ -479,8 +482,11 @@ def run_theorem_suite(theorem_id: str, config: gen.GenConfig, n: int | None = No
     if suite.boolean and not isinstance(config.lattice, BooleanLattice):
         config = replace(config, lattice=BooleanLattice())
     run = _Run(theorem_id, suite_tolerance(config.lattice), config.seed)
+    schemes_key = f"{config.seed}|{theorem_id}.schemes|"
+    tables_key = f"{config.seed}|{theorem_id}|"
+    stream = gen._stream
     for i in range(n):
-        rng = gen.sub_rng(config.seed, theorem_id + ".schemes", i)
-        cfg = config.with_seed(gen.sub_rng(config.seed, theorem_id, i).getrandbits(48))
+        rng = stream(f"{schemes_key}{i}")
+        cfg = config.with_seed(stream(f"{tables_key}{i}").getrandbits(48))
         suite.case(run, i, rng, cfg)
     return run.report(n)

@@ -396,6 +396,42 @@ def test_an_eadom_past_the_row_bound_ends_in_exit_1(tmp_path):
     assert usage.ru_maxrss < 150 * 1024  # kilobytes on Linux
 
 
+def test_a_join_on_a_shared_value_past_the_row_bound_ends_in_exit_1(tmp_path):
+    """Two 4,000-row tables whose rows all share one value of A would join in
+    1.6·10⁷ rows.  `gradix eval` counts them from the join's groups and
+    refuses before building any: exit 1, naming the join, the count and the
+    bound, under the same limits as the `EADOM` test above."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gradix
+
+    import_root = str(Path(gradix.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
+    for name, other in (("r", "B"), ("s", "C")):
+        lines = [f"A,{other}"] + [f"a,{other.lower()}{i}" for i in range(4000)]
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    script = write_script(tmp_path, 'LOAD R FROM "r.csv"\nLOAD S FROM "s.csv"\n'
+                                    'LET X = (R JOIN S)\n')
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradix.cli", "eval", "--lattice", "godel", "--script", script],
+        capture_output=True, text=True, cwd=tmp_path, preexec_fn=limit, timeout=120,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == EXIT_QUERY
+    assert proc.stderr == (
+        "gradix: error at line 3: join of tables on ['A', 'B'] and ['A', 'C'] would build "
+        "16000000 rows, more than the bound of 10000000 (table.MAX_ROWS)\n")
+
+
 def test_run_script_direct_api(workdir):
     session = Session(lattice_from_spec("boolean"))
     stmts = parsing.parse_script(

@@ -94,11 +94,103 @@ def test_generated_tables_keep_their_draws():
 
 
 @given(st.integers(1, 10_000), st.integers(0, 2**32))
-def test_drawer_draws_as_randrange(n, seed):
+def test_draw_below_draws_as_randrange(n, seed):
     rng, twin = random.Random(seed), random.Random(seed)
-    draw = gen._drawer(rng, n)
-    assert [draw() for _ in range(20)] == [twin.randrange(n) for _ in range(20)]
+    assert ([gen._draw_below(rng, n) for _ in range(20)]
+            == [twin.randrange(n) for _ in range(20)])
     assert rng.getstate() == twin.getstate()
+
+
+def test_a_stream_is_in_the_state_random_random_gives_its_seed():
+    """1,000 keys of mixed part types: `sub_rng` hashes their text as it
+    always did, and the stream it opens is in the state of
+    `random.Random(n)` for n the digest, `gauss_next` included."""
+    parts = (0, 7, -3, 2**70, "x", "", "a|b", "é", 1.5, True, None, ("t", 1))
+    for k in range(1000):
+        key = tuple(parts[(k * 7 + j * 5) % len(parts)] for j in range(1 + k % 4)) + (k,)
+        text = "|".join(map(str, key))
+        n = int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+        rng = gen.sub_rng(*key)
+        assert type(rng) is random.Random
+        assert rng.getstate() == random.Random(n).getstate()
+        assert gen._stream(text).getstate() == random.Random(n).getstate()
+
+
+def test_sample_and_range_helpers_draw_as_random_does():
+    """For every population size 0-21 and every k, over 200 seeds,
+    `_draw_sample`, `_draw_below` and `_draw_int` give what `Random.sample`,
+    `randrange` and `randint` give and leave the rng in the same state; a k
+    out of range raises the same error."""
+    for seed in range(200):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for n in range(22):
+            population = tuple(range(n)) if seed % 2 else [f"p{i}" for i in range(n)]
+            for k in range(n + 1):
+                assert gen._draw_sample(rng, population, k) == twin.sample(population, k)
+            if n:
+                assert gen._draw_below(rng, n) == twin.randrange(n)
+            assert gen._draw_int(rng, -n, n) == twin.randint(-n, n)
+            assert rng.getstate() == twin.getstate()
+    for n in range(22):
+        for k in (-1, n + 1):
+            rng, twin = random.Random(n), random.Random(n)
+            with pytest.raises(ValueError) as want:
+                twin.sample(tuple(range(n)), k)
+            with pytest.raises(ValueError) as got:
+                gen._draw_sample(rng, tuple(range(n)), k)
+            assert str(got.value) == str(want.value)
+            assert rng.getstate() == twin.getstate()
+    # a larger population, or one of another type, goes to `Random.sample`
+    for population in (tuple(range(40)), range(10)):
+        rng, twin = random.Random(3), random.Random(3)
+        assert gen._draw_sample(rng, population, 7) == twin.sample(population, 7)
+        assert rng.getstate() == twin.getstate()
+    with pytest.raises(TypeError):
+        gen._draw_sample(random.Random(3), {1, 2}, 1)
+    for low, high in ((5, 4), (0, -1)):
+        with pytest.raises(ValueError):
+            gen._draw_int(random.Random(3), low, high)
+    with pytest.raises(ValueError):
+        gen._draw_below(random.Random(3), 0)
+
+
+#: the streams one instance of each suite opens: two in the instance loop,
+#: then one per table `gen_rdt` draws, per `sub_rng` a case opens itself and
+#: per calculus expression it draws
+STREAMS_PER_INSTANCE = {
+    "T1": 2 + 3,
+    "C-gsdo-ggdo": 2 + 3,
+    "T-ggdo-gddo": 2 + 4,
+    "C-gsdo-gddo": 2 + 3,
+    "T-gddo-variants": 2 + 4,
+    "T-rdiv-via-gsdo": 2 + 3,
+    "T-gsdo-via-rdiv": 2 + 3,
+    "T-gddo-via-rdiv": 2 + 4,
+    "L-semidiff": 2 + 2,
+    "T-darwen-set": 2 + 4,
+    # A1 A2 B2, the division stream, D1 D2, M1, the general Small Divide
+    # stream, G1-G3, the Todd stream, T1 T2, E1-E4, the Darwen stream, W1-W4
+    "boolean-collapse": 2 + 3 + 1 + 2 + 1 + 1 + 3 + 1 + 2 + 4 + 1 + 4,
+    "ptc-compiler": None,  # 2 + one per drawn symbol (2 or 3) + 1 expression
+}
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_streams_opened_per_suite_instance(theorem_id, chain5, monkeypatch):
+    opened = []
+    stream = gen._stream
+    monkeypatch.setattr(gen, "_stream", lambda text: opened.append(text) or stream(text))
+    counts = []
+    for seed in range(4):
+        opened.clear()
+        run_theorem_suite(theorem_id, GenConfig(seed=seed, lattice=chain5), 1)
+        counts.append(len(opened))
+        assert opened[:2] == [f"{seed}|{theorem_id}.schemes|0", f"{seed}|{theorem_id}|0"]
+    want = STREAMS_PER_INSTANCE[theorem_id]
+    if want is None:
+        assert set(counts) <= {2 + 2 + 1, 2 + 3 + 1}
+    else:
+        assert counts == [want] * 4
 
 
 def outcome_within(fn, seconds=10.0):
@@ -159,6 +251,30 @@ def test_gen_rejects_a_score_step_above_one(godel, lukasiewicz, step):
         cfg = GenConfig(seed=1, lattice=lat, score_step=step)
         with pytest.raises(ValueError, match="score_step"):
             gen_rdt(cfg, sch("A"))
+
+
+def test_a_table_plan_is_kept_for_one_lattice_object_and_only_when_valid(godel):
+    """The draw constants are made again for another lattice object, even an
+    equal one, and never kept for a bad step, which raises on every draw."""
+    gen_rdt(GenConfig(seed=3, lattice=DIAMOND), sch("A"))
+    plan = gen._last_plan
+    assert plan[0] is DIAMOND
+    gen_rdt(GenConfig(seed=4, lattice=DIAMOND), sch("A", "B"))
+    assert gen._last_plan is plan
+    twin = gx.FiniteTableLattice(
+        ["0", "a", "b", "1"],
+        [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
+        [("a", "a", "a"), ("b", "b", "b"), ("a", "b", "0")],
+    )
+    assert twin == DIAMOND
+    gen_rdt(GenConfig(seed=3, lattice=twin), sch("A"))
+    assert gen._last_plan[0] is twin
+    for _ in range(2):
+        gen_rdt(GenConfig(seed=1, lattice=godel), sch("A"))
+        with pytest.raises(gx.DegreeError):
+            gen_rdt(GenConfig(seed=1, lattice=godel, score_step=0.35), sch("A"))
+        with pytest.raises(ValueError, match="score_step"):
+            gen_rdt(GenConfig(seed=1, lattice=godel, score_step=1.5), sch("A"))
 
 
 def test_gen_rejects_a_lattice_without_nonzero_degrees():

@@ -242,23 +242,32 @@ def test_no_traversal_recurses():
         assert recursions((PACKAGE / module).read_text(encoding="utf-8")) == [], module
 
 
-def dynamic_code_calls(source: str) -> set:
-    """The functions of a module, by qualified name, that call `exec`,
-    `eval` or `compile` (the built-ins, not a method such as
-    `re.compile`); a call outside every function counts as "<module>"."""
-    found, stack = set(), [(ast.parse(source), "<module>")]
+def scoped_nodes(source: str):
+    """Every node of a module with the qualified name of the function or
+    class it is in ("<module>" outside them); annotations are left out,
+    since they name types and run nothing."""
+    stack = [(ast.parse(source), "<module>")]
     while stack:
         node, scope = stack.pop()
+        skip = (getattr(node, "returns", None), getattr(node, "annotation", None))
         for child in ast.iter_child_nodes(node):
+            if any(child is s for s in skip):
+                continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
                 stack.append((child, inner))
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in ("exec", "eval", "compile")):
-                found.add(scope)
+            yield scope, child
             stack.append((child, scope))
-    return found
+
+
+def dynamic_code_calls(source: str) -> set:
+    """The functions of a module, by qualified name, that call `exec`,
+    `eval` or `compile` (the built-ins, not a method such as
+    `re.compile`); a call outside every function counts as "<module>"."""
+    return {scope for scope, node in scoped_nodes(source)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")}
 
 
 def test_dynamic_code_scan():
@@ -276,3 +285,46 @@ def test_only_the_kernel_generator_and_slot_init_run_generated_code():
         module = module_name(path)
         callers |= {(module, f) for f in dynamic_code_calls(path.read_text(encoding="utf-8"))}
     assert callers == {("gradix.algebra", "_init"), ("gradix.lattice", "_compiled")}
+
+
+def random_builders(source: str) -> set:
+    """The functions of a module that name a `Random` class outside an
+    annotation (`random.Random`, `_random.Random` or a `Random` imported by
+    name), which is what building one takes."""
+    return {scope for scope, node in scoped_nodes(source)
+            if (isinstance(node, ast.Attribute) and node.attr == "Random")
+            or (isinstance(node, ast.Name) and node.id == "Random")}
+
+
+RNG_DRAWS = ("sample", "randint", "randrange", "choice", "shuffle")
+
+
+def rng_draw_calls(source: str) -> set:
+    """(function, method) for every call of one of `RNG_DRAWS` as a method."""
+    return {(scope, node.func.attr) for scope, node in scoped_nodes(source)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in RNG_DRAWS}
+
+
+def test_random_scans():
+    source = ("import random\nfrom random import Random\n"
+              "def f(r: random.Random) -> random.Random:\n    x: Random = r\n"
+              "    return gen.draw_sample(r, 'ab', 1) + [gen.draw_int(r, 0, 2)]\n"
+              "def g():\n    return random.Random(1).sample('ab', 1)\n"
+              "class C:\n    def h(self, rng):\n        return Random(), rng.randint(0, 2)\n")
+    assert random_builders(source) == {"g", "C.h"}
+    assert rng_draw_calls(source) == {("g", "sample"), ("C.h", "randint")}
+    assert random_builders("import _random\n_random.Random.seed(r, 1)\n") == {"<module>"}
+
+
+def test_streams_and_their_draws_live_in_the_generator():
+    """Every `random.Random` is opened by `gen._stream`, and the suites draw
+    their samples and ranges through `gen`, so the draw contract is kept in
+    one module."""
+    builders = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = module_name(path)
+        builders |= {(module, f) for f in random_builders(path.read_text(encoding="utf-8"))}
+    assert builders == {("gradix.harness.gen", "_stream")}
+    suites = (PACKAGE / "harness" / "suites.py").read_text(encoding="utf-8")
+    assert rng_draw_calls(suites) == set()

@@ -112,9 +112,48 @@ def test_a_join_past_the_row_bound_is_refused(godel, monkeypatch):
     d2 = rdt(godel, {"B"}, {1: 0.25, 2: 0.75})
     assert scores(gx.semijoin(d1, d2)) == {(("A", a),): 0.5 for a in (1, 2, 3)}
     assert scores(gx.semijoin(d2, d1)) == {(("B", 1),): 0.25, (("B", 2),): 0.5}
-    # with a shared attribute the product does not bound the result
+    # with a shared attribute the product does not bound the result: 12
+    # pairs, of which 6 join
     d12 = rdt(godel, {"A", "B"}, {(a, b): 0.5 for a in (1, 2, 3) for b in (1, 2)})
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 6)
     assert len(gx.natural_join(d12, d2)) == 6
+
+
+def test_a_skewed_join_on_a_shared_attribute_is_refused(godel, monkeypatch):
+    """Twenty rows a side that all share one value of A join in 400 rows;
+    the join counts them from its groups before it builds any."""
+    d1 = rdt(godel, {"A", "B"}, {(1, b): 0.5 for b in range(20)})
+    d2 = rdt(godel, {"A", "C"}, {(1, c): 0.5 for c in range(20)})
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 400)
+    assert len(gx.natural_join(d1, d2)) == 400
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 399)
+    with pytest.raises(gx.GradixError) as err:
+        gx.natural_join(d1, d2)
+    assert str(err.value) == ("join of tables on ['A', 'B'] and ['A', 'C'] would build "
+                              "400 rows, more than the bound of 399 (table.MAX_ROWS)")
+    # a join whose product passes the bound but whose groups do not is built:
+    # the other nineteen values of A find no partner
+    d3 = rdt(godel, {"A", "C"}, {(a, 0): 0.5 for a in range(1, 21)})
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 20)
+    assert len(gx.natural_join(d1, d3)) == 20
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 19)
+    with pytest.raises(gx.GradixError, match="would build 20 rows"):
+        gx.natural_join(d1, d3)
+
+
+def test_a_gddo_whose_first_join_passes_the_row_bound_is_refused(godel, monkeypatch):
+    """GDDO starts from D1 ⋈ D2, which is bounded as every join is."""
+    d1 = rdt(godel, {"A", "B"}, {(1, b): 0.5 for b in range(10)})
+    d2 = rdt(godel, {"A", "C"}, {(1, c): 0.5 for c in range(10)})
+    d3 = rdt(godel, {"B", "D"}, {(0, 0): 0.5})
+    d4 = rdt(godel, {"D"}, {0: 0.5})
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 100)
+    assert len(gx.div_gddo(d1, d2, d3, d4)) == 10
+    monkeypatch.setattr(gx.table, "MAX_ROWS", 99)
+    with pytest.raises(gx.GradixError) as err:
+        gx.div_gddo(d1, d2, d3, d4)
+    assert str(err.value) == ("join of tables on ['A', 'B'] and ['A', 'C'] would build "
+                              "100 rows, more than the bound of 99 (table.MAX_ROWS)")
 
 
 def test_projection(godel):
