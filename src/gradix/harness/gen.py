@@ -20,7 +20,7 @@ value.  The suites' small samples and ranges draw through `_draw_sample`,
 `_draw_below` and `_draw_int`, which take the bits `Random.sample`,
 `randrange` and `randint` take, in the same order.
 Scores are carrier members by construction; a unit-interval grid is checked
-at its step and its top point whenever a table plan is made, and tables are
+at its step and its top point whenever its grid is built, and tables are
 built by the trusted `table._table` with rows keyed by value tuples.
 """
 
@@ -141,25 +141,24 @@ def _score_grid(lat: ResiduatedLattice, step: float):
     return lambda r: (1 + r) * step, levels, k
 
 
-#: the last table plan: its lattice, held and compared by identity, its
-#: (step, max_rows, count), and the draw constants `_draw_table` uses.
-#: Replaced whole by one assignment, so threads at worst make a plan twice.
-_last_plan: tuple = (None, None, None)
+#: the last score grid: its lattice, held and compared by identity, its
+#: step, and `_score_grid`'s result.  Replaced whole by one assignment, so
+#: threads at worst build a grid twice.
+_last_grid: tuple = (None, None, None)
 
 
-def _plan(lat: ResiduatedLattice, step: float, max_rows: int, count: int) -> tuple:
-    """The draw constants of a table on `lat`: the bits a row count and a
-    value take, and `_score_grid`'s degree function, size and bits.  A plan
-    is kept only once all of them are made, so a bad bound or step raises
-    on every call."""
-    global _last_plan
-    bounds = (step, max_rows, count)
-    last_lat, last_bounds, constants = _last_plan
-    if last_lat is lat and last_bounds == bounds:
-        return constants
-    constants = (_bits(max_rows), _bits(count), *_score_grid(lat, step))
-    _last_plan = (lat, bounds, constants)
-    return constants
+def _grid(lat: ResiduatedLattice, step: float) -> tuple:
+    """`_score_grid(lat, step)`, kept for the last lattice and step.  A grid
+    is kept only once it is built, so a bad step raises on every call; the
+    step's type is part of the key, since `True == 1.0` but only the float
+    is a degree."""
+    global _last_grid
+    last_lat, last_step, grid = _last_grid
+    if last_lat is lat and last_step == step and type(last_step) is type(step):
+        return grid
+    grid = _score_grid(lat, step)
+    _last_grid = (lat, step, grid)
+    return grid
 
 
 def _draw_table(rng: random.Random, names: tuple, lat: ResiduatedLattice, step: float,
@@ -167,7 +166,8 @@ def _draw_table(rng: random.Random, names: tuple, lat: ResiduatedLattice, step: 
     """1..max_rows rows on the interned `names`, values low..low+count-1,
     scores from `_score_grid`; a repeated row keeps its last score.  Every
     draw is `_draw_below`'s, written out in one loop."""
-    k_rows, k_value, degree, levels, k_score = _plan(lat, step, max_rows, count)
+    k_rows, k_value = _bits(max_rows), _bits(count)
+    degree, levels, k_score = _grid(lat, step)
     getrandbits = rng.getrandbits
     r = getrandbits(k_rows)
     while r >= max_rows:

@@ -253,14 +253,14 @@ def test_gen_rejects_a_score_step_above_one(godel, lukasiewicz, step):
             gen_rdt(cfg, sch("A"))
 
 
-def test_a_table_plan_is_kept_for_one_lattice_object_and_only_when_valid(godel):
-    """The draw constants are made again for another lattice object, even an
-    equal one, and never kept for a bad step, which raises on every draw."""
+def test_a_score_grid_is_kept_for_one_lattice_object_and_only_when_valid(godel):
+    """The grid is built again for another lattice object, even an equal
+    one, and never kept for a bad step, which raises on every draw."""
     gen_rdt(GenConfig(seed=3, lattice=DIAMOND), sch("A"))
-    plan = gen._last_plan
-    assert plan[0] is DIAMOND
-    gen_rdt(GenConfig(seed=4, lattice=DIAMOND), sch("A", "B"))
-    assert gen._last_plan is plan
+    grid = gen._last_grid
+    assert grid[0] is DIAMOND
+    gen_rdt(GenConfig(seed=4, lattice=DIAMOND, max_rows=3, max_values=2), sch("A", "B"))
+    assert gen._last_grid is grid
     twin = gx.FiniteTableLattice(
         ["0", "a", "b", "1"],
         [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
@@ -268,13 +268,16 @@ def test_a_table_plan_is_kept_for_one_lattice_object_and_only_when_valid(godel):
     )
     assert twin == DIAMOND
     gen_rdt(GenConfig(seed=3, lattice=twin), sch("A"))
-    assert gen._last_plan[0] is twin
+    assert gen._last_grid[0] is twin
     for _ in range(2):
         gen_rdt(GenConfig(seed=1, lattice=godel), sch("A"))
         with pytest.raises(gx.DegreeError):
             gen_rdt(GenConfig(seed=1, lattice=godel, score_step=0.35), sch("A"))
         with pytest.raises(ValueError, match="score_step"):
             gen_rdt(GenConfig(seed=1, lattice=godel, score_step=1.5), sch("A"))
+        gen_rdt(GenConfig(seed=1, lattice=godel, score_step=1.0), sch("A"))
+        with pytest.raises(gx.DegreeError):
+            gen_rdt(GenConfig(seed=1, lattice=godel, score_step=True), sch("A"))
 
 
 def test_gen_rejects_a_lattice_without_nonzero_degrees():

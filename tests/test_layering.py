@@ -242,14 +242,15 @@ def test_no_traversal_recurses():
         assert recursions((PACKAGE / module).read_text(encoding="utf-8")) == [], module
 
 
-def scoped_nodes(source: str):
+def scoped_nodes(source: str, skip_annotations: bool = False):
     """Every node of a module with the qualified name of the function or
-    class it is in ("<module>" outside them); annotations are left out,
-    since they name types and run nothing."""
+    class it is in ("<module>" outside them); with `skip_annotations`, the
+    `returns` and `annotation` subtrees are left out."""
     stack = [(ast.parse(source), "<module>")]
     while stack:
         node, scope = stack.pop()
-        skip = (getattr(node, "returns", None), getattr(node, "annotation", None))
+        skip = ((getattr(node, "returns", None), getattr(node, "annotation", None))
+                if skip_annotations else ())
         for child in ast.iter_child_nodes(node):
             if any(child is s for s in skip):
                 continue
@@ -275,6 +276,10 @@ def test_dynamic_code_scan():
               "class C:\n    def g(self):\n        return [eval(s) for s in ()]\n")
     assert dynamic_code_calls(source) == {"f", "C.g"}
     assert dynamic_code_calls("compile('1', '', 'eval')\n") == {"<module>"}
+    annotated = ("x: eval('int') = 1\n"
+                 "def h(a: exec('1')) -> compile('1', '', 'eval'):\n    pass\n")
+    assert dynamic_code_calls(annotated) == {"<module>", "h"}
+    assert dynamic_code_calls("def h() -> compile('1', '', 'eval'):\n    pass\n") == {"h"}
 
 
 def test_only_the_kernel_generator_and_slot_init_run_generated_code():
@@ -291,7 +296,7 @@ def random_builders(source: str) -> set:
     """The functions of a module that name a `Random` class outside an
     annotation (`random.Random`, `_random.Random` or a `Random` imported by
     name), which is what building one takes."""
-    return {scope for scope, node in scoped_nodes(source)
+    return {scope for scope, node in scoped_nodes(source, skip_annotations=True)
             if (isinstance(node, ast.Attribute) and node.attr == "Random")
             or (isinstance(node, ast.Name) and node.id == "Random")}
 
