@@ -551,10 +551,21 @@ _SYNTAX = {
     GCodd: "GCODD({}, {}; UNIV {})", GTodd: "GTODD({}, {}; UNIV {})",
 }
 _PIECES = {cls: syntax.split("{}") for cls, syntax in _SYNTAX.items()}
+#: infix nodes whose left operand, where it is the same node, prints without
+#: its brackets: the parser reads every infix chain to the left
+_LEFT_CHAINS = frozenset({Union, Intersection, NaturalJoin})
 
 
 def ra_to_text(expr: RaExpr) -> str:
-    """Deterministic textual form; reparsing yields an equal AST."""
+    """Deterministic textual form; reparsing yields an equal AST.
+
+    A left-deep chain of one infix operator prints with one pair of
+    brackets, `(R UNION S UNION T)`, so it reparses at any length.  Other
+    nesting keeps its brackets, and the parser reads brackets at most
+    `parsing.MAX_DEPTH` deep: a chain of alternating operators such as
+    `((R UNION S) JOIN T)`, or a compiled `=>` chain of nested `RES(…)`,
+    prints text that does not reparse past that depth.
+    """
     return _rope_text(fold(expr, _text_rule)[id(expr)])
 
 
@@ -593,4 +604,6 @@ def _text_rule(expr: RaExpr, *t):
     pieces = _PIECES.get(type(expr))
     if pieces is None:
         raise TypeError(f"not an RA expression: {type(expr).__name__}")
+    if type(expr) in _LEFT_CHAINS and type(expr.left) is type(expr):
+        t = (t[0][1:-1], t[1])  # the left operand's rope without its brackets
     return (pieces[0], *itertools.chain.from_iterable(zip(t, pieces[1:])))

@@ -2,10 +2,10 @@
 
 Every graded division has one shape, a universally quantified residuum:
 result(r) = combine(w(r), ⋀_s (D(s) → D'(rs))).  A division names only
-the parts of that shape: its outer rows r with weights w (a range, a
-dividend, a universe or a join), its divisor D and consequent D', each
-with its scheme, and `combine`, where w meets the infimum.
-`_residuum_infimum` derives the rest from the schemes: the divisor is
+the parts of that shape as three tables: its outer rows r with weights w
+(a range, a dividend, a universe or a join), its divisor D and its
+consequent D', with `combine`, where w meets the infimum.
+`_residuum_infimum` derives the rest from the three schemes: the divisor is
 grouped by the attributes it shares with r (one group when there are
 none), and each probe rs is laid out from r's and s's values.  It
 evaluates that shape for all of them in the manner of Graefe's
@@ -36,11 +36,11 @@ from .table import (
     Scheme,
     _project_plan,
     _same_lattice,
-    _sup_index,
     _table,
     attrs_of,
     difference_graded,
     natural_join,
+    projection,
     semijoin,
 )
 
@@ -106,15 +106,14 @@ _LAYOUT_BOUND = 256
 _LAYOUTS: dict[tuple, tuple] = {}
 
 
-def _residuum_infimum(outer: RankedDataTable, divisor: dict, divisor_scheme: Scheme,
-                      consequent: dict, consequent_scheme: Scheme, combine) -> RankedDataTable:
+def _residuum_infimum(outer: RankedDataTable, divisor: RankedDataTable,
+                      consequent: RankedDataTable, combine) -> RankedDataTable:
     """The residuum infimum shared by every graded division: the table on
     `outer`'s scheme with result(r) = combine(w(r), ⋀_s (D(s) → D'(rs))).
 
-    `outer` gives the rows r and their weights w; `divisor` maps value
-    tuples on `divisor_scheme` to D, and `consequent` those on
-    `consequent_scheme` to D'.  The consequent scheme must lie within
-    `outer.scheme ∪ divisor_scheme`.  The row layout follows from the
+    The three tables give the rows r and their weights w (`outer`), the
+    divisor D and the consequent D'.  The consequent's scheme must lie
+    within `outer.scheme ∪ divisor.scheme`.  The row layout follows from the
     schemes: the divisor rows of r are the group whose values on
     outer ∩ divisor equal r's, each row s quantified over its values on
     the rest, divisor − outer, and rs is probed in `consequent` on r's
@@ -124,7 +123,7 @@ def _residuum_infimum(outer: RankedDataTable, divisor: dict, divisor_scheme: Sch
     the theorem suites meet several hundred triples and find about 94% of
     their calls' layouts remembered.
 
-    The rows of `divisor` are grouped in one pass that keeps each row as a
+    The rows of the divisor are grouped in one pass that keeps each row as a
     triple (rest values, degree b, b → ⊥).  A probe that misses takes the
     stored b → ⊥, with no residuum computed.  A missing group is empty:
     every term of the infimum is then the tail 0 → · = 1.  `combine` is
@@ -141,25 +140,25 @@ def _residuum_infimum(outer: RankedDataTable, divisor: dict, divisor_scheme: Sch
     """
     lat = outer.lattice
     kresiduum, bottom = lat.kresiduum, lat.bottom
-    schemes = (outer.scheme, divisor_scheme, consequent_scheme)
+    schemes = (outer.scheme, divisor.scheme, consequent.scheme)
     layout = _LAYOUTS.get(schemes)
     if layout is None:
-        outer_names, divisor_names = attrs_of(outer.scheme), attrs_of(divisor_scheme)
-        key = attrs_of(outer.scheme & divisor_scheme)
-        rest = attrs_of(divisor_scheme - outer.scheme)
-        prefix = attrs_of(consequent_scheme & outer.scheme)
+        outer_names, divisor_names = attrs_of(outer.scheme), attrs_of(divisor.scheme)
+        key = attrs_of(outer.scheme & divisor.scheme)
+        rest = attrs_of(divisor.scheme - outer.scheme)
+        prefix = attrs_of(consequent.scheme & outer.scheme)
         layout = (_project_plan(outer_names, key), _project_plan(outer_names, prefix),
                   _project_plan(divisor_names, key), _project_plan(divisor_names, rest),
-                  _project_plan(prefix + rest, attrs_of(consequent_scheme)))
+                  _project_plan(prefix + rest, attrs_of(consequent.scheme)))
         if len(_LAYOUTS) >= _LAYOUT_BOUND:
             _LAYOUTS.pop(next(iter(_LAYOUTS)), None)
         _LAYOUTS[schemes] = layout
     to_key, to_prefix, divisor_key, divisor_rest, probe = layout
     groups: dict = {}
-    for u, b in divisor.items():
+    for u, b in divisor._rows.items():
         groups.setdefault(divisor_key(u), []).append((divisor_rest(u), b, kresiduum(b, bottom)))
     rows = combine[lat._kernel_class](lat, outer._rows, groups.get, to_key, to_prefix,
-                                      consequent.get, probe, lat.top, bottom)
+                                      consequent._rows.get, probe, lat.top, bottom)
     return _table(outer.scheme, lat, rows)
 
 
@@ -237,8 +236,7 @@ def div_ranged(
     """
     _same_lattice(dividend, divisor, rng)
     ranged_scheme(dividend.scheme, divisor.scheme, rng.scheme)
-    return _residuum_infimum(rng, divisor._rows, divisor.scheme,
-                             dividend._rows, dividend.scheme, _inside_inf)
+    return _residuum_infimum(rng, divisor, dividend, _inside_inf)
 
 
 def div_gsdo(
@@ -251,7 +249,7 @@ def div_gsdo(
     """
     _same_lattice(d1, d2, d3)
     gsdo_scheme(d1.scheme, d2.scheme, d3.scheme)
-    return _residuum_infimum(d1, d2._rows, d2.scheme, d3._rows, d3.scheme, _times_inf)
+    return _residuum_infimum(d1, d2, d3, _times_inf)
 
 
 def div_gsd(
@@ -265,8 +263,7 @@ def div_gsd(
     _same_lattice(d1, d2, d3)
     gsd_scheme(d1.scheme, d2.scheme, d3.scheme)
     r, s = d1.scheme & d3.scheme, d2.scheme & d3.scheme
-    return _residuum_infimum(d1, _sup_index(d2, attrs_of(s)), s,
-                             _sup_index(d3, attrs_of(r | s)), r | s, _times_inf)
+    return _residuum_infimum(d1, projection(d2, s), projection(d3, r | s), _times_inf)
 
 
 def div_gcodd(
@@ -282,7 +279,7 @@ def div_gcodd(
     _same_lattice(d1, d2, universe)
     _require_non_ranked(universe, "div_gcodd")
     gcodd_scheme(d1.scheme, d2.scheme, universe.scheme)
-    return _residuum_infimum(universe, d2._rows, d2.scheme, d1._rows, d1.scheme, _times_inf)
+    return _residuum_infimum(universe, d2, d1, _times_inf)
 
 
 def div_gtodd(
@@ -297,7 +294,7 @@ def div_gtodd(
     _same_lattice(d1, d2, universe)
     _require_non_ranked(universe, "div_gtodd")
     gtodd_scheme(d1.scheme, d2.scheme, universe.scheme)
-    return _residuum_infimum(universe, d2._rows, d2.scheme, d1._rows, d1.scheme, _times_inf)
+    return _residuum_infimum(universe, d2, d1, _times_inf)
 
 
 def div_ggdo(
@@ -315,8 +312,7 @@ def div_ggdo(
     """
     _same_lattice(d1, d2, d3, d4)
     ggdo_scheme(d1.scheme, d2.scheme, d3.scheme, d4.scheme)
-    return _residuum_infimum(natural_join(d1, d2), d4._rows, d4.scheme,
-                             d3._rows, d3.scheme, _times_inf)
+    return _residuum_infimum(natural_join(d1, d2), d4, d3, _times_inf)
 
 
 def div_gddo(
@@ -339,12 +335,10 @@ def div_gddo(
     """
     _same_lattice(d1, d2, d3, d4)
     reached = d3.scheme & (d1.scheme | d4.scheme)
-    return _residuum_infimum(natural_join(d1, d2), d4._rows, d4.scheme,
-                             _sup_index(d3, attrs_of(reached)), reached, _times_inf)
+    return _residuum_infimum(natural_join(d1, d2), d4, projection(d3, reached), _times_inf)
 
 
 def semidifference(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     """D1 ⋉̄ D2 = D1 ∖ (D1 ⋉ D2): rows of D1 with no joinable partner in D2."""
     _require_boolean(d1, "semidifference")
-    _same_lattice(d1, d2)
     return difference_graded(d1, semijoin(d1, d2))

@@ -360,9 +360,6 @@ class UnitIntervalLattice(_ChainLattice):
     def is_top(self, a):
         return a >= 1.0 - DEGREE_TOL
 
-    def is_bottom(self, a):
-        return a == 0.0
-
     def degree_diff(self, a, b):
         return abs(a - b)
 

@@ -285,7 +285,15 @@ def _var_names(vs: Iterable[TupleVar]) -> str:
 
 
 def ptc_to_text(expr: PtcExpr) -> str:
-    """Deterministic textual form matching the calculus grammar."""
+    """Deterministic textual form matching the calculus grammar.
+
+    A chain of one operator prints with one pair of brackets, in the
+    direction the parser reads it: `(P(s) * P(s) * P(s))`, with `*` and `&`
+    to the left and `=>` to the right, so it reparses at any length.  A
+    chain of alternating operators keeps a bracket level per node and does
+    not reparse past `parsing.MAX_DEPTH`; nor does a compiled `=>` chain,
+    whose algebra nests `RES(…)`.
+    """
     return ra._rope_text(ra.fold(expr, _text_rule)[id(expr)])
 
 
@@ -294,7 +302,12 @@ def _text_rule(node, *t):
     match node:
         case Atom(_, vs):
             return (t[0], f"({_var_names(vs)})")
-        case PtcBinary(op, _, _):
+        case PtcBinary(op, left, right):
+            # a chain's inner operand drops its brackets: the left one of
+            # `*` and `&`, the right one of `=>`
+            inner = right if op == RESIDUUM else left
+            if type(inner) is PtcBinary and inner.op == op:
+                t = (t[0], t[1][1:-1]) if op == RESIDUUM else (t[0][1:-1], t[1])
             return ("(", t[0], f" {_OP_TEXT[op]} ", t[1], ")")
         case PtcNabla():
             return ("NABLA(", t[0], ")")

@@ -4,7 +4,8 @@ relational operations.
 A ranked data table (RDT) maps tuples on a fixed relation scheme to degrees
 from one residuated lattice; only tuples with nonzero score are stored, so
 finiteness of the answer set is a structural invariant.  Tables are
-immutable, every operation returns a new table, and all operations are pure.
+immutable and all operations are pure: each returns a new table, except a
+projection onto its operand's own scheme, which returns the operand.
 
 Inside the engine a table keys its rows by plain value tuples, the values in
 the sorted-attribute order of `attrs_of(scheme)`: the operators, the
@@ -484,18 +485,6 @@ _SEMIJOIN_ROWS = RowLoop("semijoin_rows", ("left", "sup", "key", "bottom"), """
     return rows
 """)
 
-_DIFFERENCE_ROWS = RowLoop("difference_rows", ("left", "right", "bottom"), """
-    rows = {}
-    right_get = right.get
-    for v, a in left.items():
-        b = right_get(v, bottom)
-        n = RESIDUUM(b, bottom)
-        x = OTIMES(a, n)
-        if x != bottom:
-            rows[v] = x
-    return rows
-""")
-
 _RESIDUUM_ROWS = RowLoop("residuum_rows", ("weights", "left", "right", "bottom"), """
     rows = {}
     left_get, right_get = left.get, right.get
@@ -508,16 +497,6 @@ _RESIDUUM_ROWS = RowLoop("residuum_rows", ("weights", "left", "right", "bottom")
             rows[v] = x
     return rows
 """)
-
-
-def _sup_index(d: RankedDataTable, names: tuple) -> dict:
-    """The projection of `d` onto the sub-names `names`: each projected
-    value tuple scores the ∨ of its rows' degrees.  On `d`'s own names this
-    is `d`'s own dict, not a copy."""
-    if names == attrs_of(d.scheme):
-        return d._rows
-    lat = d.lattice
-    return _SUP_ROWS[lat._kernel_class](lat, d._rows, _project_plan(attrs_of(d.scheme), names))
 
 
 def _same_lattice(*tables: RankedDataTable) -> ResiduatedLattice:
@@ -587,17 +566,18 @@ def natural_join(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
 
 
 def projection(d: RankedDataTable, scheme: Scheme) -> RankedDataTable:
-    """(π_S D)(s) = ⋁ {D(r) | r(S) = s}; suprema interpret 'there is'."""
+    """(π_S D)(s) = ⋁ {D(r) | r(S) = s}; suprema interpret 'there is'.
+    On `d`'s own scheme this is `d` itself, since tables are immutable."""
     scheme = frozenset(scheme)
     if not scheme <= d.scheme:
         raise SchemeError(
             f"projection target {sorted(scheme)} not within {sorted(d.scheme)}"
         )
-    lat = d.lattice
     if scheme == d.scheme:
-        return _table(d.scheme, lat, dict(d._rows))
-    names = attrs_of(scheme)
-    return _table(_SCHEME_OF[names], lat, _sup_index(d, names))
+        return d
+    lat, names = d.lattice, attrs_of(scheme)
+    rows = _SUP_ROWS[lat._kernel_class](lat, d._rows, _project_plan(attrs_of(d.scheme), names))
+    return _table(_SCHEME_OF[names], lat, rows)
 
 
 def semijoin(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
@@ -612,16 +592,18 @@ def semijoin(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     argument, so it commutes with `max` as it is computed.
     """
     lat = _same_lattice(d1, d2)
-    common = attrs_of(d1.scheme & d2.scheme)
+    common = d1.scheme & d2.scheme
     rows = _SEMIJOIN_ROWS[lat._kernel_class](
-        lat, d1._rows, _sup_index(d2, common).get,
-        _project_plan(attrs_of(d1.scheme), common), lat.bottom)
+        lat, d1._rows, projection(d2, common)._rows.get,
+        _project_plan(attrs_of(d1.scheme), attrs_of(common)), lat.bottom)
     return _table(d1.scheme, lat, rows)
 
 
 def difference_graded(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTable:
     """(D1 ∖ D2)(r) = D1(r) ⊗ (D2(r) → 0).
 
+    This is `residuum_with_range(D2, 0_R, D1)`, and it runs that operator's
+    row kernel: weights D1, left side D2 and an empty right side.
     On the two-element lattice this is exactly set difference; on graded
     lattices it lacks several laws a difference would be expected to have,
     so only two-valued operations (the semidifference and the classic
@@ -629,7 +611,7 @@ def difference_graded(d1: RankedDataTable, d2: RankedDataTable) -> RankedDataTab
     """
     lat = _same_lattice(d1, d2)
     scheme = _same_scheme(d1, d2)
-    rows = _DIFFERENCE_ROWS[lat._kernel_class](lat, d1._rows, d2._rows, lat.bottom)
+    rows = _RESIDUUM_ROWS[lat._kernel_class](lat, d1._rows, d2._rows, {}, lat.bottom)
     return _table(scheme, lat, rows)
 
 
@@ -703,7 +685,6 @@ class DatabaseInstance:
 class AttributeRegistry:
     """Session-wide attribute typing: one type per attribute name."""
 
-    TYPES = ("integer", "text", "decimal")
     _ALIASES = {"int": "integer", "integer": "integer", "str": "text",
                 "text": "text", "decimal": "decimal", "float": "decimal"}
     #: the Python type of each attribute type's values

@@ -234,7 +234,7 @@ def test_the_cache_holds_one_kernel_per_lattice_class(tmp_path):
     before = {loop.name: dict(loop) for loop in row_loops()}
     second = gx.lattice_from_spec(f"table:{path}")
     _operator_outputs(second, second, 12)
-    assert len(before) == 9
+    assert len(before) == 8
     for loop in row_loops():
         assert dict(loop) == before[loop.name]  # the second load compiled nothing
         assert all(isinstance(cls, type) for cls in loop)

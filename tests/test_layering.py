@@ -128,6 +128,17 @@ def test_alternative_formulations_live_in_the_harness():
     assert plan_users == {"_residuum_infimum"}
 
 
+def test_the_divisions_pass_whole_tables_to_their_kernel():
+    """Each division hands `_residuum_infimum` tables; only the kernel takes
+    their rows apart."""
+    tree = ast.parse((PACKAGE / "division.py").read_text(encoding="utf-8"))
+    row_readers = {
+        getattr(node, "name", type(node).__name__) for node in tree.body
+        if any(isinstance(n, ast.Attribute) and n.attr == "_rows" for n in ast.walk(node))
+    }
+    assert row_readers == {"_residuum_infimum"}
+
+
 def test_calculus_infimum_runs_through_the_division_kernel():
     """`ptc.py` takes no infimum and calls no table operator or division
     itself: it compiles every ⋀ to a division node, and `eval_ptc`

@@ -166,6 +166,12 @@ def test_projection(godel):
         gx.projection(d, sch("C"))
 
 
+def test_a_projection_onto_its_own_scheme_is_the_table(godel):
+    d = rdt(godel, {"A", "B"}, {("a1", "b1"): 0.6, ("a1", "b2"): 0.9})
+    assert gx.projection(d, d.scheme) is d
+    assert gx.projection(d, ["B", "A"]) is d
+
+
 def test_projection_composition(godel):
     d = rdt(godel, {"A", "B", "C"}, {(1, 1, 1): 0.4, (1, 2, 2): 0.9})
     assert gx.projection(gx.projection(d, sch("A", "B")), sch("A")) == gx.projection(d, sch("A"))
@@ -590,3 +596,17 @@ def test_max_deviation_of_equal_rows_is_zero_at_once(monkeypatch):
     assert d1.max_deviation(same) == 0.0 and not diffs
     assert d1.max_deviation(other) == 1.0 and len(diffs) == 3
     assert d1.max_deviation(moved) == 1.0  # no tuple is on both schemes
+
+
+@pytest.mark.parametrize("make", SIX_LATTICES,
+                         ids=["boolean", "godel", "lukasiewicz", "goguen", "chain5", "witness6"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_graded_difference_is_the_residuum_into_the_empty_table(make, data):
+    """D1 ∖ D2 = D1 ⊗ (D2 → ⊥) is the ranged residuum with weights D1, left
+    side D2 and an empty right side: the same rows in the same order."""
+    lat = make()
+    scheme = frozenset(data.draw(st.sets(st.sampled_from("ABC"), max_size=2)))
+    d1, d2 = data.draw(_tables(lat, scheme)), data.draw(_tables(lat, scheme))
+    want = gx.residuum_with_range(d2, gx.empty(lat, scheme), d1)
+    assert list(gx.difference_graded(d1, d2)._rows.items()) == list(want._rows.items())

@@ -179,9 +179,9 @@ def nablas():
 
 
 def chain_text(first, op, term, n):
-    """The printed form of the left-deep chain `first op term op … term` of
-    n terms."""
-    return "(" * (n - 1) + first + f" {op} {term})" * (n - 1)
+    """The printed form of the chain `first op term op … term` of n terms:
+    one pair of brackets around the whole chain."""
+    return "(" + f" {op} ".join([first] + [term] * (n - 1)) + ")"
 
 
 def chains(n):
@@ -195,8 +195,8 @@ def chains(n):
 
 def test_printing_a_long_chain_is_linear():
     # the short chains pin the printers' text; the long ones must follow it
-    assert chain_text("R", "UNION", "R", 3) == "((R UNION R) UNION R)"
-    assert chain_text("P(s)", "*", "P(s)", 3) == "((P(s) * P(s)) * P(s))"
+    assert chain_text("R", "UNION", "R", 3) == "(R UNION R UNION R)"
+    assert chain_text("P(s)", "*", "P(s)", 3) == "(P(s) * P(s) * P(s))"
     for n in (3, CHAIN):
         e, f = chains(n)
         assert gx.ra_to_text(e) == chain_text("R", "UNION", "R", n)
@@ -211,3 +211,28 @@ def test_printing_a_long_chain_is_linear():
         finally:
             tracemalloc.stop()
         assert peak < 100 * len(text)
+
+
+def test_a_printed_chain_of_any_length_parses_back():
+    """A chain of one infix operator prints with one pair of brackets, so
+    its text stays within `parsing.MAX_DEPTH` at any length: `UNION`,
+    `ISECT`, `JOIN`, `*` and `&` chain to the left, `=>` to the right."""
+    r, p = RelSym("R"), pc.Atom(RelSym("P"), frozenset({pc.TupleVar("s", sch("P"))}))
+    algebra = (gx.ra_to_text, parse_ra, 1)
+    calculus = (gx.ptc_to_text, lambda text: gx.parse_ptc(text, {"s": sch("P")}), CHAIN + 1)
+    builds = [(lambda e, node=node: node(e, r), r, algebra)
+              for node in (alg.Union, alg.Intersection, alg.NaturalJoin)]
+    builds += [(lambda e, op=op: pc.PtcBinary(op, e, p), p, calculus)
+               for op in (pc.OTIMES, pc.MEET)]
+    builds.append((lambda e: pc.PtcBinary(pc.RESIDUUM, p, e), p, calculus))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default
+    try:
+        for grow, e, (to_text, parse, brackets) in builds:
+            for _ in range(CHAIN - 1):
+                e = grow(e)
+            text = to_text(e)
+            assert text.count("(") == brackets  # the chain's and each atom's
+            assert parse(text) == e, text[:40]
+    finally:
+        sys.setrecursionlimit(limit)
